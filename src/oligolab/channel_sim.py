@@ -16,7 +16,7 @@ the source oligo reproduces the read bases exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -71,9 +71,6 @@ class ChannelConfig:
     def profile_data_b(cls, **kwargs) -> "ChannelConfig":
         """Data-B error profile: 8.352e-4 substitutions, 1.744e-5 indels per base."""
         return cls(sub_rate=8.352e-4, ins_rate=1.744e-5 / 2, del_rate=1.744e-5 / 2, **kwargs)
-
-    def with_seed(self, rng_seed: int) -> "ChannelConfig":
-        return replace(self, rng_seed=rng_seed)
 
 
 def default_transition_bias() -> np.ndarray:

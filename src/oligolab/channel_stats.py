@@ -7,18 +7,20 @@ position and observed base, the three source-base probabilities are the
 per-source mismatch rates normalized to sum to 1. Positions with no
 observed transitions fall back to uniform 1/3 and are flagged.
 
-Alignment is exact but accelerated: a read whose seed region matches (or
-nearly matches) a pool seed is compared against that oligo first, and a
-metric-ball argument (2 * hamming < min pairwise pool distance) certifies
-the argmin without scanning; everything else goes through a pruned exact
-scan, so results are identical to brute force including the tie rule.
+Alignment is exact but accelerated: a read whose seed region matches a
+pool seed is compared against that oligo, any other read against its
+Hamming-nearest oligo. A metric-ball argument (2 * hamming < min pairwise
+pool distance), or an exact match, certifies that candidate without
+scanning; everything else goes through a pruned exact scan, so results are
+identical to brute force including the tie rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -151,36 +153,6 @@ class PoolIndex:
     def dmin(self) -> np.ndarray | None:
         return self._dmin
 
-    def seed_candidates(self, seed_nt: str) -> list[int]:
-        """Pool indices whose seed matches seed_nt exactly or within 1-2 subs."""
-        hit = self.seed_to_index.get(seed_nt)
-        if hit is not None:
-            return [hit]
-        found = []
-        for pos in range(SEED_NT):
-            orig = seed_nt[pos]
-            for b in BASES:
-                if b == orig:
-                    continue
-                hit = self.seed_to_index.get(seed_nt[:pos] + b + seed_nt[pos + 1 :])
-                if hit is not None:
-                    found.append(hit)
-        if found:
-            return sorted(set(found))
-        for p1 in range(SEED_NT):
-            for p2 in range(p1 + 1, SEED_NT):
-                for b1 in BASES:
-                    if b1 == seed_nt[p1]:
-                        continue
-                    prefix = seed_nt[:p1] + b1 + seed_nt[p1 + 1 : p2]
-                    for b2 in BASES:
-                        if b2 == seed_nt[p2]:
-                            continue
-                        hit = self.seed_to_index.get(prefix + b2 + seed_nt[p2 + 1 :])
-                        if hit is not None:
-                            found.append(hit)
-        return sorted(set(found))
-
 
 def _bag_lower_bounds(read_counts: np.ndarray, pool: PoolIndex) -> np.ndarray:
     # multiset (bag) distance / 2 lower-bounds edit distance
@@ -219,25 +191,48 @@ def _exact_scan(read_codes: np.ndarray, pool: PoolIndex, upper: int | None) -> t
         rung *= 4
 
 
-def align_read(read: ReadRecord | str, pool: PoolIndex) -> tuple[int, int]:
-    """Nearest pool oligo for a 152-nt read: (index, edit distance)."""
-    bases = read.bases if isinstance(read, ReadRecord) else read
-    if len(bases) != OLIGO_NT:
-        raise ValueError(f"read must be {OLIGO_NT} nt after filtering, got {len(bases)}")
-    codes = encode_bases(bases)
-    if (codes > 3).any():
-        raise ValueError("read contains non-ACGT bases")
-    cands = pool.seed_candidates(bases[:SEED_NT])
-    if cands:
-        hams = [(int((codes != pool.codes[c]).sum()), c) for c in cands]
-        ham, cand = min(hams)
-        if pool.dmin is not None and 2 * ham < pool.dmin[cand]:
-            if ham == 0:
-                return cand, 0
-            d = levenshtein_banded(codes, pool.codes[cand], ham)
-            return cand, int(min(d, ham))
-        return _exact_scan(codes, pool, ham)
-    return _exact_scan(codes, pool, None)
+def align_reads(
+    bases_list: Sequence[str], codes: np.ndarray, pool: PoolIndex
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nearest pool oligo of each 152-nt ACGT read, ties to the lowest index.
+
+    codes is encode_base_matrix(bases_list, OLIGO_NT). Returns the aligned
+    oligo index and the Hamming distance to it per read, and the number of
+    reads that took the exact scan.
+    """
+    m = len(bases_list)
+    hams = np.empty(m, dtype=np.int64)
+    lookup = pool.seed_to_index
+    cand = np.full(m, -1, dtype=np.int64)
+    for r, bases in enumerate(bases_list):
+        hit = lookup.get(bases[:SEED_NT])
+        if hit is not None:
+            cand[r] = hit
+    have = cand >= 0
+    if have.any():
+        rows = np.nonzero(have)[0]
+        hams[rows] = (codes[rows] != pool.codes[cand[rows]]).sum(axis=1)
+    miss = np.nonzero(~have)[0]
+    if len(miss):
+        # no seed hit: take the hamming-nearest oligo as the candidate,
+        # in blocks sized to keep the comparison tensor small
+        block = max(1, 6_000_000 // (len(pool) * OLIGO_NT))
+        for lo in range(0, len(miss), block):
+            rows = miss[lo : lo + block]
+            hm = (codes[rows][:, None, :] != pool.codes[None, :, :]).sum(axis=2)
+            cand[rows] = hm.argmin(axis=1)
+            hams[rows] = hm.min(axis=1)
+    if pool.dmin is not None:
+        certified = 2 * hams < pool.dmin[cand]
+    else:
+        # without dmin only exact matches are certified without a scan
+        certified = hams == 0
+    slow_rows = np.nonzero(~certified)[0]
+    for r in slow_rows:
+        idx, _ = _exact_scan(codes[r], pool, int(hams[r]))
+        cand[r] = idx
+        hams[r] = (codes[r] != pool.codes[idx]).sum()
+    return cand, hams, len(slow_rows)
 
 
 @dataclass
@@ -330,69 +325,42 @@ class TransitionEstimator:
             [(pool.codes == b) for b in range(4)], axis=2
         ).astype(np.int64)
 
-    def add_reads(self, reads: Iterable[ReadRecord | str], chunk_size: int = 20000) -> None:
-        chunk: list[str] = []
+    def add_reads(
+        self, reads: Iterable[ReadRecord | str], chunk_size: int = 20000
+    ) -> list[tuple[ReadRecord | str, int]]:
+        """Count the reads in; return (read, position_errors) of those conditioned on.
+
+        Reads that are not 152 nt or contain N are skipped and counted.
+        """
+        conditioned: list[tuple[ReadRecord | str, int]] = []
+        chunk: list[ReadRecord | str] = []
         for read in reads:
             bases = read.bases if isinstance(read, ReadRecord) else read
             self.reads_seen += 1
             if len(bases) != OLIGO_NT or "N" in bases:
                 self.reads_skipped += 1
                 continue
-            chunk.append(bases)
+            chunk.append(read)
             if len(chunk) >= chunk_size:
-                self._add_chunk(chunk)
+                conditioned += self._add_chunk(chunk)
                 chunk = []
         if chunk:
-            self._add_chunk(chunk)
+            conditioned += self._add_chunk(chunk)
+        return conditioned
 
-    def _add_chunk(self, bases_list: list[str]) -> None:
-        m = len(bases_list)
+    def _add_chunk(self, chunk: list[ReadRecord | str]) -> list[tuple[ReadRecord | str, int]]:
+        bases_list = [r.bases if isinstance(r, ReadRecord) else r for r in chunk]
         codes = encode_base_matrix(bases_list, OLIGO_NT)
-        aligned = np.empty(m, dtype=np.int64)
-        hams = np.empty(m, dtype=np.int64)
-
-        lookup = self.pool.seed_to_index
-        cand = np.full(m, -1, dtype=np.int64)
-        for r, bases in enumerate(bases_list):
-            hit = lookup.get(bases[:SEED_NT])
-            if hit is not None:
-                cand[r] = hit
-        have = cand >= 0
-        if have.any():
-            rows = np.nonzero(have)[0]
-            hams[rows] = (codes[rows] != self.pool.codes[cand[rows]]).sum(axis=1)
-        miss = np.nonzero(~have)[0]
-        if len(miss):
-            # no seed hit: take the hamming-nearest oligo as the candidate,
-            # in blocks sized to keep the comparison tensor small
-            block = max(1, 6_000_000 // (len(self.pool) * OLIGO_NT))
-            for lo in range(0, len(miss), block):
-                rows = miss[lo : lo + block]
-                hm = (codes[rows][:, None, :] != self.pool.codes[None, :, :]).sum(axis=2)
-                cand[rows] = hm.argmin(axis=1)
-                hams[rows] = hm.min(axis=1)
-        aligned[:] = cand
-        dmin = self.pool.dmin
-        if dmin is not None:
-            certified = 2 * hams < dmin[cand]
-        else:
-            # without dmin only exact matches are certified without a scan
-            certified = hams == 0
-        slow_rows = np.nonzero(~certified)[0]
-        self.slow_path_reads += len(slow_rows)
-        for r in slow_rows:
-            idx, _ = _exact_scan(codes[r], self.pool, int(hams[r]))
-            aligned[r] = idx
-            hams[r] = (codes[r] != self.pool.codes[idx]).sum()
+        aligned, hams, n_slow = align_reads(bases_list, codes, self.pool)
+        self.slow_path_reads += n_slow
 
         for d, c in zip(*np.unique(hams, return_counts=True)):
             self.mismatch_histogram[int(d)] = self.mismatch_histogram.get(int(d), 0) + int(c)
 
-        conditioned = hams >= 1
-        if not conditioned.any():
-            return
-        self.reads_conditioned += int(conditioned.sum())
-        sel = np.nonzero(conditioned)[0]
+        sel = np.nonzero(hams >= 1)[0]
+        if not len(sel):
+            return []
+        self.reads_conditioned += len(sel)
         sub_codes = codes[sel]
         sub_pool = self.pool.codes[aligned[sel]]
         mm = sub_codes != sub_pool
@@ -401,6 +369,7 @@ class TransitionEstimator:
         per_oligo = np.bincount(aligned[sel], minlength=len(self.pool)).astype(np.int64)
         used = np.nonzero(per_oligo)[0]
         self.denoms += np.tensordot(per_oligo[used], self._onehot[used], axes=(0, 0))
+        return list(zip([chunk[r] for r in sel], hams[sel].tolist()))
 
     def finish(self) -> TransitionTable:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -435,12 +404,22 @@ def estimate_transitions(
     reads: Iterable[ReadRecord | str],
     pool: PoolIndex | Sequence[str],
     chunk_size: int = 20000,
+    on_conditioned: Callable[[list[tuple[ReadRecord | str, int]]], None] | None = None,
 ) -> TransitionTable:
-    """Build the transition table from reads aligned to the encoded pool."""
+    """Build the transition table from reads aligned to the encoded pool.
+
+    Reads are taken chunk_size at a time. on_conditioned, if given, gets
+    each chunk's (read, position_errors) pairs of the reads conditioned on,
+    in read order, before the next chunk is read.
+    """
     if not isinstance(pool, PoolIndex):
         pool = PoolIndex(pool)
     est = TransitionEstimator(pool)
-    est.add_reads(reads, chunk_size=chunk_size)
+    it = iter(reads)
+    while chunk := list(islice(it, chunk_size)):
+        conditioned = est.add_reads(chunk, chunk_size=chunk_size)
+        if on_conditioned is not None:
+            on_conditioned(conditioned)
     return est.finish()
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: encode | simulate | stats | decode | experiment.
 
-Exit codes: 0 success, 1 decode failure, 2 usage/config error, 3 I/O error.
+Exit codes: 0 success, 1 decode failure, 2 usage/config error, 3 I/O error
+or malformed FASTQ.
 Every report JSON embeds the effective config so runs are reproducible
 from their outputs.
 """
@@ -8,6 +9,7 @@ from their outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -16,18 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel_stats import (
-    PoolIndex,
-    TransitionTable,
-    align_read,
-    estimate_transitions,
-    quality_product,
-)
+from .channel_stats import PoolIndex, TransitionTable, estimate_transitions, quality_product
 from .channel_sim import simulate_pool
 from .clustering_llr import cluster_by_seed
 from .config import ConfigError, channel_from, load_config, pipeline_params_from, soliton_from
 from .dna_codec import BASES, OLIGO_NT, assemble_oligo, read_fasta, write_fasta
-from .fastq_io import parse_fastq
+from .fastq_io import FastqFormatError, parse_fastq
 from .fountain import SeedSchedule, lt_encode, required_symbols
 from .pipeline import experiment_sweep, hard_decode_baseline, iterative_soft_decode
 
@@ -123,9 +119,17 @@ def cmd_simulate(args, cfg: dict) -> int:
 def cmd_stats(args, cfg: dict) -> int:
     oligos = read_fasta(args.pool)
     pool = PoolIndex([o.sequence for o in oligos])
-    table = estimate_transitions(parse_fastq(args.fastq), pool)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "quality_vs_errors.tsv", "w") as fh:
+        fh.write("read_id\tquality_product\tposition_errors\n")
+        table = estimate_transitions(
+            parse_fastq(args.fastq),
+            pool,
+            on_conditioned=lambda pairs: fh.writelines(
+                f"{rec.id}\t{quality_product(rec):.6g}\t{errors}\n" for rec, errors in pairs
+            ),
+        )
     table.save_tsv(outdir / "transition.tsv")
 
     with open(outdir / "transition_curves.tsv", "w") as fh:
@@ -136,26 +140,14 @@ def cmd_stats(args, cfg: dict) -> int:
             vals = "\t".join(f"{table.probs[i, y, x]:.6g}" for x, y in pairs)
             fh.write(f"{i + 1}\t{vals}\n")
 
-    n_scatter = 0
-    with open(outdir / "quality_vs_errors.tsv", "w") as fh:
-        fh.write("read_id\tquality_product\tposition_errors\n")
-        for rec in parse_fastq(args.fastq):
-            if len(rec.bases) != OLIGO_NT or "N" in rec.bases:
-                continue
-            idx, _ = align_read(rec, pool)
-            errors = sum(a != b for a, b in zip(rec.bases, pool.sequences[idx]))
-            if errors == 0:
-                continue
-            fh.write(f"{rec.id}\t{quality_product(rec):.6g}\t{errors}\n")
-            n_scatter += 1
-
     report = {
         "estimator": table.meta,
         "fallback_positions": int(table.fallback.sum()),
         "row_sums_ok": bool(
             np.allclose(table.row_sums()[~table.fallback], 1.0, atol=1e-9)
         ),
-        "scatter_rows": n_scatter,
+        # one scatter row per conditioned read
+        "scatter_rows": table.meta["reads_conditioned"],
         "config": cfg,
     }
     _write_json(outdir / "stats_report.json", report)
@@ -165,14 +157,21 @@ def cmd_stats(args, cfg: dict) -> int:
 
 def cmd_decode(args, cfg: dict) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
+    ours = dataclasses.asdict(soliton_from(cfg))
+    theirs = dataclasses.asdict(soliton_from(manifest["config"]))
+    differ = [f"{key} (config {ours[key]}, manifest {theirs[key]})"
+              for key in ours if ours[key] != theirs[key]]
+    if differ:
+        print(f"error: code parameters differ from the manifest: {', '.join(differ)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     schedule = SeedSchedule.load(args.seeds)
     table = (
         TransitionTable.load_tsv(args.transition)
         if args.transition
         else TransitionTable.uniform()
     )
-    reads = list(parse_fastq(args.fastq))
-    clusters, discard = cluster_by_seed(reads, schedule)
+    clusters, discard = cluster_by_seed(parse_fastq(args.fastq), schedule)
     params = pipeline_params_from(cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -340,8 +339,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, cfg)
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+    except FastqFormatError as exc:
+        print(f"fastq error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

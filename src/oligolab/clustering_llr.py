@@ -14,17 +14,16 @@ probability is provided as the comparison baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .bp_decoder import LLR_MAX
 from .channel_stats import TransitionTable, encode_bases
 from .dna_codec import BASES, OLIGO_NT, PARITY_NT, SEED_NT, seed_to_bases
 from .fastq_io import ReadRecord, phred_to_prob
 from .fountain import SeedSchedule
 
-LLR_MAX = 30.0
 _TINY = 1e-300
 
 _PAYLOAD_SLICE = slice(SEED_NT, OLIGO_NT - PARITY_NT)
@@ -214,11 +213,3 @@ def majority_vote(cluster: Cluster) -> str:
     np.add.at(counts, (np.tile(np.arange(n), m), codes.ravel()), 1)
     return "".join(BASES[i] for i in np.argmax(counts, axis=1))
 
-
-def dump_cluster_llrs(cluster_llrs: Iterable[ClusterLlr], path: str | Path) -> None:
-    """Debug TSV: seed, member count, parity decision, 256 payload LLRs."""
-    with open(path, "w") as fh:
-        fh.write("seed\tmembers\trs_parity\tpayload_llrs\n")
-        for cl in cluster_llrs:
-            llrs = " ".join(f"{v:.6g}" for v in cl.payload_llrs)
-            fh.write(f"{cl.seed:08x}\t{cl.member_count}\t{cl.rs_parity_hard}\t{llrs}\n")

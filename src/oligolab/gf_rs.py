@@ -47,14 +47,6 @@ def gf_mul(a: int, b: int) -> int:
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-def gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(2^8)")
-    if a == 0:
-        return 0
-    return _EXP[_LOG[a] + 255 - _LOG[b]]
-
-
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("zero has no inverse in GF(2^8)")

@@ -4,11 +4,13 @@ import pytest
 from oligolab.channel_sim import ChannelConfig, corrupt_batch, default_transition_bias
 from oligolab.channel_stats import (
     PoolIndex,
+    TransitionEstimator,
     TransitionTable,
-    align_read,
+    align_reads,
     estimate_transitions,
     levenshtein,
     levenshtein_banded,
+    encode_base_matrix,
     encode_bases,
     quality_product,
 )
@@ -27,9 +29,20 @@ def pool():
 
 
 def brute_force_align(bases, pool):
+    """Lowest-index minimum-edit-distance oligo and the Hamming distance to it."""
     dists = [levenshtein(bases, s) for s in pool.sequences]
-    best = min(dists)
-    return dists.index(best), best
+    idx = dists.index(min(dists))
+    return idx, sum(a != b for a, b in zip(bases, pool.sequences[idx]))
+
+
+def align(reads, pool):
+    aligned, hams, _ = align_reads(reads, encode_base_matrix(reads, 152), pool)
+    return list(zip(aligned.tolist(), hams.tolist()))
+
+
+def without_dmin(pool):
+    """The same pool indexed as if it were too large for the dmin precompute."""
+    return PoolIndex(pool.sequences, dmin_pool_limit=0)
 
 
 def test_levenshtein_basics():
@@ -54,25 +67,25 @@ def test_levenshtein_banded_matches_full():
 
 
 def test_align_exact_read(pool):
-    idx, dist = align_read(pool.sequences[5], pool)
-    assert idx == 5
-    assert dist == 0
+    read = pool.sequences[5]
+    for index in (pool, without_dmin(pool)):
+        assert align([read], index) == [(5, 0)] == [brute_force_align(read, pool)]
 
 
 def test_align_single_substitution(pool):
     seq = list(pool.sequences[7])
     seq[40] = "A" if seq[40] != "A" else "C"
-    idx, dist = align_read("".join(seq), pool)
-    assert idx == 7
-    assert dist == 1
+    read = "".join(seq)
+    for index in (pool, without_dmin(pool)):
+        assert align([read], index) == [(7, 1)] == [brute_force_align(read, pool)]
 
 
 def test_align_seed_region_error(pool):
     seq = list(pool.sequences[3])
     seq[4] = "A" if seq[4] != "A" else "C"
-    idx, dist = align_read("".join(seq), pool)
-    assert idx == 3
-    assert dist == 1
+    read = "".join(seq)
+    for index in (pool, without_dmin(pool)):
+        assert align([read], index) == [(3, 1)] == [brute_force_align(read, pool)]
 
 
 def test_align_length_preserving_indel_burst(pool):
@@ -80,22 +93,26 @@ def test_align_length_preserving_indel_burst(pool):
     src = pool.sequences[2]
     read = src[:30] + "A" + src[30:140] + src[141:]
     assert len(read) == 152
-    idx, dist = align_read(read, pool)
-    bi, bd = brute_force_align(read, pool)
-    assert (idx, dist) == (bi, bd)
-    assert idx == 2
-    assert dist <= 3
+    assert levenshtein(read, src) <= 3
+    expected = brute_force_align(read, pool)
+    assert expected[0] == 2
+    assert expected[1] > 3
+    for index in (pool, without_dmin(pool)):
+        assert align([read], index) == [expected]
 
 
 def test_align_matches_brute_force_randomized(pool):
     rng = np.random.default_rng(3)
+    reads = []
     for _ in range(60):
         src = pool.sequences[int(rng.integers(len(pool)))]
         read = list(src)
         for _ in range(int(rng.integers(0, 5))):
             read[int(rng.integers(152))] = "ACGT"[int(rng.integers(4))]
-        read = "".join(read)
-        assert align_read(read, pool) == brute_force_align(read, pool)
+        reads.append("".join(read))
+    expected = [brute_force_align(read, pool) for read in reads]
+    for index in (pool, without_dmin(pool)):
+        assert align(reads, index) == expected
 
 
 def test_align_tie_breaks_to_lowest_index():
@@ -104,16 +121,9 @@ def test_align_tie_breaks_to_lowest_index():
     seq_c = base[:100] + "G" + base[101:]
     pool = PoolIndex([seq_b, seq_c])
     # `base` is at distance 1 from both pool members
-    idx, dist = align_read(base, pool)
-    assert dist == 1
-    assert idx == 0
-
-
-def test_align_rejects_bad_reads(pool):
-    with pytest.raises(ValueError):
-        align_read("ACGT", pool)
-    with pytest.raises(ValueError):
-        align_read("N" * 152, pool)
+    assert brute_force_align(base, pool) == (0, 1)
+    for index in (pool, without_dmin(pool)):
+        assert align([base], index) == [(0, 1)]
 
 
 def test_empty_pool_rejected():
@@ -126,6 +136,21 @@ def test_error_free_reads_give_uniform_fallback(pool):
     assert table.fallback.all()
     assert np.allclose(table.probs[:, 0, 1:], 1.0 / 3.0)
     assert table.counts.sum() == 0
+
+
+def test_add_reads_returns_conditioned_reads_in_order(pool):
+    def substitute(seq, positions):
+        out = list(seq)
+        for i in positions:
+            out[i] = "A" if out[i] != "A" else "C"
+        return "".join(out)
+
+    one = substitute(pool.sequences[1], [60])
+    two = substitute(pool.sequences[9], [3, 100])
+    est = TransitionEstimator(pool)
+    got = est.add_reads([pool.sequences[0], one, "ACGT", "N" * 152, two], chunk_size=2)
+    assert got == [(one, 1), (two, 2)]
+    assert (est.reads_seen, est.reads_skipped, est.reads_conditioned) == (5, 2, 2)
 
 
 def test_single_constructed_error_counted(pool):

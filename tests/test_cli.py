@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from oligolab.channel_stats import PoolIndex, levenshtein, quality_product
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oligolab.config import ConfigError, PROFILES, load_config, pipeline_params_from, soliton_from
+from oligolab.dna_codec import read_fasta
+from oligolab.fastq_io import parse_fastq
 
 TINY = [
     "--set", "code.k=60",
@@ -214,6 +217,63 @@ def test_decode_missing_seed_table(simulated, tmp_path):
                 "--manifest", enc / "manifest.json", "--outdir", tmp_path / "d",
                 "--profile", "desk-scale", *TINY])
     assert code == EXIT_IO
+
+
+def test_stats_scatter_matches_brute_force_alignment(encoded, tmp_path):
+    src, enc = encoded
+    pool = [o.sequence for o in read_fasta(enc / "pool.fasta")]
+    # no dmin above the limit: every read with a mismatch takes the exact scan
+    assert len(pool) > PoolIndex.DMIN_POOL_LIMIT
+    sim = tmp_path / "simx"
+    assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", sim,
+                "--reads", 100, "--profile", "desk-scale", "--set", "channel.rng_seed=3",
+                "--set", "channel.sub_rate=0.004", "--set", "channel.ins_rate=0.004",
+                "--set", "channel.del_rate=0.004"]) == EXIT_OK
+    outdir = tmp_path / "statsx"
+    assert run(["stats", "--fastq", sim / "reads.fastq", "--pool", enc / "pool.fasta",
+                "--outdir", outdir, "--profile", "desk-scale"]) == EXIT_OK
+
+    expected = []
+    indel_rows = 0
+    for rec in parse_fastq(sim / "reads.fastq"):
+        if len(rec.bases) != 152 or "N" in rec.bases or rec.bases in pool:
+            continue  # skipped, or edit distance 0 and so no mismatch
+        dists = [levenshtein(rec.bases, seq) for seq in pool]
+        idx = dists.index(min(dists))
+        errors = sum(a != b for a, b in zip(rec.bases, pool[idx]))
+        indel_rows += errors > dists[idx]
+        expected.append(f"{rec.id}\t{quality_product(rec):.6g}\t{errors}")
+    scatter = (outdir / "quality_vs_errors.tsv").read_text().splitlines()
+    assert scatter[1:] == expected
+    assert indel_rows > 0  # some rows come from length-preserving indels
+    rep = json.loads((outdir / "stats_report.json").read_text())
+    assert rep["scatter_rows"] == len(expected)
+
+
+def test_decode_refuses_code_parameters_differing_from_manifest(simulated, tmp_path, capsys):
+    src, enc, sim = simulated
+    outdir = tmp_path / "dec"
+    code = run(["decode", "--fastq", sim / "reads.fastq", "--seeds", enc / "seeds.txt",
+                "--manifest", enc / "manifest.json", "--outdir", outdir,
+                "--profile", "desk-scale"])
+    assert code == EXIT_USAGE
+    assert not (outdir / "recovered.bin").exists()
+    err = capsys.readouterr().err
+    assert "k (config 1000, manifest 60)" in err
+    assert "c (config 0.01, manifest 0.05)" in err
+    assert "delta (config 0.001, manifest 0.1)" in err
+
+
+def test_malformed_fastq_is_an_io_error(simulated, tmp_path):
+    src, enc, sim = simulated
+    lines = (sim / "reads.fastq").read_text().splitlines(keepends=True)
+    truncated = tmp_path / "truncated.fastq"
+    truncated.write_text("".join(lines[:4 * 10 + 2]))  # ends after a sequence line
+    assert run(["stats", "--fastq", truncated, "--pool", enc / "pool.fasta",
+                "--outdir", tmp_path / "s", "--profile", "desk-scale"]) == EXIT_IO
+    assert run(["decode", "--fastq", truncated, "--seeds", enc / "seeds.txt",
+                "--manifest", enc / "manifest.json", "--outdir", tmp_path / "d",
+                "--profile", "desk-scale", *TINY]) == EXIT_IO
 
 
 # ------------------------- experiment -------------------------

@@ -9,7 +9,6 @@ from oligolab.clustering_llr import (
     Cluster,
     cluster_by_seed,
     derive_crossover,
-    dump_cluster_llrs,
     llr_chandak,
     llr_proposed,
     majority_vote,
@@ -234,16 +233,6 @@ def test_prob_vectors_sum_to_one(oligo_seq):
     codes = encode_bases(oligo_seq)[None, :]
     vec = read_prob_vectors(codes, q[None, :].astype(np.float64), table)
     assert np.allclose(vec.sum(axis=2), 1.0, atol=1e-12)
-
-
-def test_dump_cluster_llrs(tmp_path, oligo_seq):
-    table = TransitionTable.uniform()
-    out = llr_proposed(Cluster(seed=5, members=[make_read(oligo_seq)]), table)
-    path = tmp_path / "llrs.tsv"
-    dump_cluster_llrs([out], path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("seed\t")
-    assert lines[1].startswith("00000005\t1\t")
 
 
 def test_seed_nt_mapping_against_table(oligo_seq):

@@ -99,6 +99,10 @@ class _Graph:
         self.n_edges = len(self.edge_col)
         weights = np.array([h.row_weight(r) for r in range(h.n_rows)], dtype=np.int64)
         self.row_starts = np.concatenate([[0], np.cumsum(weights)[:-1]])
+        self.weight_groups = []  # (the rows of weight w, their (rows, w) edge indices)
+        for w in np.unique(weights):
+            rows = np.nonzero(weights == w)[0]
+            self.weight_groups.append((rows, self.row_starts[rows][:, None] + np.arange(w)))
         ones = np.ones(self.n_edges, dtype=np.float64)
         self.col_scatter = sparse.csr_matrix(
             (ones, (self.edge_col, np.arange(self.n_edges))),
@@ -108,6 +112,15 @@ class _Graph:
             (np.ones(self.n_edges, dtype=np.int64), (self.edge_row, self.edge_col)),
             shape=(h.n_rows, h.n_cols),
         )
+
+    def row_reduce(self, ufunc: np.ufunc, edge_values: np.ndarray, dtype=None) -> np.ndarray:
+        """ufunc.reduceat over each row's edges, (edges, P) -> (rows, P), but
+        one weight class at a time: several times faster along the edge axis."""
+        dtype = edge_values.dtype if dtype is None else dtype
+        out = np.empty((len(self.row_starts), edge_values.shape[1]), dtype=dtype)
+        for rows, idx in self.weight_groups:
+            out[rows] = ufunc.reduce(edge_values[idx], axis=1, dtype=dtype)
+        return out
 
 
 def check_syndrome(h: SparseParityMatrix, bits: np.ndarray) -> np.ndarray:
@@ -173,24 +186,26 @@ def bp_decode(
     ch = channel.copy()
     m_cv = np.zeros((g.n_edges, len(active)), dtype=dtype)
     posterior = ch.copy()
+    col_tot = ch + (g.col_scatter @ m_cv)
 
     for it in range(1, max_iter + 1):
-        col_tot = ch + (g.col_scatter @ m_cv)
         m_vc = col_tot[g.edge_col] - m_cv
         t = np.tanh(0.5 * m_vc)
         zero = t == 0.0
         if zero.any():
-            t_safe = np.where(zero, 1.0, t)
-            row_prod = np.multiply.reduceat(t_safe, g.row_starts, axis=0)
-            row_zeros = np.add.reduceat(zero.astype(np.int8), g.row_starts, axis=0)
-            rp = row_prod[g.edge_row]
-            rz = row_zeros[g.edge_row]
-            ext = np.where(
-                rz == 0, rp / t_safe, np.where((rz == 1) & zero, rp, 0.0)
-            )
+            # a zero message zeroes what every other edge of its row sees;
+            # the zero edge itself sees the product of the rest
+            np.copyto(t, 1.0, where=zero)
+            row_prod = g.row_reduce(np.multiply, t)
+            row_zeros = g.row_reduce(np.add, zero, dtype=np.int64)
+            seen_by_zero = np.where(row_zeros == 1, row_prod, 0.0)
+            seen_by_rest = np.where(row_zeros == 0, row_prod, 0.0)
+            ext = seen_by_rest[g.edge_row]
+            ext /= t
+            np.copyto(ext, seen_by_zero[g.edge_row], where=zero)
         else:
             # no zero messages: the excluded-edge product is a plain quotient
-            row_prod = np.multiply.reduceat(t, g.row_starts, axis=0)
+            row_prod = g.row_reduce(np.multiply, t)
             ext = row_prod[g.edge_row] / t
         np.clip(ext, -tanh_cap, tanh_cap, out=ext)
         m_cv_new = 2.0 * np.arctanh(ext)
@@ -216,6 +231,7 @@ def bp_decode(
             ch = ch[:, keep]
             m_cv = m_cv[:, keep]
             posterior = posterior[:, keep]
+        col_tot = posterior  # the next round's column totals
 
     if len(active):
         # planes that ran out the iteration budget: record their final state

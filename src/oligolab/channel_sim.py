@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -212,43 +212,37 @@ def corrupt_batch(
 
     sub_mask = rng.random((n, OLIGO_NT)) < config.sub_rate
     u = rng.random((n, OLIGO_NT))
-    choice = (u[:, :, None] > cum[None, :, :]).sum(axis=2).clip(max=2)
-    others = _OTHERS[src]  # (152, 3)
-    sub_base = others[np.arange(OLIGO_NT)[None, :], choice]
-    codes = np.where(sub_mask, sub_base, src[None, :]).astype(np.uint8)
+    # replacement bases are looked up only where a substitution was drawn
+    sub_rows, sub_cols = np.nonzero(sub_mask)
+    choice = (u[sub_rows, sub_cols][:, None] > cum[sub_cols]).sum(axis=1).clip(max=2)
+    codes = np.repeat(src[None, :], n, axis=0)
+    codes[sub_rows, sub_cols] = _OTHERS[src[sub_cols], choice]
 
-    q_ok = np.rint(rng.normal(qm.q_correct_mean, qm.q_spread, (n, OLIGO_NT)))
-    q_err = np.rint(rng.normal(qm.q_error_mean, qm.q_spread, (n, OLIGO_NT)))
+    q_ok = rng.normal(qm.q_correct_mean, qm.q_spread, (n, OLIGO_NT))
+    q_err = rng.normal(qm.q_error_mean, qm.q_spread, (n, OLIGO_NT))
     high_q = rng.random((n, OLIGO_NT)) < qm.p_err_high_q
     q = np.where(sub_mask & ~high_q, q_err, q_ok)
-    q = np.clip(q, qm.q_min, qm.q_max).astype(np.uint8)
+    q = np.clip(np.rint(q, out=q), qm.q_min, qm.q_max).astype(np.uint8)
 
     n_ins = rng.binomial(OLIGO_NT, config.ins_rate, n)
     n_del = rng.binomial(OLIGO_NT, config.del_rate, n)
 
     seqs = _BASE_BYTES[codes].tobytes().decode("ascii")
-    bases_out: list[str] = []
-    q_out: list[np.ndarray] = []
-    events_out: list[list[Event]] = []
-    sub_by_row: dict[int, list[int]] = {}
-    if collect_events:
-        sub_rows, sub_cols = np.nonzero(sub_mask)
-        for r, c in zip(sub_rows.tolist(), sub_cols.tolist()):
-            sub_by_row.setdefault(r, []).append(c)
+    bases_out = [seqs[r * OLIGO_NT : (r + 1) * OLIGO_NT] for r in range(n)]
+    q_out = list(q)
+    # (position, new base) of row r's substitutions: subs[bounds[r] : bounds[r + 1]]
+    subs = list(zip(sub_cols.tolist(), codes[sub_rows, sub_cols].tolist()))
+    bounds = np.searchsorted(sub_rows, np.arange(n + 1)).tolist()
+    events_out: list[list[Event]] = [
+        [("S", c, BASES[b]) for c, b in subs[lo:hi]] if collect_events else []
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
-    for r in range(n):
-        if n_ins[r] == 0 and n_del[r] == 0:
-            bases_out.append(seqs[r * OLIGO_NT : (r + 1) * OLIGO_NT])
-            q_out.append(q[r])
-            events_out.append(
-                [("S", c, BASES[codes[r, c]]) for c in sub_by_row.get(r, ())]
-                if collect_events
-                else []
-            )
-            continue
+    # the rare reads with insertions or deletions are rebuilt one by one
+    for r in np.nonzero((n_ins > 0) | (n_del > 0))[0].tolist():
         ins_pos = set(rng.choice(OLIGO_NT, size=n_ins[r], replace=False).tolist())
         del_pos = set(rng.choice(OLIGO_NT, size=n_del[r], replace=False).tolist())
-        sub_at = {c: codes[r, c] for c in sub_by_row.get(r, ())}
+        sub_at = dict(subs[bounds[r] : bounds[r + 1]])
         walk_events: list[Event] = []
         out_codes: list[int] = []
         out_q: list[int] = []
@@ -268,9 +262,9 @@ def corrupt_batch(
                 walk_events.append(("S", i, BASES[sub_at[i]]))
             out_codes.append(int(codes[r, i]))
             out_q.append(int(q[r, i]))
-        bases_out.append("".join(BASES[c] for c in out_codes))
-        q_out.append(np.array(out_q, dtype=np.uint8))
-        events_out.append(walk_events if collect_events else [])
+        bases_out[r] = "".join(BASES[c] for c in out_codes)
+        q_out[r] = np.array(out_q, dtype=np.uint8)
+        events_out[r] = walk_events if collect_events else []
     return bases_out, q_out, events_out
 
 

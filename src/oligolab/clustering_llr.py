@@ -129,8 +129,8 @@ def llr_proposed(
     size_weights mapping scales whole-cluster LLRs by member count (off by
     default; the largest key acts as "this size and above").
     """
-    codes, qs = _stack_cluster(cluster)
-    vec = read_prob_vectors(codes, qs, table)[:, _PAYLOAD_SLICE]
+    full = read_prob_vectors(*_stack_cluster(cluster), table)
+    vec = full[:, _PAYLOAD_SLICE]
     y1 = np.log(np.maximum(vec[..., 0] + vec[..., 1], _TINY)) - np.log(
         np.maximum(vec[..., 2] + vec[..., 3], _TINY)
     )
@@ -145,7 +145,7 @@ def llr_proposed(
     return ClusterLlr(
         seed=cluster.seed,
         payload_llrs=llrs,
-        rs_parity_hard=rs_part_hard(cluster, table),
+        rs_parity_hard=_parity_hard(full[:, _PARITY_SLICE]),
         member_count=cluster.size,
     )
 
@@ -157,8 +157,10 @@ def rs_part_hard(cluster: Cluster, table: TransitionTable) -> str:
     LLRs, computed in log space; exact ties resolve to the first maximum,
     which is lexicographic A < C < G < T.
     """
-    codes, qs = _stack_cluster(cluster)
-    vec = read_prob_vectors(codes, qs, table)[:, _PARITY_SLICE]
+    return _parity_hard(read_prob_vectors(*_stack_cluster(cluster), table)[:, _PARITY_SLICE])
+
+
+def _parity_hard(vec: np.ndarray) -> str:
     scores = np.log(np.maximum(vec, _TINY)).sum(axis=0)  # (8, 4)
     return "".join(BASES[i] for i in np.argmax(scores, axis=1))
 

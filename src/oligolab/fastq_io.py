@@ -1,9 +1,11 @@
 """Streaming FASTQ reader/writer with Phred+33 qualities.
 
-The parser walks 4-line records in a single pass and keeps only one record
-in memory, so multi-million-read files stream in constant memory. Gzipped
-input is handled transparently by filename suffix. Only the Phred+33
-offset is supported.
+The parser reads 4-line records a chunk at a time and keeps one chunk in
+memory, so multi-million-read files stream in constant memory. A chunk is
+checked and converted in bulk; one that fails a check is re-parsed record
+by record, which yields the records before the fault and raises with its
+line number. Gzipped input is handled transparently by filename suffix.
+Only the Phred+33 offset is supported.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import gzip
 import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -19,6 +22,7 @@ import numpy as np
 PHRED_OFFSET = 33
 PROB_EPS = 1e-12
 VALID_BASES = frozenset("ACGTN")
+CHUNK_RECORDS = 1024
 
 
 class FastqFormatError(ValueError):
@@ -63,15 +67,49 @@ def parse_fastq(source: str | Path | IO[str]) -> Iterator[ReadRecord]:
 
 def _parse_handle(fh: IO[str]) -> Iterator[ReadRecord]:
     lineno = 0
+    while lines := list(islice(fh, 4 * CHUNK_RECORDS)):
+        records = _parse_chunk(lines)
+        yield from _parse_records(iter(lines), lineno) if records is None else records
+        lineno += len(lines)
+
+
+def _parse_chunk(lines: list[str]) -> list[ReadRecord] | None:
+    """Whole well-formed 4-line records, converted in bulk; None if any check fails."""
+    seqs = [s.rstrip("\n") for s in lines[1::4]]
+    quals = [q.rstrip("\n") for q in lines[3::4]]
+    lengths = [len(s) for s in seqs]
+    bases, qual_text = "".join(seqs), "".join(quals)
+    if (
+        len(lines) % 4
+        or not all(h.startswith("@") for h in lines[0::4])
+        or not all(p.startswith("+") for p in lines[2::4])
+        or lengths != [len(q) for q in quals]
+        or not (bases.isascii() and qual_text.isascii())
+        or bases.encode("ascii").translate(None, b"ACGTN")
+    ):
+        return None
+    q = np.frombuffer(qual_text.encode("ascii"), dtype=np.uint8)
+    if (q < PHRED_OFFSET).any():
+        return None
+    q = q - PHRED_OFFSET
+    ends = np.cumsum(lengths).tolist()
+    return [
+        ReadRecord(id=h[1:].rstrip("\n"), bases=s, qscores=q[end - len(s) : end])
+        for h, s, end in zip(lines[0::4], seqs, ends)
+    ]
+
+
+def _parse_records(lines: Iterator[str], lineno: int) -> Iterator[ReadRecord]:
+    """Record-by-record parse of lines that start at line lineno + 1."""
     while True:
-        header = fh.readline()
+        header = next(lines, "")
         if not header:
             return
         lineno += 1
         header = header.rstrip("\n")
         if not header.startswith("@"):
             raise FastqFormatError(f"expected '@' header, got {header[:20]!r}", lineno)
-        seq = fh.readline()
+        seq = next(lines, "")
         if not seq:
             raise FastqFormatError("truncated record: missing sequence line", lineno + 1)
         lineno += 1
@@ -79,13 +117,13 @@ def _parse_handle(fh: IO[str]) -> Iterator[ReadRecord]:
         bad = set(seq) - VALID_BASES
         if bad:
             raise FastqFormatError(f"invalid base(s) {sorted(bad)}", lineno)
-        plus = fh.readline()
+        plus = next(lines, "")
         if not plus:
             raise FastqFormatError("truncated record: missing '+' line", lineno + 1)
         lineno += 1
         if not plus.startswith("+"):
             raise FastqFormatError(f"expected '+' separator, got {plus[:20]!r}", lineno)
-        qual = fh.readline()
+        qual = next(lines, "")
         if not qual:
             raise FastqFormatError("truncated record: missing quality line", lineno + 1)
         lineno += 1

@@ -105,14 +105,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 class _SeedStream:
     """Deterministic uniform doubles in [0, 1) derived from one 32-bit seed."""
 

@@ -161,10 +161,9 @@ def lt_erasure_solve(
                 a[[pr, r0]] = a[[r0, pr]]
                 rhs[[pr, r0]] = rhs[[r0, pr]]
             others = np.nonzero(a[:, col])[0]
-            for r1 in others:
-                if r1 != pr:
-                    a[r1] ^= a[pr]
-                    rhs[r1] ^= rhs[pr]
+            others = others[others != pr]
+            a[others] ^= a[pr]
+            rhs[others] ^= rhs[pr]
             pivot_row_of_col[col] = pr
             pr += 1
             if pr == len(residual_rows):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oligolab.bp_decoder import SparseParityMatrix, bp_decode, build_h, check_syndrome
+from oligolab.bp_decoder import SparseParityMatrix, _Graph, bp_decode, build_h, check_syndrome
 from oligolab.fountain import NeighborCache, SolitonParams, required_symbols, robust_soliton, seed_expand
 
 
@@ -225,3 +225,18 @@ def test_runtime_scales_with_total_weight():
     t_big, w_big = run(400, 1000, 64)
     work_ratio = w_big / w_small
     assert t_big / t_small < 6 * work_ratio
+
+
+def test_row_reduce_matches_reduceat_bit_for_bit():
+    rng = np.random.default_rng(12)
+    rows = [rng.choice(400, size=int(d), replace=False) for d in rng.integers(1, 300, size=60)]
+    g = _Graph(make_h(400, rows))
+    values = np.tanh(rng.normal(0.0, 3.0, size=(g.n_edges, 5)))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    assert np.array_equal(
+        g.row_reduce(np.multiply, values), np.multiply.reduceat(values, g.row_starts, axis=0)
+    )
+    zero = values == 0.0
+    counts = g.row_reduce(np.add, zero, dtype=np.int64)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.add.reduceat(zero.astype(np.int64), g.row_starts, axis=0))

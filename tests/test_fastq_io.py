@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oligolab.fastq_io import (
+    CHUNK_RECORDS,
     FastqFormatError,
     ReadRecord,
     parse_fastq,
@@ -82,6 +83,38 @@ def test_truncated_file():
 def test_invalid_bases_rejected():
     with pytest.raises(FastqFormatError):
         list(parse_fastq(io.StringIO("@r0\nACXT\n+\nIIII\n")))
+
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["@r\nACGT\n-\nIIII\n", "@r\nACGT\n+\nII I\n", "@r\nAC\n+\nIIII\n"],
+    ids=["bad_plus", "low_quality", "length_mismatch"],
+)
+def test_fault_in_a_later_chunk_keeps_records_and_line_number(bad_line):
+    # the records before the fault are yielded, then the error names its line
+    before = CHUNK_RECORDS + 2
+    text = make_fastq_text(before) + bad_line + make_fastq_text(3)
+    gen = parse_fastq(io.StringIO(text))
+    got = [next(gen) for _ in range(before)]
+    assert [r.id for r in got] == [f"r{i}" for i in range(before)]
+    with pytest.raises(FastqFormatError) as exc:
+        next(gen)
+    assert exc.value.line_number == 4 * before + (3 if "-" in bad_line else 4)
+
+
+def test_chunked_records_match_record_by_record_values():
+    text = "".join(
+        f"@r{i} x\n{'ACGTN'[i % 5] * i}\n+\n{chr(33 + i % 60) * i}\n"
+        for i in range(2 * CHUNK_RECORDS + 7)
+    )
+    records = list(parse_fastq(io.StringIO(text)))
+    assert len(records) == 2 * CHUNK_RECORDS + 7
+    for i, rec in enumerate(records):
+        assert rec.id == f"r{i} x"
+        assert rec.bases == "ACGTN"[i % 5] * i
+        assert rec.qscores.dtype == np.uint8
+        assert rec.qscores.tolist() == [i % 60] * i
 
 
 def test_n_bases_retained():

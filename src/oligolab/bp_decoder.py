@@ -18,14 +18,13 @@ the fountain's reach) stay at posterior 0 and are counted in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .fountain import NeighborCache, SolitonParams, required_symbols
+from .fountain import NeighborCache, SolitonParams
 
 LLR_MAX = 30.0
 
@@ -60,14 +59,6 @@ def build_h(
     """One check row per active seed, in the order given."""
     if cache is None:
         cache = NeighborCache(params)
-    n_active = len(active_seeds)
-    needed = required_symbols(params)
-    if n_active < needed:
-        warnings.warn(
-            f"only {n_active} active seeds, below the {needed} required for "
-            f"reliable LT decoding; decoding may fail",
-            stacklevel=2,
-        )
     rows = [cache.neighbors(s) for s in active_seeds]
     return SparseParityMatrix(
         n_info=params.k, row_seeds=tuple(active_seeds), rows_neighbors=rows
@@ -123,21 +114,9 @@ class _Graph:
         return out
 
 
-def check_syndrome(h: SparseParityMatrix, bits: np.ndarray) -> np.ndarray:
-    """True per plane iff every row XORs to zero. bits: (n_cols,) or (n_cols, P)."""
-    bits = np.asarray(bits, dtype=np.int64)
-    squeeze = bits.ndim == 1
-    if squeeze:
-        bits = bits[:, None]
-    g = _Graph(h)
-    ok = ((g.check @ bits) % 2 == 0).all(axis=0)
-    return bool(ok[0]) if squeeze else ok
-
-
 def bp_decode(
     h: SparseParityMatrix,
     coded_llrs: np.ndarray,
-    info_llrs: np.ndarray | None = None,
     max_iter: int = 500,
     llr_clip: float = LLR_MAX,
     dtype=np.float64,
@@ -145,7 +124,7 @@ def bp_decode(
 ) -> BpResult:
     """Sum-product decode; coded_llrs is (rows,) or (rows, planes).
 
-    Information bits default to LLR 0 (punctured). Hard decisions map
+    Information bits get LLR 0 (punctured). Hard decisions map
     LLR >= 0 to bit 0. A plane always leaves the working set when its
     messages reach an exact fixed point (saturated clips make this
     common); a fixed point cannot change on further iterations, so
@@ -162,17 +141,9 @@ def bp_decode(
     if coded.shape[0] != h.n_rows:
         raise ValueError(f"coded_llrs rows {coded.shape[0]} != H rows {h.n_rows}")
     n_planes = coded.shape[1]
-    if info_llrs is None:
-        info = np.zeros((h.n_info, n_planes), dtype=dtype)
-    else:
-        info = np.asarray(info_llrs, dtype=dtype)
-        if info.ndim == 1:
-            info = np.broadcast_to(info[:, None], (h.n_info, n_planes)).copy()
-        if info.shape != (h.n_info, n_planes):
-            raise ValueError(f"info_llrs shape {info.shape} != ({h.n_info}, {n_planes})")
 
     g = _Graph(h)
-    channel = np.concatenate([info, coded], axis=0)
+    channel = np.concatenate([np.zeros((h.n_info, n_planes), dtype=dtype), coded], axis=0)
     tanh_cap = np.tanh(llr_clip / 2.0)
     connected = np.zeros(h.n_cols, dtype=bool)
     connected[g.edge_col] = True

@@ -87,23 +87,6 @@ def default_transition_bias() -> np.ndarray:
     return bias
 
 
-def bias_from_table(table) -> np.ndarray:
-    """Forward emission rows derived from an estimated (backward) table.
-
-    The estimated table gives P(source | observed); with a uniform
-    substitution rate the forward row for source x is proportional to the
-    backward entries across observed bases, so we transpose and renormalize.
-    """
-    probs = np.asarray(table.probs, dtype=np.float64)  # [i, y, x]
-    fwd = probs.transpose(0, 2, 1).copy()  # [i, x, y]
-    fwd[:, np.arange(4), np.arange(4)] = 0.0
-    sums = fwd.sum(axis=2, keepdims=True)
-    uniform = np.full((4, 4), 1.0 / 3.0)
-    np.fill_diagonal(uniform, 0.0)
-    out = np.where(sums > 0, fwd / np.where(sums > 0, sums, 1.0), uniform[None, :, :])
-    return out
-
-
 def sample_abundances(
     n_oligos: int, total_reads: int, config: ChannelConfig, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -184,15 +167,11 @@ def corrupt_batch(
     n: int,
     config: ChannelConfig,
     rng: np.random.Generator,
-    collect_events: bool = True,
 ) -> tuple[list[str], list[np.ndarray], list[list[Event]]]:
     """Generate n reads of one oligo. Returns (bases, qscores, events) lists.
 
     The substitution/Q-score core is vectorized over the whole batch; the
     rare reads that drew insertions or deletions are rebuilt individually.
-    collect_events=False skips building the ground-truth event lists
-    (returned lists are empty) without touching the random stream, so the
-    reads are identical either way.
     """
     if len(oligo_seq) != OLIGO_NT:
         raise ValueError(f"oligo must be {OLIGO_NT} nt")
@@ -234,8 +213,7 @@ def corrupt_batch(
     subs = list(zip(sub_cols.tolist(), codes[sub_rows, sub_cols].tolist()))
     bounds = np.searchsorted(sub_rows, np.arange(n + 1)).tolist()
     events_out: list[list[Event]] = [
-        [("S", c, BASES[b]) for c, b in subs[lo:hi]] if collect_events else []
-        for lo, hi in zip(bounds, bounds[1:])
+        [("S", c, BASES[b]) for c, b in subs[lo:hi]] for lo, hi in zip(bounds, bounds[1:])
     ]
 
     # the rare reads with insertions or deletions are rebuilt one by one
@@ -264,16 +242,8 @@ def corrupt_batch(
             out_q.append(int(q[r, i]))
         bases_out[r] = "".join(BASES[c] for c in out_codes)
         q_out[r] = np.array(out_q, dtype=np.uint8)
-        events_out[r] = walk_events if collect_events else []
+        events_out[r] = walk_events
     return bases_out, q_out, events_out
-
-
-def corrupt_read(
-    oligo_seq: str, config: ChannelConfig, rng: np.random.Generator
-) -> tuple[str, np.ndarray, list[Event]]:
-    """Single-read convenience wrapper over corrupt_batch."""
-    bases, qs, events = corrupt_batch(oligo_seq, 1, config, rng)
-    return bases[0], qs[0], events[0]
 
 
 @dataclass

@@ -14,7 +14,7 @@ probability is provided as the comparison baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,24 +110,14 @@ def read_prob_vectors(codes: np.ndarray, qs: np.ndarray, table: TransitionTable)
     return vec
 
 
-def _size_weight(size: int, size_weights: Mapping[int, float] | None) -> float:
-    if not size_weights:
-        return 1.0
-    key = min(size, max(size_weights))
-    return float(size_weights.get(key, 1.0))
-
-
-def llr_proposed(
-    cluster: Cluster,
-    table: TransitionTable,
-    size_weights: Mapping[int, float] | None = None,
-) -> ClusterLlr:
+def llr_proposed(cluster: Cluster, table: TransitionTable) -> ClusterLlr:
     """Q-score + transition-table LLRs, summed over cluster members.
 
     Per read and payload position: LLR(y1) = log[(P(A)+P(C)) / (P(G)+P(T))]
-    and LLR(y2) = log[(P(A)+P(G)) / (P(C)+P(T))], natural log. The optional
-    size_weights mapping scales whole-cluster LLRs by member count (off by
-    default; the largest key acts as "this size and above").
+    and LLR(y2) = log[(P(A)+P(G)) / (P(C)+P(T))], natural log. The RS parity
+    hard decision is the argmax of the per-member probability products,
+    computed in log space; exact ties resolve to the first maximum, which is
+    lexicographic A < C < G < T.
     """
     full = read_prob_vectors(*_stack_cluster(cluster), table)
     vec = full[:, _PAYLOAD_SLICE]
@@ -137,27 +127,16 @@ def llr_proposed(
     y2 = np.log(np.maximum(vec[..., 0] + vec[..., 2], _TINY)) - np.log(
         np.maximum(vec[..., 1] + vec[..., 3], _TINY)
     )
-    weight = _size_weight(cluster.size, size_weights)
     llrs = np.empty(2 * y1.shape[1])
     llrs[0::2] = y1.sum(axis=0)
     llrs[1::2] = y2.sum(axis=0)
-    llrs = np.clip(weight * llrs, -LLR_MAX, LLR_MAX)
+    llrs = np.clip(llrs, -LLR_MAX, LLR_MAX)
     return ClusterLlr(
         seed=cluster.seed,
         payload_llrs=llrs,
         rs_parity_hard=_parity_hard(full[:, _PARITY_SLICE]),
         member_count=cluster.size,
     )
-
-
-def rs_part_hard(cluster: Cluster, table: TransitionTable) -> str:
-    """Hard decision for the 8 parity bases: argmax over per-member products.
-
-    Products of the same per-read probability vectors used for payload
-    LLRs, computed in log space; exact ties resolve to the first maximum,
-    which is lexicographic A < C < G < T.
-    """
-    return _parity_hard(read_prob_vectors(*_stack_cluster(cluster), table)[:, _PARITY_SLICE])
 
 
 def _parity_hard(vec: np.ndarray) -> str:
@@ -174,11 +153,7 @@ def derive_crossover(sub_rate: float) -> float:
     return sub_rate * 2.0 / 3.0
 
 
-def llr_chandak(
-    cluster: Cluster,
-    crossover_p: float,
-    size_weights: Mapping[int, float] | None = None,
-) -> ClusterLlr:
+def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
     """Basecall-count LLRs: (n0 - n1) * log((1-p)/p) per payload bit.
 
     The RS parity hard decision is a per-position majority vote with
@@ -195,8 +170,7 @@ def llr_chandak(
     llrs = np.empty(2 * payload.shape[1])
     llrs[0::2] = (m - 2.0 * bits1) * scale  # n0 - n1 = m - 2*n1
     llrs[1::2] = (m - 2.0 * bits2) * scale
-    weight = _size_weight(cluster.size, size_weights)
-    llrs = np.clip(weight * llrs, -LLR_MAX, LLR_MAX)
+    llrs = np.clip(llrs, -LLR_MAX, LLR_MAX)
 
     parity = codes[:, _PARITY_SLICE]
     counts = np.zeros((PARITY_NT, 4), dtype=np.int64)

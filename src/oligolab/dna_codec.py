@@ -1,4 +1,4 @@
-"""Bit/base mapping, oligo assembly and parsing, constraint reporting.
+"""Bit/base mapping, oligo assembly and parsing, FASTA I/O.
 
 Mapping: 00=A, 01=C, 10=G, 11=T, first bit of each pair is the high bit.
 An oligo is 152 nt: 16 nt seed + 128 nt payload + 8 nt RS parity, where one
@@ -173,36 +173,6 @@ def oligo_to_symbols(sequence: str) -> list[int]:
     if len(sequence) != OLIGO_NT:
         raise ValueError(f"oligo must be {OLIGO_NT} nt, got {len(sequence)}")
     return base_indices_to_symbols(sequence_to_indices(sequence))
-
-
-@dataclass(frozen=True)
-class PoolBounds:
-    """Biochemical acceptance window; defaults match the reference pool."""
-
-    gc_low: float = 0.3289
-    gc_high: float = 0.6842
-    max_homopolymer: int = 13
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    gc_ratio: float
-    max_homopolymer: int
-    within_pool_bounds: bool
-
-
-def constraint_report(sequence: str, bounds: PoolBounds = PoolBounds()) -> ConstraintReport:
-    """GC ratio and longest homopolymer run; violations are reported, not rejected."""
-    if not sequence:
-        raise ValueError("empty sequence")
-    gc = sum(1 for b in sequence if b in "GC") / len(sequence)
-    longest = 1
-    run = 1
-    for prev, cur in zip(sequence, sequence[1:]):
-        run = run + 1 if cur == prev else 1
-        longest = max(longest, run)
-    ok = bounds.gc_low <= gc <= bounds.gc_high and longest <= bounds.max_homopolymer
-    return ConstraintReport(gc_ratio=gc, max_homopolymer=longest, within_pool_bounds=ok)
 
 
 def write_fasta(

@@ -13,10 +13,10 @@ engine behind the majority-vote hard-decoding baseline.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +32,10 @@ from .clustering_llr import (
     majority_vote,
 )
 from .dna_codec import (
+    PAYLOAD_BITS,
     base_indices_to_bit_array,
     base_indices_to_symbols,
-    seed_to_bases,
+    oligo_to_symbols,
     sequence_to_indices,
     symbols_to_base_indices,
 )
@@ -52,7 +53,6 @@ class PipelineParams:
     llr_mode: str = "proposed"  # proposed | chandak
     redecoding_enabled: bool = True
     crossover_p: float | None = None  # required for chandak mode
-    size_weights: Mapping[int, float] | None = None
     bp_max_iter: int = 500
     llr_clip: float = 30.0
     bp_dtype: str = "float64"
@@ -191,26 +191,39 @@ def _prepare_cluster_llrs(
     if params.llr_mode == "chandak":
         if params.crossover_p is None:
             raise ValueError("chandak llr_mode requires crossover_p")
-        return {
-            seed: llr_chandak(c, params.crossover_p, params.size_weights)
-            for seed, c in clusters.items()
-        }
-    return {
-        seed: llr_proposed(c, table, params.size_weights)
-        for seed, c in clusters.items()
-    }
+        return {seed: llr_chandak(c, params.crossover_p) for seed, c in clusters.items()}
+    return {seed: llr_proposed(c, table) for seed, c in clusters.items()}
 
 
-def _parity_symbols(parity_nt: str) -> list[int]:
-    return base_indices_to_symbols(sequence_to_indices(parity_nt))
+def _payload_bits(codeword: Sequence[int]) -> np.ndarray:
+    """The 256 payload bits of a 38-symbol RS word."""
+    return base_indices_to_bit_array(
+        symbols_to_base_indices(codeword[SEED_SYMBOLS : SEED_SYMBOLS + PAYLOAD_SYMBOLS])
+    )
 
 
-def _seed_symbols(seed: int) -> list[int]:
-    return base_indices_to_symbols(sequence_to_indices(seed_to_bases(seed)))
-
-
-def _payload_bits_from_symbols(symbols: Sequence[int]) -> np.ndarray:
-    return base_indices_to_bit_array(symbols_to_base_indices(symbols))
+def _solve_tail(
+    report: DecodeReport,
+    rows_neighbors: Sequence[np.ndarray],
+    coded_bits: np.ndarray,
+    k: int,
+    expected_payload: np.ndarray | None,
+) -> None:
+    """Erasure-solve the accepted rows and record the outcome in the report."""
+    info, resolved, consistent = lt_erasure_solve(rows_neighbors, coded_bits, k)
+    if not resolved.all():
+        report.reason = f"unresolved_info_bits: {int((~resolved).sum())}"
+    elif not consistent.all():
+        report.reason = f"inconsistent_planes: {int((~consistent).sum())}"
+    else:
+        report.recovered_payload = info
+        if expected_payload is not None and not np.array_equal(
+            info, np.asarray(expected_payload, dtype=np.uint8)
+        ):
+            report.reason = "payload_mismatch"
+        else:
+            report.success = True
+            report.reason = "ok"
 
 
 def iterative_soft_decode(
@@ -231,9 +244,20 @@ def iterative_soft_decode(
     k_required = required_symbols(params.soliton)
     max_redecodes = params.n_re if params.redecoding_enabled else 0
 
-    active = sorted(clusters)
-    parity_syms = {s: _parity_symbols(cluster_llrs[s].rs_parity_hard) for s in active}
-    seed_syms = {s: _seed_symbols(s) for s in active}
+    # per-cluster state in ascending seed order; `active` indexes its rows,
+    # and the reshapes keep the row shapes when there are no clusters
+    order = sorted(clusters)
+    seeds = np.array(order, dtype=np.int64)
+    llrs = np.array(
+        [cluster_llrs[s].payload_llrs for s in order], dtype=np.float64
+    ).reshape(len(order), PAYLOAD_BITS)
+    # a seed's four RS symbols are its big-endian bytes
+    seed_syms = (seeds[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
+    parity_nt = "".join(cluster_llrs[s].rs_parity_hard for s in order)
+    parity_syms = np.array(
+        base_indices_to_symbols(sequence_to_indices(parity_nt)), dtype=np.int64
+    ).reshape(len(order), gf_rs.N_PARITY)
+    active = np.arange(len(seeds))
 
     report = DecodeReport(
         success=False, reason="", iterations_performed=0, active_clusters=len(active)
@@ -245,14 +269,11 @@ def iterative_soft_decode(
                 f"insufficient_clusters: {len(active)} active < {k_required} required"
             )
             break
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h = build_h(active, params.soliton, cache)
-        llr_matrix = np.stack([cluster_llrs[s].payload_llrs for s in active])
+        h = build_h(seeds[active].tolist(), params.soliton, cache)
         t_bp = time.perf_counter()
         bp = bp_decode(
             h,
-            llr_matrix,
+            llrs[active],
             max_iter=params.bp_max_iter,
             llr_clip=params.llr_clip,
             dtype=np.dtype(params.bp_dtype),
@@ -262,54 +283,32 @@ def iterative_soft_decode(
         )
         report.iterations_performed = round_idx + 1
 
-        payload_bytes = np.packbits(bp.coded_bits, axis=1)
-        removals: list[int] = []
+        words = np.concatenate(
+            [seed_syms[active], np.packbits(bp.coded_bits, axis=1), parity_syms[active]],
+            axis=1,
+        ).tolist()
+        coded = bp.coded_bits.astype(np.uint8)  # RS payload corrections go here
+        removed = np.zeros(len(active), dtype=bool)
         seed_corrections = 0
-        corrected_payload_bits: dict[int, np.ndarray] = {}
-        for r, seed in enumerate(active):
-            word = seed_syms[seed] + payload_bytes[r].tolist() + parity_syms[seed]
+        for r, word in enumerate(words):
             outcome = gf_rs.rs_decode(word)
             if outcome.status == gf_rs.STATUS_DETECTED:
-                removals.append(seed)
-                continue
-            if outcome.status == gf_rs.STATUS_CORRECTED:
+                removed[r] = True
+            elif outcome.status == gf_rs.STATUS_CORRECTED:
                 if any(p < SEED_SYMBOLS for p in outcome.corrected_positions):
-                    removals.append(seed)
+                    removed[r] = True
                     seed_corrections += 1
-                    continue
-                if any(
-                    SEED_SYMBOLS <= p < SEED_SYMBOLS + PAYLOAD_SYMBOLS
-                    for p in outcome.corrected_positions
+                elif any(
+                    p < SEED_SYMBOLS + PAYLOAD_SYMBOLS for p in outcome.corrected_positions
                 ):
-                    corrected_payload_bits[seed] = _payload_bits_from_symbols(
-                        outcome.codeword[SEED_SYMBOLS : SEED_SYMBOLS + PAYLOAD_SYMBOLS]
-                    )
+                    coded[r] = _payload_bits(outcome.codeword)
 
-        if not removals:
-            coded_final = bp.coded_bits.astype(np.uint8)
-            for seed, bits in corrected_payload_bits.items():
-                coded_final[active.index(seed)] = bits
-            info, resolved, consistent = lt_erasure_solve(
-                h.rows_neighbors, coded_final, params.soliton.k
-            )
-            if not resolved.all():
-                report.reason = f"unresolved_info_bits: {int((~resolved).sum())}"
-                break
-            if not consistent.all():
-                report.reason = f"inconsistent_planes: {int((~consistent).sum())}"
-                break
-            report.recovered_payload = info
-            if expected_payload is not None and not np.array_equal(
-                info, np.asarray(expected_payload, dtype=np.uint8)
-            ):
-                report.reason = "payload_mismatch"
-                break
-            report.success = True
-            report.reason = "ok"
+        if not removed.any():
+            _solve_tail(report, h.rows_neighbors, coded, params.soliton.k, expected_payload)
             break
 
-        report.clusters_discarded_per_round.append(len(removals))
-        report.removed_seeds_per_round.append(removals)
+        report.clusters_discarded_per_round.append(int(removed.sum()))
+        report.removed_seeds_per_round.append(seeds[active[removed]].tolist())
         report.seed_corrections_per_round.append(seed_corrections)
         report.clusters_with_seed_corrections_removed += seed_corrections
         if round_idx == max_redecodes:
@@ -319,7 +318,7 @@ def iterative_soft_decode(
                 else f"redecode_limit_reached: {max_redecodes}"
             )
             break
-        active = [s for s in active if s not in set(removals)]
+        active = active[~removed]
         round_idx += 1
 
     report.active_clusters = len(active)
@@ -343,40 +342,20 @@ def hard_decode_baseline(
     payload_rows: list[np.ndarray] = []
     discarded = 0
     for seed in sorted(clusters):
-        voted = majority_vote(clusters[seed])
-        word = base_indices_to_symbols(sequence_to_indices(voted))
-        outcome = gf_rs.rs_decode(word)
+        outcome = gf_rs.rs_decode(oligo_to_symbols(majority_vote(clusters[seed])))
         if outcome.status == gf_rs.STATUS_DETECTED:
             discarded += 1
             continue
-        payload_rows.append(
-            _payload_bits_from_symbols(
-                outcome.codeword[SEED_SYMBOLS : SEED_SYMBOLS + PAYLOAD_SYMBOLS]
-            )
-        )
+        payload_rows.append(_payload_bits(outcome.codeword))
         surviving_rows.append(cache.neighbors(seed))
     report.clusters_discarded_per_round = [discarded]
     report.active_clusters = len(surviving_rows)
-    if not surviving_rows:
-        report.reason = "no_surviving_clusters"
-        report.timing["total_seconds"] = time.perf_counter() - t_start
-        return report
-    info, resolved, consistent = lt_erasure_solve(
-        surviving_rows, np.stack(payload_rows), params.soliton.k
-    )
-    if not resolved.all():
-        report.reason = f"unresolved_info_bits: {int((~resolved).sum())}"
-    elif not consistent.all():
-        report.reason = f"inconsistent_planes: {int((~consistent).sum())}"
+    if surviving_rows:
+        _solve_tail(
+            report, surviving_rows, np.stack(payload_rows), params.soliton.k, expected_payload
+        )
     else:
-        report.recovered_payload = info
-        if expected_payload is not None and not np.array_equal(
-            info, np.asarray(expected_payload, dtype=np.uint8)
-        ):
-            report.reason = "payload_mismatch"
-        else:
-            report.success = True
-            report.reason = "ok"
+        report.reason = "no_surviving_clusters"
     report.timing["total_seconds"] = time.perf_counter() - t_start
     return report
 
@@ -463,8 +442,8 @@ def experiment_sweep(
     For every sampling point, `trials` uniform subsets of the raw reads are
     drawn (pre-filter, so the retained count L_m per trial is smaller), and
     every decoder variant runs on the same subset for a paired comparison.
-    When a redecoding-off variant has a redecoding-on twin (same LLR mode
-    and parameters), its outcome is derived from the twin's first round
+    When a redecoding-off variant has a twin with equal params except
+    redecoding_enabled, its outcome is derived from the twin's first round
     instead of re-running BP; the two computations are identical by
     construction (set derive_no_redecode=False to force separate runs).
     jobs > 1 runs trials in a thread pool (the heavy lifting is in numpy,
@@ -487,20 +466,14 @@ def experiment_sweep(
     wall_acc = {n: [0.0] * len(points) for n in names}
     retained = [0.0] * len(points)
 
-    def soft_key(p: PipelineParams) -> tuple:
-        return (p.soliton, p.llr_mode, p.crossover_p, repr(p.size_weights),
-                p.bp_max_iter, p.llr_clip, p.bp_dtype)
-
     derived_from: dict[str, str] = {}
     if derive_no_redecode:
-        on_by_key = {
-            soft_key(p): n
-            for n, p in variants.items()
-            if p.decoder == "soft" and p.redecoding_enabled
+        on_by_params = {
+            p: n for n, p in variants.items() if p.decoder == "soft" and p.redecoding_enabled
         }
         for n, p in variants.items():
             if p.decoder == "soft" and not p.redecoding_enabled:
-                twin = on_by_key.get(soft_key(p))
+                twin = on_by_params.get(dataclasses.replace(p, redecoding_enabled=True))
                 if twin is not None:
                     derived_from[n] = twin
     run_order = [n for n in names if n not in derived_from] + list(derived_from)
@@ -510,7 +483,7 @@ def experiment_sweep(
         idx = rng.choice(len(reads), size=point, replace=False)
         subset = [reads[i] for i in idx]
         clusters, disc = cluster_by_seed(subset, seed_table)
-        llr_cache: dict[str, dict[int, ClusterLlr]] = {}
+        llr_cache: dict[tuple, dict[int, ClusterLlr]] = {}
         reports: dict[str, DecodeReport] = {}
         walls: dict[str, float] = {}
         for name in run_order:
@@ -524,7 +497,7 @@ def experiment_sweep(
                     clusters, seed_table, params, expected_payload, cache
                 )
             else:
-                mode_key = f"{params.llr_mode}:{params.crossover_p}:{params.size_weights}"
+                mode_key = (params.llr_mode, params.crossover_p)
                 if mode_key not in llr_cache:
                     llr_cache[mode_key] = _prepare_cluster_llrs(clusters, table, params)
                 rep = iterative_soft_decode(

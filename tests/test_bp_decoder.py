@@ -1,11 +1,10 @@
 import time
-import warnings
 
 import numpy as np
 import pytest
 
-from oligolab.bp_decoder import SparseParityMatrix, _Graph, bp_decode, build_h, check_syndrome
-from oligolab.fountain import NeighborCache, SolitonParams, required_symbols, robust_soliton, seed_expand
+from oligolab.bp_decoder import SparseParityMatrix, _Graph, bp_decode, build_h
+from oligolab.fountain import NeighborCache, SolitonParams, robust_soliton, seed_expand
 
 
 def make_h(n_info, rows):
@@ -13,6 +12,14 @@ def make_h(n_info, rows):
         n_info=n_info,
         row_seeds=tuple(range(len(rows))),
         rows_neighbors=[np.asarray(r, dtype=np.int64) for r in rows],
+    )
+
+
+def rows_parity_ok(rows, info_bits, coded_bits):
+    """True iff every row's info bits XOR to its coded bit."""
+    return all(
+        sum(int(info_bits[i]) for i in row) % 2 == int(coded_bits[r])
+        for r, row in enumerate(rows)
     )
 
 
@@ -66,29 +73,18 @@ def test_build_h_row_weights():
     params = SolitonParams(k=100, c=0.025, delta=0.001)
     cache = NeighborCache(params)
     seeds = list(range(40))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        h = build_h(seeds, params, cache)
+    h = build_h(seeds, params, cache)
     dist = robust_soliton(params)
     for r, seed in enumerate(seeds):
         assert h.row_weight(r) == len(seed_expand(seed, params, dist)) + 1
     assert h.n_cols == 100 + 40
 
 
-def test_build_h_warns_below_required():
-    params = SolitonParams(k=100, c=0.025, delta=0.001)
-    assert required_symbols(params) > 50
-    with pytest.warns(UserWarning, match="below"):
-        build_h(list(range(50)), params)
-
-
 def test_build_h_removing_seed_drops_one_row():
     params = SolitonParams(k=50, c=0.05, delta=0.05)
     cache = NeighborCache(params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        h_all = build_h(list(range(30)), params, cache)
-        h_less = build_h([s for s in range(30) if s != 7], params, cache)
+    h_all = build_h(list(range(30)), params, cache)
+    h_less = build_h([s for s in range(30) if s != 7], params, cache)
     assert h_less.n_rows == h_all.n_rows - 1
     assert h_less.n_cols == h_all.n_cols - 1
     assert 7 not in h_less.row_seeds
@@ -116,7 +112,7 @@ def test_noiseless_strong_llrs_recover_exactly():
     assert out.iterations_used <= 15
     assert np.array_equal(out.info_bits, info)
     assert np.array_equal(out.coded_bits, coded)
-    assert check_syndrome(h, np.concatenate([out.info_bits, out.coded_bits]))
+    assert rows_parity_ok(rows, out.info_bits, out.coded_bits)
 
 
 def test_bp_matches_exhaustive_marginals_on_trees():
@@ -204,8 +200,7 @@ def test_converged_implies_zero_syndrome():
         coded_llrs = rng.uniform(-8, 8, size=len(rows))
         out = bp_decode(h, coded_llrs, max_iter=60)
         if out.converged:
-            bits = np.concatenate([out.info_bits, out.coded_bits])
-            assert check_syndrome(h, bits)
+            assert rows_parity_ok(rows, out.info_bits, out.coded_bits)
 
 
 def test_runtime_scales_with_total_weight():

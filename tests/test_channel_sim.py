@@ -4,9 +4,7 @@ import pytest
 from oligolab.channel_sim import (
     ChannelConfig,
     QscoreModel,
-    bias_from_table,
     corrupt_batch,
-    corrupt_read,
     default_transition_bias,
     format_events,
     load_truth,
@@ -15,7 +13,6 @@ from oligolab.channel_sim import (
     sample_abundances,
     simulate_pool,
 )
-from oligolab.channel_stats import TransitionTable
 from oligolab.dna_codec import assemble_oligo
 from oligolab.fastq_io import parse_fastq
 
@@ -76,7 +73,7 @@ def test_abundances_dropout_matches_direct_simulation():
 
 def test_zero_rates_identity(pool_seqs):
     cfg = ChannelConfig(sub_rate=0.0, ins_rate=0.0, del_rate=0.0)
-    bases, q, events = corrupt_read(pool_seqs[0], cfg, np.random.default_rng(5))
+    (bases,), (q,), (events,) = corrupt_batch(pool_seqs[0], 1, cfg, np.random.default_rng(5))
     assert bases == pool_seqs[0]
     assert len(bases) == 152
     assert events == []
@@ -180,10 +177,3 @@ def test_default_bias_rows_normalized():
     assert (bias >= 0).all()
     for b in range(4):
         assert np.allclose(bias[:, b, b], 0.0)
-
-
-def test_bias_from_table_roundtrip_shape():
-    table = TransitionTable.uniform()
-    fwd = bias_from_table(table)
-    assert fwd.shape == (152, 4, 4)
-    assert np.allclose(fwd.sum(axis=2), 1.0)

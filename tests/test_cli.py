@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from oligolab.channel_stats import PoolIndex, levenshtein, quality_product
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -28,6 +30,13 @@ def test_profiles_resolve():
         cfg = load_config(profile=name)
         assert cfg["profile"] == name
         soliton_from(cfg)  # must construct cleanly
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_yaml_profile_matches_builtin(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+    with open(path) as fh:
+        assert yaml.safe_load(fh) == PROFILES[name]
 
 
 def test_override_parsing_and_merge(tmp_path):

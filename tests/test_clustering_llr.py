@@ -13,7 +13,6 @@ from oligolab.clustering_llr import (
     llr_proposed,
     majority_vote,
     read_prob_vectors,
-    rs_part_hard,
 )
 from oligolab.dna_codec import assemble_oligo, seed_to_bases
 from oligolab.fastq_io import ReadRecord
@@ -142,16 +141,6 @@ def test_llr_clipping(oligo_seq):
     assert np.isfinite(out.payload_llrs).all()
 
 
-def test_size_weights_scale(oligo_seq):
-    table = TransitionTable.uniform()
-    r = make_read(oligo_seq, q=10)
-    base = llr_proposed(Cluster(seed=5, members=[r]), table)
-    weighted = llr_proposed(
-        Cluster(seed=5, members=[r]), table, size_weights={1: 0.25, 2: 0.5, 3: 1.0}
-    )
-    assert np.allclose(weighted.payload_llrs, 0.25 * base.payload_llrs, atol=1e-12)
-
-
 def test_rs_part_hard_high_q_wins(oligo_seq):
     table = TransitionTable.uniform()
     # two reads disagreeing at a parity position: Q=40 beats Q=10
@@ -160,19 +149,20 @@ def test_rs_part_hard_high_q_wins(oligo_seq):
     r_good = make_read(oligo_seq, q=40, rid="good")
     bad_bases = oligo_seq[:pos] + alt + oligo_seq[pos + 1 :]
     r_bad = make_read(bad_bases, q=10, rid="bad")
-    hard = rs_part_hard(Cluster(seed=5, members=[r_good, r_bad]), table)
+    hard = llr_proposed(Cluster(seed=5, members=[r_good, r_bad]), table).rs_parity_hard
     assert hard[pos - 144] == oligo_seq[pos]
 
 
 def test_rs_part_hard_identical_members(oligo_seq):
     table = TransitionTable.uniform()
     members = [make_read(oligo_seq, q=30, rid=f"m{i}") for i in range(3)]
-    assert rs_part_hard(Cluster(seed=5, members=members), table) == oligo_seq[144:]
+    hard = llr_proposed(Cluster(seed=5, members=members), table).rs_parity_hard
+    assert hard == oligo_seq[144:]
 
 
 def test_rs_part_hard_single_read_follows_basecall(oligo_seq):
     table = TransitionTable.uniform()
-    hard = rs_part_hard(Cluster(seed=5, members=[make_read(oligo_seq, q=20)]), table)
+    hard = llr_proposed(Cluster(seed=5, members=[make_read(oligo_seq, q=20)]), table).rs_parity_hard
     assert hard == oligo_seq[144:]
 
 

@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 from oligolab import dna_codec, gf_rs
 from oligolab.dna_codec import (
     Oligo,
-    PoolBounds,
     assemble_oligo,
     bases_to_bits,
     bits_to_bases,
-    constraint_report,
     parse_oligo,
     read_fasta,
     seed_to_bases,
@@ -88,27 +86,6 @@ def test_seed_to_bases_range():
     assert seed_to_bases(2**32 - 1) == "T" * 16
     with pytest.raises(ValueError):
         seed_to_bases(2**32)
-
-
-def test_constraint_report_all_a():
-    rep = constraint_report("A" * 152)
-    assert rep.gc_ratio == 0.0
-    assert rep.max_homopolymer == 152
-    assert not rep.within_pool_bounds
-
-
-def test_constraint_report_acgt_repeat():
-    rep = constraint_report("ACGT" * 38)
-    assert rep.gc_ratio == 0.5
-    assert rep.max_homopolymer == 1
-    assert rep.within_pool_bounds
-
-
-def test_constraint_default_bounds_match_pool():
-    bounds = PoolBounds()
-    assert bounds.gc_low == 0.3289
-    assert bounds.gc_high == 0.6842
-    assert bounds.max_homopolymer == 13
 
 
 def test_fasta_roundtrip(tmp_path):

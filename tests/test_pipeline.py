@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oligolab import gf_rs
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
 from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transitions
 from oligolab.clustering_llr import cluster_by_seed
@@ -204,6 +205,73 @@ def test_active_set_strictly_shrinks(encoded_world):
     assert rep.success
     assert rep.iterations_performed <= PipelineParams(soliton=DESK).n_re + 1
     assert all(c > 0 for c in rep.clusters_discarded_per_round)
+
+
+def substituted_read(seq, pos, rid, q=40):
+    """One high-Q read of seq with the base at pos replaced by the next base."""
+    alt = "ACGT"[("ACGT".index(seq[pos]) + 1) % 4]
+    return ReadRecord(
+        id=rid, bases=seq[:pos] + alt + seq[pos + 1 :], qscores=np.full(152, q, dtype=np.uint8)
+    )
+
+
+def record_rs_outcomes(monkeypatch):
+    outcomes = []
+    decode = gf_rs.rs_decode
+
+    def recording(word):
+        outcomes.append(decode(word))
+        return outcomes[-1]
+
+    monkeypatch.setattr(gf_rs, "rs_decode", recording)
+    return outcomes
+
+
+def payload_corrections(outcomes):
+    return sum(
+        o.status == gf_rs.STATUS_CORRECTED
+        and all(4 <= p < 36 for p in o.corrected_positions)
+        for o in outcomes
+    )
+
+
+def test_soft_decode_applies_rs_payload_correction_after_removal(encoded_world, monkeypatch):
+    sched, source, coded, seqs = encoded_world
+    by_seed = sorted(range(N_CODED), key=lambda i: sched.seeds[i])
+    # the poisoned cluster sorts before the corrected one, so removing it in
+    # round 1 shifts the corrected cluster's row in round 2
+    poisoned, corrected = by_seed[5], by_seed[40]
+    drop = {seqs[poisoned][:16], seqs[corrected][:16]}
+    reads = [r for r in clean_reads(seqs, per_oligo=3) if r.bases[:16] not in drop]
+    reads += [poison_cluster_reads(seqs, poisoned), substituted_read(seqs[corrected], 60, "sub")]
+    clusters, _ = cluster_by_seed(reads, sched)
+    outcomes = record_rs_outcomes(monkeypatch)
+    # one BP iteration leaves every coded bit at its channel sign, so the
+    # substituted base reaches RS instead of being repaired by BP
+    rep = iterative_soft_decode(
+        clusters, sched, TransitionTable.uniform(),
+        PipelineParams(soliton=DESK, bp_max_iter=1), expected_payload=source,
+    )
+    assert rep.removed_seeds_per_round == [[sched.seeds[poisoned]]]
+    assert rep.iterations_performed == 2
+    assert payload_corrections(outcomes[-rep.active_clusters :]) == 1
+    assert rep.success
+    assert np.array_equal(rep.recovered_payload, source)
+
+
+def test_hard_baseline_applies_rs_payload_correction(encoded_world, monkeypatch):
+    sched, source, coded, seqs = encoded_world
+    reads = clean_reads(seqs, per_oligo=1)
+    reads[30] = substituted_read(seqs[30], 90, "sub")
+    clusters, _ = cluster_by_seed(reads, sched)
+    outcomes = record_rs_outcomes(monkeypatch)
+    rep = hard_decode_baseline(
+        clusters, sched, PipelineParams(soliton=DESK, decoder="hard"),
+        expected_payload=source,
+    )
+    assert payload_corrections(outcomes) == 1
+    assert rep.clusters_discarded_per_round == [0]
+    assert rep.success
 
 
 def test_hard_baseline_noiseless(encoded_world):

@@ -8,6 +8,19 @@ sum-product algorithm in the log domain with the tanh rule; the 256
 payload bit-planes share one matrix, so messages are vectorized across
 planes and planes drop out of the working set as they converge.
 
+Punctured bits make most messages exactly zero. A check row with two or
+more zero incoming messages in a plane sends zeros on every edge there, so
+only live rows, those with at most one zero input in some plane, are
+updated, and the work of an iteration scales with them. A row that sends
+zeros sees its columns' totals, so whether it wakes up is read from one
+bit per column and plane; the syndrome is likewise the XOR of packed sign
+bits. Live rows are updated with the same arithmetic as a full update,
+weight class by weight class with the same reductions. Skipping the other
+rows cannot change a result: the tanh rule gives their zeros either sign
+(0.0 / t takes t's sign), but a column sum starts from +0.0 and runs in
+the matrix's edge order, and a zero of either sign leaves such a sum as it
+is. So the output is bit-identical to updating every row.
+
 A plane counts as converged only when every check is satisfied and every
 connected variable has a nonzero posterior; with all-zero inputs the
 all-zero hard decision satisfies the checks but determines nothing, and is
@@ -76,42 +89,72 @@ class BpResult:
 
 
 class _Graph:
-    """Edge-indexed message-passing structure for one parity matrix."""
+    """Edge-indexed message-passing structure for one parity matrix.
+
+    Edges are stored by row weight: the rows of weight w fill one
+    contiguous (rows, w) block, each row's information bits in H's order
+    and its coded bit last, so a weight class is a reshaped view.
+    """
 
     def __init__(self, h: SparseParityMatrix):
-        cols = []
-        rows = []
-        for r, nbrs in enumerate(h.rows_neighbors):
-            cols.append(nbrs)
-            cols.append([h.n_info + r])
-            rows.append(np.full(len(nbrs) + 1, r, dtype=np.int64))
-        self.edge_col = np.concatenate(cols).astype(np.int64)
-        self.edge_row = np.concatenate(rows)
-        self.n_edges = len(self.edge_col)
-        weights = np.array([h.row_weight(r) for r in range(h.n_rows)], dtype=np.int64)
-        self.row_starts = np.concatenate([[0], np.cumsum(weights)[:-1]])
-        self.weight_groups = []  # (the rows of weight w, their (rows, w) edge indices)
+        # every row's columns in H's edge order: its neighbors, then its coded bit
+        row_cols = np.concatenate(
+            [part for r, nb in enumerate(h.rows_neighbors) for part in (nb, [h.n_info + r])]
+        ).astype(np.int64)
+        weights = np.array([len(nb) + 1 for nb in h.rows_neighbors], dtype=np.int64)
+        row_first = np.concatenate([[0], np.cumsum(weights)[:-1]])
+        self.groups = []  # (the rows of weight w, their edges' slice, w)
+        order = []  # the H-order index of each stored edge
+        at = 0
         for w in np.unique(weights):
             rows = np.nonzero(weights == w)[0]
-            self.weight_groups.append((rows, self.row_starts[rows][:, None] + np.arange(w)))
-        ones = np.ones(self.n_edges, dtype=np.float64)
-        self.col_scatter = sparse.csr_matrix(
-            (ones, (self.edge_col, np.arange(self.n_edges))),
+            self.groups.append((rows, slice(at, at + len(rows) * w), int(w)))
+            order.append((row_first[rows][:, None] + np.arange(w)).ravel())
+            at += len(rows) * w
+        order = np.concatenate(order)
+        self.n_edges = len(order)
+        self.edge_col = row_cols[order]
+        self.edge_row = np.repeat(np.arange(h.n_rows), weights)[order]
+        self.row_starts = np.flatnonzero(np.diff(self.edge_row, prepend=-1))
+        self.connected = np.zeros(h.n_cols, dtype=bool)
+        self.connected[self.edge_col] = True
+        # column sums in H's edge order, which fixes their rounding: a CSR
+        # row is summed in its stored order, even an unsorted one
+        self.col_sum = sparse.csr_matrix(
+            (
+                np.ones(self.n_edges),
+                np.lexsort((order, self.edge_col)),
+                np.concatenate([[0], np.cumsum(np.bincount(self.edge_col, minlength=h.n_cols))]),
+            ),
             shape=(h.n_cols, self.n_edges),
         )
-        self.check = sparse.csr_matrix(
-            (np.ones(self.n_edges, dtype=np.int64), (self.edge_row, self.edge_col)),
-            shape=(h.n_rows, h.n_cols),
-        )
 
-    def row_reduce(self, ufunc: np.ufunc, edge_values: np.ndarray, dtype=None) -> np.ndarray:
-        """ufunc.reduceat over each row's edges, (edges, P) -> (rows, P), but
-        one weight class at a time: several times faster along the edge axis."""
-        dtype = edge_values.dtype if dtype is None else dtype
-        out = np.empty((len(self.row_starts), edge_values.shape[1]), dtype=dtype)
-        for rows, idx in self.weight_groups:
-            out[rows] = ufunc.reduce(edge_values[idx], axis=1, dtype=dtype)
-        return out
+    def solved(self, posterior: np.ndarray) -> np.ndarray:
+        """Per plane: every check's hard decisions XOR to zero and every
+        connected posterior is nonzero."""
+        signs = _pack_planes(posterior < 0, pad=False)
+        odd = np.bitwise_xor.reduceat(signs[self.edge_col], self.row_starts, axis=0)
+        odd_words = np.bitwise_or.reduce(odd, axis=0)
+        odd_planes = np.unpackbits(odd_words.view(np.uint8), bitorder="little")
+        syndrome_ok = odd_planes[: posterior.shape[1]] == 0
+        return syndrome_ok & ~(posterior == 0.0)[self.connected].any(axis=0)
+
+
+def _pack_planes(flags: np.ndarray, pad: bool) -> np.ndarray:
+    """(n, P) bool -> (n, ceil(P / 64)) uint64, plane p at bit p % 64 of word
+    p // 64; the padding planes past P read `pad`."""
+    n, p = flags.shape
+    wide = np.full((n, -(-p // 64) * 64), pad)
+    wide[:, :p] = flags
+    return np.packbits(wide, axis=1, bitorder="little").view(np.uint64)
+
+
+def _some_plane_below_two(zero_words: np.ndarray) -> np.ndarray:
+    """(rows, w, W) packed zero flags of each row's edges -> (rows,) bool:
+    True where some plane has fewer than two zero edges."""
+    seen = np.bitwise_or.accumulate(zero_words, axis=1)
+    twice = np.bitwise_or.reduce(zero_words[:, 1:] & seen[:, :-1], axis=1)
+    return (twice != ~np.uint64(0)).any(axis=1)
 
 
 def bp_decode(
@@ -119,7 +162,6 @@ def bp_decode(
     coded_llrs: np.ndarray,
     max_iter: int = 500,
     llr_clip: float = LLR_MAX,
-    dtype=np.float64,
     early_stop_on_syndrome: bool = True,
 ) -> BpResult:
     """Sum-product decode; coded_llrs is (rows,) or (rows, planes).
@@ -134,7 +176,7 @@ def bp_decode(
     hard decisions at a valid codeword but may stop before posterior
     values settle, so disable it when exact marginals matter.
     """
-    coded = np.asarray(coded_llrs, dtype=dtype)
+    coded = np.asarray(coded_llrs, dtype=np.float64)
     squeeze = coded.ndim == 1
     if squeeze:
         coded = coded[:, None]
@@ -143,55 +185,103 @@ def bp_decode(
     n_planes = coded.shape[1]
 
     g = _Graph(h)
-    channel = np.concatenate([np.zeros((h.n_info, n_planes), dtype=dtype), coded], axis=0)
+    posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
+    # adding a column sum of +0.0 turns a channel -0.0 into +0.0; columns
+    # that no live row reaches copy `ch`, so it is normalized once here
+    ch = posterior + 0.0
     tanh_cap = np.tanh(llr_clip / 2.0)
-    connected = np.zeros(h.n_cols, dtype=bool)
-    connected[g.edge_col] = True
 
-    # per-plane outputs, filled as planes converge
-    posterior_out = np.empty((h.n_cols, n_planes), dtype=dtype)
+    # per-plane outputs, recorded as planes stop
+    stopped_planes: list[np.ndarray] = []
+    stopped_posteriors: list[np.ndarray] = []
     iters_out = np.full(n_planes, max_iter, dtype=np.int64)
     converged_out = np.zeros(n_planes, dtype=bool)
 
     active = np.arange(n_planes)
-    ch = channel.copy()
-    m_cv = np.zeros((g.n_edges, len(active)), dtype=dtype)
-    posterior = ch.copy()
-    col_tot = ch + (g.col_scatter @ m_cv)
+    # check-to-variable messages; only the edges of `live` rows can be
+    # nonzero, and the pages of the others are never touched
+    m_cv = np.zeros((g.n_edges, n_planes))
+    live = np.zeros(h.n_rows, dtype=bool)
 
     for it in range(1, max_iter + 1):
-        m_vc = col_tot[g.edge_col] - m_cv
+        p = len(active)
+        # a row that is not live sends zeros and so sees its column totals;
+        # with two zero totals in every plane it sends zeros again (tanh(y)
+        # is zero only at y == 0)
+        zero_words = _pack_planes(0.5 * posterior == 0.0, pad=True)
+        wake = []  # per weight class: which rows to update
+        for rows, span, w in g.groups:
+            sel = live[rows]
+            quiet = ~sel
+            if quiet.any():
+                cols = g.edge_col[span].reshape(-1, w)[quiet]
+                sel[quiet] = _some_plane_below_two(zero_words[cols])
+            wake.append(sel)
+        n_wake = sum(int(sel.sum()) * w for sel, (_, _, w) in zip(wake, g.groups))
+        # from half the edges on, gathering the waking rows costs more than
+        # also updating the rest, which send zeros again
+        every = 2 * n_wake >= g.n_edges
+        runs = []  # (rows, weight) of the rows to update, in edge order
+        edges = [np.zeros(0, dtype=np.int64)]
+        for sel, (rows, span, w) in zip(wake, g.groups):
+            if every:
+                runs.append((rows, w))
+            elif sel.any():
+                runs.append((rows[sel], w))
+                first = span.start + np.flatnonzero(sel) * w
+                edges.append((first[:, None] + np.arange(w)).ravel())
+        pos = np.concatenate(edges)
+
+        old = m_cv if every else m_cv[pos]
+        m_vc = posterior[g.edge_col if every else g.edge_col[pos]] - old
         t = np.tanh(0.5 * m_vc)
         zero = t == 0.0
-        if zero.any():
-            # a zero message zeroes what every other edge of its row sees;
-            # the zero edge itself sees the product of the rest
-            np.copyto(t, 1.0, where=zero)
-            row_prod = g.row_reduce(np.multiply, t)
-            row_zeros = g.row_reduce(np.add, zero, dtype=np.int64)
-            seen_by_zero = np.where(row_zeros == 1, row_prod, 0.0)
-            seen_by_rest = np.where(row_zeros == 0, row_prod, 0.0)
-            ext = seen_by_rest[g.edge_row]
-            ext /= t
-            np.copyto(ext, seen_by_zero[g.edge_row], where=zero)
-        else:
-            # no zero messages: the excluded-edge product is a plain quotient
-            row_prod = g.row_reduce(np.multiply, t)
-            ext = row_prod[g.edge_row] / t
+        np.copyto(t, 1.0, where=zero)
+        ext = np.empty_like(t)
+        at = 0
+        for rows, w in runs:
+            n = len(rows)
+            blk = slice(at, at + n * w)
+            at += n * w
+            t_blk = t[blk].reshape(n, w, p)
+            ext_blk = ext[blk].reshape(n, w, p)
+            zero_blk = zero[blk].reshape(n, w, p)
+            row_prod = np.multiply.reduce(t_blk, axis=1)
+            if zero_blk.any():
+                # a zero message zeroes what every other edge of its row
+                # sees; the zero edge itself sees the product of the rest
+                row_zeros = np.add.reduce(zero_blk, axis=1, dtype=np.int64)
+                seen_by_zero = np.where(row_zeros == 1, row_prod, 0.0)
+                seen_by_rest = np.where(row_zeros == 0, row_prod, 0.0)
+                np.divide(seen_by_rest[:, None], t_blk, out=ext_blk)
+                np.copyto(ext_blk, seen_by_zero[:, None], where=zero_blk)
+                live[rows] = (row_zeros <= 1).any(axis=1)
+            else:
+                # no zero messages: the excluded-edge product is a plain quotient
+                np.divide(row_prod[:, None], t_blk, out=ext_blk)
+                live[rows] = True
         np.clip(ext, -tanh_cap, tanh_cap, out=ext)
-        m_cv_new = 2.0 * np.arctanh(ext)
-        fixed_point = (m_cv_new == m_cv).all(axis=0)
-        m_cv = m_cv_new
+        m_new = 2.0 * np.arctanh(ext)
+        fixed_point = (m_new == old).all(axis=0)
+        if every:
+            m_cv = m_new
+        else:
+            m_cv[pos] = m_new
 
-        posterior = ch + (g.col_scatter @ m_cv)
-        bits = (posterior < 0).astype(np.int64)
-        syndrome_ok = ((g.check @ bits) % 2 == 0).all(axis=0)
-        determined = (posterior[connected] != 0.0).all(axis=0)
-        done = syndrome_ok & determined
+        # zero messages, of either sign, leave a column sum as it is
+        live_pos = np.flatnonzero(live[g.edge_row])
+        if every:
+            posterior = ch + (g.col_sum @ m_cv)
+        else:
+            hit = np.unique(g.edge_col[live_pos])
+            posterior = ch.copy()
+            posterior[hit] = ch[hit] + (g.col_sum[hit][:, live_pos] @ m_cv[live_pos])
+        done = g.solved(posterior)
         stop = (done | fixed_point) if early_stop_on_syndrome else fixed_point
         if stop.any():
             idx = np.nonzero(stop)[0]
-            posterior_out[:, active[idx]] = posterior[:, idx]
+            stopped_planes.append(active[idx])
+            stopped_posteriors.append(posterior[:, idx])
             iters_out[active[idx]] = it
             converged_out[active[idx]] = done[idx]
             keep = np.nonzero(~stop)[0]
@@ -200,19 +290,22 @@ def bp_decode(
                 break
             active = active[keep]
             ch = ch[:, keep]
-            m_cv = m_cv[:, keep]
+            kept = np.zeros((g.n_edges, len(keep)))
+            kept[live_pos] = m_cv[np.ix_(live_pos, keep)]
+            m_cv = kept
             posterior = posterior[:, keep]
-        col_tot = posterior  # the next round's column totals
 
     if len(active):
         # planes that ran out the iteration budget: record their final state
-        posterior_out[:, active] = posterior
-        bits = (posterior < 0).astype(np.int64)
-        syndrome_ok = ((g.check @ bits) % 2 == 0).all(axis=0)
-        determined = (posterior[connected] != 0.0).all(axis=0)
-        converged_out[active] = syndrome_ok & determined
+        stopped_planes.append(active)
+        stopped_posteriors.append(posterior)
+        converged_out[active] = g.solved(posterior)
 
-    result_posterior = posterior_out
+    result_posterior = np.take(
+        np.concatenate(stopped_posteriors, axis=1),
+        np.argsort(np.concatenate(stopped_planes)),
+        axis=1,
+    )
     bits_all = (result_posterior < 0).astype(np.uint8)
     undetermined = (result_posterior == 0.0).sum(axis=0).astype(np.int64)
     info_bits = bits_all[: h.n_info]

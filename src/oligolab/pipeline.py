@@ -55,7 +55,6 @@ class PipelineParams:
     crossover_p: float | None = None  # required for chandak mode
     bp_max_iter: int = 500
     llr_clip: float = 30.0
-    bp_dtype: str = "float64"
     decoder: str = "soft"  # soft | hard
 
     def __post_init__(self) -> None:
@@ -237,11 +236,19 @@ def iterative_soft_decode(
 ) -> DecodeReport:
     """BP-decode, RS-check, drop bad clusters, repeat (at most n_re redecodes)."""
     t_start = time.perf_counter()
+    report = DecodeReport(
+        success=False, reason="", iterations_performed=0, active_clusters=len(clusters)
+    )
+    k_required = required_symbols(params.soliton)
+    if len(clusters) < k_required:
+        # refused before any soft input is built
+        report.reason = f"insufficient_clusters: {len(clusters)} active < {k_required} required"
+        report.timing["total_seconds"] = time.perf_counter() - t_start
+        return report
     if cache is None:
         cache = NeighborCache(params.soliton)
     if cluster_llrs is None:
         cluster_llrs = _prepare_cluster_llrs(clusters, table, params)
-    k_required = required_symbols(params.soliton)
     max_redecodes = params.n_re if params.redecoding_enabled else 0
 
     # per-cluster state in ascending seed order; `active` indexes its rows,
@@ -259,9 +266,6 @@ def iterative_soft_decode(
     ).reshape(len(order), gf_rs.N_PARITY)
     active = np.arange(len(seeds))
 
-    report = DecodeReport(
-        success=False, reason="", iterations_performed=0, active_clusters=len(active)
-    )
     round_idx = 0
     while True:
         if len(active) < k_required:
@@ -276,7 +280,6 @@ def iterative_soft_decode(
             llrs[active],
             max_iter=params.bp_max_iter,
             llr_clip=params.llr_clip,
-            dtype=np.dtype(params.bp_dtype),
         )
         report.timing.setdefault("bp_seconds_per_round", []).append(
             time.perf_counter() - t_bp

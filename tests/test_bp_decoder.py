@@ -2,9 +2,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oligolab.bp_decoder import SparseParityMatrix, _Graph, bp_decode, build_h
-from oligolab.fountain import NeighborCache, SolitonParams, robust_soliton, seed_expand
+from bp_reference import bp_decode as reference_bp_decode
+from oligolab.bp_decoder import SparseParityMatrix, bp_decode, build_h
+from oligolab.fountain import (
+    NeighborCache,
+    SeedSchedule,
+    SolitonParams,
+    robust_soliton,
+    seed_expand,
+)
 
 
 def make_h(n_info, rows):
@@ -222,16 +231,79 @@ def test_runtime_scales_with_total_weight():
     assert t_big / t_small < 6 * work_ratio
 
 
-def test_row_reduce_matches_reduceat_bit_for_bit():
-    rng = np.random.default_rng(12)
-    rows = [rng.choice(400, size=int(d), replace=False) for d in rng.integers(1, 300, size=60)]
-    g = _Graph(make_h(400, rows))
-    values = np.tanh(rng.normal(0.0, 3.0, size=(g.n_edges, 5)))
-    values[rng.random(values.shape) < 0.3] = 0.0
-    assert np.array_equal(
-        g.row_reduce(np.multiply, values), np.multiply.reduceat(values, g.row_starts, axis=0)
-    )
-    zero = values == 0.0
-    counts = g.row_reduce(np.add, zero, dtype=np.int64)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, np.add.reduceat(zero.astype(np.int64), g.row_starts, axis=0))
+def assert_bit_identical(out, ref):
+    """Every field of two BpResults equal, posteriors bit for bit (sign of zero included)."""
+    out_bits = np.asarray(out.posterior_llrs).view(np.uint64)
+    assert np.array_equal(out_bits, np.asarray(ref.posterior_llrs).view(np.uint64))
+    assert np.array_equal(out.info_bits, ref.info_bits)
+    assert np.array_equal(out.coded_bits, ref.coded_bits)
+    assert np.array_equal(out.converged, ref.converged)
+    assert np.array_equal(out.iterations_used, ref.iterations_used)
+    assert np.array_equal(out.undetermined, ref.undetermined)
+    assert type(out.converged) is type(ref.converged)
+    assert type(out.iterations_used) is type(ref.iterations_used)
+
+
+def edge_case_llrs(rng, shape, clip):
+    """Channel LLRs mixing exact zeros (both signs), the clip value, values
+    past it, subnormals and ordinary noise."""
+    special = np.array([0.0, -0.0, clip, -clip, 2 * clip, -2 * clip, 5e-324, -1e-320])
+    llrs = rng.normal(0.0, 4.0, size=shape)
+    pick = rng.random(shape)
+    llrs = np.where(pick < 0.35, rng.choice(special, size=shape), llrs)
+    return np.where(pick > 0.9, np.sign(llrs) * rng.uniform(2.0, 40.0, size=shape), llrs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 24),
+    n_rows=st.integers(1, 40),
+    n_heavy=st.integers(0, 3),
+    # past 64 planes the zero and sign bits take a second, padded word
+    planes=st.one_of(st.integers(1, 8), st.integers(60, 130)),
+    flat=st.booleans(),
+    clip=st.sampled_from([30.0, 8.0, 1.5]),
+    max_iter=st.integers(0, 40),
+    early_stop=st.booleans(),
+)
+def test_bp_matches_reference_kernel_on_random_graphs(
+    seed, k, n_rows, n_heavy, planes, flat, clip, max_iter, early_stop
+):
+    rng = np.random.default_rng(seed)
+    # row weights 1-6 (0-5 information bits plus the coded bit), a few heavy rows
+    degrees = list(rng.integers(0, 6, size=n_rows)) + list(rng.integers(6, 25, size=n_heavy))
+    rows = [np.sort(rng.choice(k, size=min(int(d), k), replace=False)) for d in degrees]
+    h = make_h(k, rows)
+    llrs = edge_case_llrs(rng, (len(rows), planes), clip)
+    if flat and planes == 1:
+        llrs = llrs[:, 0]
+    kwargs = dict(max_iter=max_iter, llr_clip=clip, early_stop_on_syndrome=early_stop)
+    assert_bit_identical(bp_decode(h, llrs, **kwargs), reference_bp_decode(h, llrs, **kwargs))
+
+
+def test_bp_matches_reference_kernel_on_desk_graph():
+    # the desk profile's code over its first 1100 seeds, info bits punctured
+    params = SolitonParams(k=1000, c=0.01, delta=0.001)
+    h = build_h(list(SeedSchedule.first_n(1100).seeds), params, NeighborCache(params))
+    rng = np.random.default_rng(70)
+    info = rng.integers(0, 2, size=(params.k, 256))
+    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in h.rows_neighbors])
+    llrs = (1 - 2 * coded) * rng.uniform(2.0, 40.0, size=coded.shape)
+    llrs[rng.random(llrs.shape) < 0.01] *= -1
+    llrs[rng.random(llrs.shape) < 0.005] = 0.0
+    assert_bit_identical(bp_decode(h, llrs), reference_bp_decode(h, llrs))
+
+
+def test_bp_matches_reference_kernel_on_bp_active_graph():
+    # c = 0.03 leaves enough degree-1 rows for BP to move every row
+    params = SolitonParams(k=1000, c=0.03, delta=0.001)
+    h = build_h(list(SeedSchedule.first_n(1400).seeds), params, NeighborCache(params))
+    rng = np.random.default_rng(71)
+    info = rng.integers(0, 2, size=(params.k, 16))
+    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in h.rows_neighbors])
+    llrs = (2.0 - 4.0 * coded) + rng.normal(0.0, 2.0, size=coded.shape)
+    for early_stop in (True, False):
+        kwargs = dict(max_iter=40, early_stop_on_syndrome=early_stop)
+        out = bp_decode(h, llrs, **kwargs)
+        assert_bit_identical(out, reference_bp_decode(h, llrs, **kwargs))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oligolab import gf_rs
+from oligolab import gf_rs, pipeline
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
 from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transitions
 from oligolab.clustering_llr import cluster_by_seed
@@ -146,6 +146,22 @@ def test_insufficient_clusters_fails_fast(encoded_world):
     assert not rep.success
     assert rep.reason.startswith("insufficient_clusters")
     assert rep.iterations_performed == 0
+
+
+def test_insufficient_clusters_builds_no_soft_inputs(encoded_world, monkeypatch):
+    sched, source, coded, seqs = encoded_world
+    few = clean_reads(seqs[: required_symbols(DESK) - 5], per_oligo=1)
+    clusters, _ = cluster_by_seed(few, sched)
+    calls = []
+    real = pipeline.llr_proposed
+    monkeypatch.setattr(pipeline, "llr_proposed", lambda *a: calls.append(a) or real(*a))
+    rep = iterative_soft_decode(
+        clusters, sched, TransitionTable.uniform(), PipelineParams(soliton=DESK)
+    )
+    assert len(clusters) == 73 and required_symbols(DESK) == 78
+    assert rep.reason == "insufficient_clusters: 73 active < 78 required"
+    assert rep.active_clusters == 73
+    assert calls == []
 
 
 def poison_cluster_reads(seqs, victim, ins_pos=100):

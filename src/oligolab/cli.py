@@ -1,7 +1,8 @@
 """Command-line surface: encode | simulate | stats | decode | experiment.
 
 Exit codes: 0 success, 1 decode failure, 2 usage/config error, 3 I/O error
-or malformed FASTQ.
+or malformed FASTQ, 4 internal error (an unexpected exception, with its
+traceback on stderr).
 Every report JSON embeds the effective config so runs are reproducible
 from their outputs.
 """
@@ -13,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,14 @@ from . import __version__
 from .channel_stats import PoolIndex, TransitionTable, estimate_transitions, quality_product
 from .channel_sim import simulate_pool
 from .clustering_llr import cluster_by_seed
-from .config import ConfigError, channel_from, load_config, pipeline_params_from, soliton_from
+from .config import (
+    ConfigError,
+    channel_from,
+    load_config,
+    pipeline_params_from,
+    soliton_from,
+    user_input,
+)
 from .dna_codec import BASES, OLIGO_NT, assemble_oligo, read_fasta, write_fasta
 from .fastq_io import FastqFormatError, parse_fastq
 from .fountain import SeedSchedule, lt_encode, required_symbols
@@ -31,6 +40,7 @@ EXIT_OK = 0
 EXIT_DECODE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 PACKET_BYTES = 32
 
@@ -55,12 +65,10 @@ def cmd_encode(args, cfg: dict) -> int:
     capacity = params.k * PACKET_BYTES
     data = Path(args.input).read_bytes()
     if len(data) > capacity:
-        print(
-            f"error: input is {len(data)} bytes but the code carries at most "
-            f"{capacity} bytes at k={params.k}",
-            file=sys.stderr,
+        raise ConfigError(
+            f"input is {len(data)} bytes but the code carries at most "
+            f"{capacity} bytes at k={params.k}"
         )
-        return EXIT_USAGE
     pad = capacity - len(data)
     payload = data + bytes(pad)
     source_bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).reshape(
@@ -91,9 +99,13 @@ def cmd_encode(args, cfg: dict) -> int:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    oligos = read_fasta(args.pool)
+    with user_input(f"pool {args.pool}"):
+        oligos = read_fasta(args.pool)
     channel = channel_from(cfg)
-    total = args.reads if args.reads else int(cfg["experiment"]["total_reads"])
+    with user_input("experiment config"):
+        total = args.reads if args.reads else int(cfg["experiment"]["total_reads"])
+    if total < 1:
+        raise ConfigError(f"the read count must be >= 1, got {total}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sim = simulate_pool(
@@ -117,7 +129,8 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_stats(args, cfg: dict) -> int:
-    oligos = read_fasta(args.pool)
+    with user_input(f"pool {args.pool}"):
+        oligos = read_fasta(args.pool)
     pool = PoolIndex([o.sequence for o in oligos])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -156,21 +169,24 @@ def cmd_stats(args, cfg: dict) -> int:
 
 
 def cmd_decode(args, cfg: dict) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    with user_input(f"manifest {args.manifest}"):
+        manifest = json.loads(Path(args.manifest).read_text())
+        theirs = dataclasses.asdict(soliton_from(manifest["config"]))
+        payload_sha256 = manifest["payload_sha256"]
+        payload_bytes = int(manifest["k"]) * PACKET_BYTES - int(manifest["pad_bytes"])
     ours = dataclasses.asdict(soliton_from(cfg))
-    theirs = dataclasses.asdict(soliton_from(manifest["config"]))
     differ = [f"{key} (config {ours[key]}, manifest {theirs[key]})"
               for key in ours if ours[key] != theirs[key]]
     if differ:
-        print(f"error: code parameters differ from the manifest: {', '.join(differ)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    schedule = SeedSchedule.load(args.seeds)
-    table = (
-        TransitionTable.load_tsv(args.transition)
-        if args.transition
-        else TransitionTable.uniform()
-    )
+        raise ConfigError(f"code parameters differ from the manifest: {', '.join(differ)}")
+    with user_input(f"seed table {args.seeds}"):
+        schedule = SeedSchedule.load(args.seeds)
+    with user_input(f"transition table {args.transition}"):
+        table = (
+            TransitionTable.load_tsv(args.transition)
+            if args.transition
+            else TransitionTable.uniform()
+        )
     clusters, discard = cluster_by_seed(parse_fastq(args.fastq), schedule)
     params = pipeline_params_from(cfg)
     outdir = Path(args.outdir)
@@ -184,10 +200,9 @@ def cmd_decode(args, cfg: dict) -> int:
     checksum_ok = None
     if report.success:
         payload = np.packbits(report.recovered_payload.reshape(-1)).tobytes()
-        checksum_ok = _sha256(payload) == manifest["payload_sha256"]
+        checksum_ok = _sha256(payload) == payload_sha256
         if checksum_ok:
-            recovered = payload[: manifest["k"] * PACKET_BYTES - manifest["pad_bytes"]]
-            (outdir / "recovered.bin").write_bytes(recovered)
+            (outdir / "recovered.bin").write_bytes(payload[:payload_bytes])
         else:
             report.success = False
             report.reason = "payload_checksum_mismatch"
@@ -216,13 +231,21 @@ def cmd_decode(args, cfg: dict) -> int:
 def cmd_experiment(args, cfg: dict) -> int:
     params = soliton_from(cfg)
     coded_count = int(cfg["code"]["coded_count"])
-    exp = cfg["experiment"]
+    with user_input("experiment config"):
+        exp = cfg["experiment"]
+        total_reads, trials = int(exp["total_reads"]), int(exp["trials"])
+        points = [int(p) for p in exp["sampling_points"]]
+        rng_seed = int(exp.get("rng_seed", 0))
+    if total_reads < 1 or trials < 1 or any(not 0 <= p <= total_reads for p in points):
+        raise ConfigError(
+            f"experiment needs total_reads >= 1, trials >= 1 and sampling points in "
+            f"0..total_reads, got total_reads={total_reads}, trials={trials}, "
+            f"sampling_points={points}"
+        )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    payload_rng = np.random.default_rng(
-        np.random.SeedSequence([int(exp.get("rng_seed", 0)), 2**20])
-    )
+    payload_rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 2**20]))
     source_bits = payload_rng.integers(0, 2, size=(params.k, 256), dtype=np.uint8)
     schedule = SeedSchedule.first_n(coded_count)
     coded = lt_encode(source_bits, schedule, params)
@@ -230,9 +253,7 @@ def cmd_experiment(args, cfg: dict) -> int:
     seqs = [o.sequence for o in oligos]
 
     channel = channel_from(cfg)
-    sim = simulate_pool(
-        seqs, int(exp["total_reads"]), channel, outdir / "reads.fastq", outdir / "truth.tsv"
-    )
+    sim = simulate_pool(seqs, total_reads, channel, outdir / "reads.fastq", outdir / "truth.tsv")
     reads = list(parse_fastq(outdir / "reads.fastq"))
     pool = PoolIndex(seqs)
     table = estimate_transitions(reads, pool)
@@ -249,10 +270,10 @@ def cmd_experiment(args, cfg: dict) -> int:
         reads,
         schedule,
         table,
-        [int(p) for p in exp["sampling_points"]],
-        int(exp["trials"]),
+        points,
+        trials,
         variants,
-        rng_seed=int(exp.get("rng_seed", 0)),
+        rng_seed=rng_seed,
         expected_payload=source_bits,
         jobs=args.jobs,
     )
@@ -345,9 +366,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault in oligolab itself, not in the user's input
+        traceback.print_exc()
+        print("internal error: the traceback above shows where", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

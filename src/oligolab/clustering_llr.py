@@ -19,12 +19,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bp_decoder import LLR_MAX
-from .channel_stats import TransitionTable, encode_bases
-from .dna_codec import BASES, OLIGO_NT, PARITY_NT, SEED_NT, seed_to_bases
+from .channel_stats import TransitionTable, encode_base_matrix, encode_bases
+from .dna_codec import BASES, OLIGO_NT, PARITY_NT, SEED_BITS, SEED_NT
 from .fastq_io import ReadRecord, phred_to_prob
 from .fountain import SeedSchedule
 
+# after bp_decoder, which imports it first: importing scipy ahead of it moves
+# a full garbage-collection pass into the start-up imports (about 45 ms per
+# process on a 2-core x86 box)
+from scipy import sparse
+
 _TINY = 1e-300
+_BASE_BYTES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
 
 _PAYLOAD_SLICE = slice(SEED_NT, OLIGO_NT - PARITY_NT)
 _PARITY_SLICE = slice(OLIGO_NT - PARITY_NT, OLIGO_NT)
@@ -63,7 +69,7 @@ def cluster_by_seed(
 ) -> tuple[dict[int, Cluster], DiscardReport]:
     """Group reads by exact seed-region match against the seed table."""
     seeds = seed_table.seeds if isinstance(seed_table, SeedSchedule) else seed_table
-    nt_to_seed = {seed_to_bases(s): s for s in seeds}
+    nt_to_seed = dict(zip(_seed_prefixes(seeds), seeds))
     clusters: dict[int, Cluster] = {}
     report = DiscardReport()
     for read in reads:
@@ -85,6 +91,17 @@ def cluster_by_seed(
             cluster.members.append(read)
         report.n_retained += 1
     return clusters, report
+
+
+def _seed_prefixes(seeds: Sequence[int]) -> list[str]:
+    """The 16-nt prefix of every seed, as `seed_to_bases` renders it."""
+    for s in seeds:
+        if not 0 <= s < 2**SEED_BITS:
+            raise ValueError(f"seed out of 32-bit range: {s}")
+    shifts = np.arange(2 * SEED_NT - 2, -1, -2)  # MSB-first, 2 bits per base
+    bases = (np.array(seeds, dtype=np.int64)[:, None] >> shifts) & 3
+    text = _BASE_BYTES[bases].tobytes().decode("ascii")
+    return [text[i : i + SEED_NT] for i in range(0, len(text), SEED_NT)]
 
 
 def _stack_cluster(cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +198,59 @@ def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
     )
 
 
-def majority_vote(cluster: Cluster) -> str:
-    """Per-position majority basecall over the full read, ties lexicographic."""
-    codes, _ = _stack_cluster(cluster)
-    m, n = codes.shape
-    counts = np.zeros((n, 4), dtype=np.int64)
-    np.add.at(counts, (np.tile(np.arange(n), m), codes.ravel()), 1)
-    return "".join(BASES[i] for i in np.argmax(counts, axis=1))
+# The vote counts the four bases of a position in the four bytes of one
+# little-endian uint32, so a count segment holds at most 255 members; larger
+# clusters are split into several segments whose counts are added in
+# full-width integers.
+_SEGMENT_MAX = 255
+_LANE_ONE = np.zeros(256, dtype="<u4")  # code -> a one in that base's byte
+_LANE_ONE[:4] = 1 << (8 * np.arange(4))
+_VOTE_CHUNK_READS = 1 << 15  # members per code matrix, bounding its memory
 
+
+def majority_vote(clusters: Sequence[Cluster]) -> np.ndarray:
+    """Per-position majority basecall of each cluster, ties lexicographic.
+
+    Returns a (len(clusters), 152) uint8 matrix of base indices (A=0 .. T=3)
+    in the order given. Clusters are counted in chunks of about
+    _VOTE_CHUNK_READS members: one code matrix per chunk and one segmented
+    sum per cluster.
+    """
+    sizes = np.array([c.size for c in clusters], dtype=np.int64)
+    if (sizes == 0).any():
+        raise ValueError("empty cluster")
+    votes = np.empty((len(clusters), OLIGO_NT), dtype=np.uint8)
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(clusters):
+        # at least one cluster, then whole clusters up to the chunk size
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _VOTE_CHUNK_READS, side="right")))
+        chunk = clusters[lo:hi]
+        codes = encode_base_matrix(
+            [m.bases for c in chunk for m in c.members], OLIGO_NT
+        )
+        votes[lo:hi] = _vote_chunk(codes, sizes[lo:hi])
+        lo = hi
+    return votes
+
+
+def _vote_chunk(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    # segments of at most _SEGMENT_MAX members, each cluster's in order
+    pieces = -(-sizes // _SEGMENT_MAX)
+    first_piece = np.cumsum(pieces) - pieces
+    owner = np.repeat(np.arange(len(sizes)), pieces)
+    starts = (np.cumsum(sizes) - sizes)[owner] + _SEGMENT_MAX * (
+        np.arange(len(owner)) - first_piece[owner]
+    )
+    n = len(codes)
+    # one indicator row per segment: the segment sums are one sparse product
+    segments = sparse.csr_matrix(
+        (np.ones(n, dtype=_LANE_ONE.dtype), np.arange(n), np.append(starts, n)),
+        shape=(len(starts), n),
+    )
+    packed = np.asarray(segments @ _LANE_ONE[codes], dtype=_LANE_ONE.dtype)
+    counts = packed.view(np.uint8).reshape(*packed.shape, 4)
+    if len(owner) > len(sizes):
+        counts = np.add.reduceat(counts, first_piece, axis=0, dtype=np.int64)
+    return counts.argmax(axis=2)

@@ -9,6 +9,7 @@ every report so a run can be reproduced from its outputs alone.
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -22,6 +23,24 @@ from .pipeline import PipelineParams
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def user_input(source: str):
+    """Raise a bad value met in the block as a ConfigError that names its source.
+
+    Wraps code that reads a config section or a user's input file, so that a
+    missing key or a rejected value is reported as a config error and every
+    other ValueError stays an internal one.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{source}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 PROFILES: dict[str, dict] = {
@@ -165,6 +184,7 @@ def load_config(
     return cfg
 
 
+@user_input("code config")
 def soliton_from(cfg: Mapping) -> SolitonParams:
     code = cfg["code"]
     return SolitonParams(
@@ -174,6 +194,7 @@ def soliton_from(cfg: Mapping) -> SolitonParams:
     )
 
 
+@user_input("channel config")
 def channel_from(cfg: Mapping) -> ChannelConfig:
     ch = cfg["channel"]
     qm = ch.get("qmodel", {})
@@ -192,6 +213,7 @@ def channel_from(cfg: Mapping) -> ChannelConfig:
     )
 
 
+@user_input("decode config")
 def pipeline_params_from(
     cfg: Mapping,
     llr_mode: str | None = None,

@@ -168,13 +168,6 @@ def parse_oligo(sequence: str) -> tuple[int, np.ndarray, Oligo]:
     return oligo.seed_value, payload_bits, oligo
 
 
-def oligo_to_symbols(sequence: str) -> list[int]:
-    """The 38 RS symbols of a 152-nt sequence."""
-    if len(sequence) != OLIGO_NT:
-        raise ValueError(f"oligo must be {OLIGO_NT} nt, got {len(sequence)}")
-    return base_indices_to_symbols(sequence_to_indices(sequence))
-
-
 def write_fasta(
     oligos: Iterable[Oligo], path: str | Path, with_primers: bool = False
 ) -> int:

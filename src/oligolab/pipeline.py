@@ -7,8 +7,8 @@ clean or corrected away from the seed symbols; otherwise the offending
 clusters are dropped, the matrix is rebuilt, and BP reruns with the
 surviving clusters' original LLRs, up to the redecoding limit. On success
 the information bits are recovered from the RS-corrected coded bits by
-erasure solving (peeling with a dense GF(2) fallback), which is also the
-engine behind the majority-vote hard-decoding baseline.
+erasure solving (peeling, then elimination over bit-packed GF(2) rows),
+which is also the engine behind the majority-vote hard-decoding baseline.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .clustering_llr import (
 )
 from .dna_codec import (
     PAYLOAD_BITS,
+    PAYLOAD_NT,
+    SEED_NT,
     base_indices_to_bit_array,
     base_indices_to_symbols,
-    oligo_to_symbols,
     sequence_to_indices,
     symbols_to_base_indices,
 )
@@ -44,6 +45,7 @@ from .fountain import NeighborCache, SeedSchedule, SolitonParams, required_symbo
 
 SEED_SYMBOLS = 4
 PAYLOAD_SYMBOLS = 32
+_WORD = np.dtype("<u8")  # packed GF(2) rows: bit j of word w is column 64w + j
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,22 @@ class DecodeReport:
         }
 
 
+def _plane_words(planes: int) -> int:
+    return -(-planes // 64)
+
+
+def _ints_to_words(values: Sequence[int], n_words: int) -> np.ndarray:
+    """Python ints (bit p = plane p) -> (len, n_words) little-endian uint64 rows."""
+    raw = b"".join(v.to_bytes(8 * n_words, "little") for v in values)
+    return np.frombuffer(raw, dtype=_WORD).reshape(len(values), n_words)
+
+
+def _words_to_bits(words: np.ndarray, planes: int) -> np.ndarray:
+    """(n, n_words) uint64 rows -> (n, planes) uint8 bits."""
+    as_bytes = np.ascontiguousarray(words, dtype=_WORD).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=planes, bitorder="little")
+
+
 def lt_erasure_solve(
     rows_neighbors: Sequence[np.ndarray],
     coded_bits: np.ndarray,
@@ -99,9 +117,13 @@ def lt_erasure_solve(
     """Solve info bits from coded-bit rows: XOR(info[nbrs]) = coded[row].
 
     Returns (info (k, P) uint8, resolved (k,) bool, consistent (P,) bool).
-    Peeling resolves degree-1 rows and substitutes; the residual system, if
-    any, goes through dense GF(2) elimination. Planes where a fully-reduced
-    row keeps a nonzero value are flagged inconsistent.
+    Peeling resolves degree-1 rows and substitutes. A row keeps its count
+    of unknowns, the XOR of their ids (a degree-1 row's is its last
+    unknown) and its P plane values packed into one Python integer, so a
+    substitution costs one XOR per edge. The residual system, if any, goes
+    through Gauss-Jordan elimination on rows bit-packed into uint64 words:
+    the unknown columns, then the planes. Planes where a fully-reduced row
+    keeps a nonzero value are flagged inconsistent.
     """
     coded = np.asarray(coded_bits, dtype=np.uint8)
     if coded.ndim == 1:
@@ -109,76 +131,100 @@ def lt_erasure_solve(
     n_rows, planes = coded.shape
     if n_rows != len(rows_neighbors):
         raise ValueError("coded_bits rows do not match neighbor rows")
+    n_words = _plane_words(planes)
+    row_bytes = np.packbits(coded, axis=1, bitorder="little")
+    raw, width = row_bytes.tobytes(), row_bytes.shape[1]
+    row_val = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
-    row_sets = [set(map(int, nb)) for nb in rows_neighbors]
-    row_val = coded.copy()
-    var_rows: dict[int, set[int]] = {}
-    for r, s in enumerate(row_sets):
-        for v in s:
-            var_rows.setdefault(v, set()).add(r)
+    # the (variable, row) edges, a repeated neighbor once, grouped by variable
+    var = np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(np.asarray(nb, dtype=np.int64) for nb in rows_neighbors)]
+    )
+    row = np.repeat(np.arange(n_rows), [len(nb) for nb in rows_neighbors])
+    order = np.lexsort((row, var))
+    var, row = var[order], row[order]
+    new_edge = np.ones(len(var), dtype=bool)
+    new_edge[1:] = (var[1:] != var[:-1]) | (row[1:] != row[:-1])
+    var, row = var[new_edge], row[new_edge]
+    unknowns_left = np.bincount(row, minlength=n_rows).tolist()
+    id_xor = np.zeros(n_rows, dtype=np.int64)
+    np.bitwise_xor.at(id_xor, row, var)
+    id_xor = id_xor.tolist()
+    firsts = np.flatnonzero(np.r_[True, var[1:] != var[:-1]]).tolist()
+    row_list = row.tolist()
+    var_rows = {
+        v: row_list[a:b]
+        for v, a, b in zip(var[firsts].tolist(), firsts, [*firsts[1:], len(row_list)])
+    }
 
-    info = np.zeros((k, planes), dtype=np.uint8)
-    resolved = np.zeros(k, dtype=bool)
-    consistent = np.ones(planes, dtype=bool)
+    peeled_vars: list[int] = []
+    peeled_vals: list[int] = []
+    contradicted = 0  # bit p set: plane p reduced some row to 0 = 1
 
-    queue = [r for r, s in enumerate(row_sets) if len(s) == 1]
+    queue = [r for r, n in enumerate(unknowns_left) if n == 1]
     while queue:
         r = queue.pop()
-        if len(row_sets[r]) != 1:
+        if unknowns_left[r] != 1:
             continue
-        v = next(iter(row_sets[r]))
-        value = row_val[r].copy()
-        info[v] = value
-        resolved[v] = True
-        for r2 in var_rows.pop(v, ()):
-            row_sets[r2].discard(v)
-            if value.any():
-                row_val[r2] ^= value
-            if len(row_sets[r2]) == 1:
+        v = id_xor[r]
+        value = row_val[r]
+        peeled_vars.append(v)
+        peeled_vals.append(value)
+        for r2 in var_rows[v]:
+            unknowns_left[r2] -= 1
+            id_xor[r2] ^= v
+            row_val[r2] ^= value
+            if unknowns_left[r2] == 1:
                 queue.append(r2)
-            elif len(row_sets[r2]) == 0 and row_val[r2].any():
-                consistent &= row_val[r2] == 0
+            elif unknowns_left[r2] == 0:
+                contradicted |= row_val[r2]
 
-    residual_rows = [r for r, s in enumerate(row_sets) if s]
-    if residual_rows:
-        unknowns = sorted(set().union(*(row_sets[r] for r in residual_rows)))
-        col_of = {v: j for j, v in enumerate(unknowns)}
-        a = np.zeros((len(residual_rows), len(unknowns)), dtype=bool)
-        rhs = np.zeros((len(residual_rows), planes), dtype=np.uint8)
-        for i, r in enumerate(residual_rows):
-            for v in row_sets[r]:
-                a[i, col_of[v]] = True
-            rhs[i] = row_val[r]
-        pivot_row_of_col: dict[int, int] = {}
+    info_words = np.zeros((k, n_words), dtype=_WORD)
+    resolved = np.zeros(k, dtype=bool)
+    info_words[peeled_vars] = _ints_to_words(peeled_vals, n_words)
+    resolved[peeled_vars] = True
+    bad = _ints_to_words([contradicted], n_words)[0].copy()
+
+    residual = ~resolved[var]  # the edges into unknowns, and so the rows left
+    if residual.any():
+        residual_rows, row_of_edge = np.unique(row[residual], return_inverse=True)
+        unknowns, cols = np.unique(var[residual], return_inverse=True)
+        col_words = _plane_words(len(unknowns))
+        # one row per residual equation: unknown-column words, then plane words
+        a = np.zeros((len(residual_rows), col_words + n_words), dtype=_WORD)
+        np.bitwise_or.at(
+            a,
+            (row_of_edge, cols >> 6),
+            np.left_shift(_WORD.type(1), (cols & 63).astype(_WORD)),
+        )
+        a[:, col_words:] = _ints_to_words([row_val[r] for r in residual_rows.tolist()], n_words)
+        pivot_cols = []
         pr = 0
         for col in range(len(unknowns)):
-            hit = np.nonzero(a[pr:, col])[0]
-            if len(hit) == 0:
+            hits = np.flatnonzero(a[:, col >> 6] & _WORD.type(1 << (col & 63)))
+            below = hits[hits >= pr]
+            if len(below) == 0:
                 continue
-            r0 = pr + int(hit[0])
+            r0 = below[0]
+            others = hits[hits != r0]
+            a[others] ^= a[r0]
             if r0 != pr:
                 a[[pr, r0]] = a[[r0, pr]]
-                rhs[[pr, r0]] = rhs[[r0, pr]]
-            others = np.nonzero(a[:, col])[0]
-            others = others[others != pr]
-            a[others] ^= a[pr]
-            rhs[others] ^= rhs[pr]
-            pivot_row_of_col[col] = pr
+            pivot_cols.append(col)
             pr += 1
             if pr == len(residual_rows):
                 break
-        for col, v in enumerate(unknowns):
-            prow = pivot_row_of_col.get(col)
-            if prow is None:
-                continue  # no pivot: stays unresolved
-            if a[prow].sum() != 1:
-                continue  # pivot row still couples free columns: not unique
-            info[v] = rhs[prow]
-            resolved[v] = True
-        zero_rows = ~a.any(axis=1)
-        if zero_rows.any():
-            consistent &= (rhs[zero_rows] == 0).all(axis=0)
+        pivots = a[: len(pivot_cols)]
+        # a pivot row that still couples free columns does not fix its variable
+        unique = np.bitwise_count(pivots[:, :col_words]).sum(axis=1) == 1
+        solved = unknowns[np.array(pivot_cols, dtype=np.int64)[unique]]
+        info_words[solved] = pivots[unique, col_words:]
+        resolved[solved] = True
+        zero_rows = ~a[:, :col_words].any(axis=1)
+        bad |= np.bitwise_or.reduce(a[zero_rows, col_words:], axis=0)
 
+    info = _words_to_bits(info_words, planes)
+    consistent = _words_to_bits(bad[None, :], planes)[0] == 0
     return info, resolved, consistent
 
 
@@ -341,22 +387,30 @@ def hard_decode_baseline(
     if cache is None:
         cache = NeighborCache(params.soliton)
     report = DecodeReport(success=False, reason="", iterations_performed=1)
-    surviving_rows: list[np.ndarray] = []
-    payload_rows: list[np.ndarray] = []
-    discarded = 0
-    for seed in sorted(clusters):
-        outcome = gf_rs.rs_decode(oligo_to_symbols(majority_vote(clusters[seed])))
+    order = sorted(clusters)
+    votes = majority_vote([clusters[s] for s in order])  # (n, 152) base indices
+    # 4 bases per RS symbol, MSB first; 2 payload bits per base, high bit first
+    quads = votes.reshape(len(order), gf_rs.N_SYMBOLS, 4)
+    words = (quads[..., 0] << 6) | (quads[..., 1] << 4) | (quads[..., 2] << 2) | quads[..., 3]
+    payload = votes[:, SEED_NT : SEED_NT + PAYLOAD_NT]
+    coded = np.empty((len(order), PAYLOAD_BITS), dtype=np.uint8)
+    coded[:, 0::2] = payload >> 1
+    coded[:, 1::2] = payload & 1
+    keep = np.ones(len(order), dtype=bool)
+    for r, word in enumerate(words.tolist()):
+        outcome = gf_rs.rs_decode(word)
         if outcome.status == gf_rs.STATUS_DETECTED:
-            discarded += 1
-            continue
-        payload_rows.append(_payload_bits(outcome.codeword))
-        surviving_rows.append(cache.neighbors(seed))
-    report.clusters_discarded_per_round = [discarded]
-    report.active_clusters = len(surviving_rows)
-    if surviving_rows:
-        _solve_tail(
-            report, surviving_rows, np.stack(payload_rows), params.soliton.k, expected_payload
-        )
+            keep[r] = False
+        elif any(
+            SEED_SYMBOLS <= p < SEED_SYMBOLS + PAYLOAD_SYMBOLS
+            for p in outcome.corrected_positions
+        ):
+            coded[r] = _payload_bits(outcome.codeword)
+    report.clusters_discarded_per_round = [int((~keep).sum())]
+    report.active_clusters = int(keep.sum())
+    if keep.any():
+        rows = [cache.neighbors(s) for s, kept in zip(order, keep.tolist()) if kept]
+        _solve_tail(report, rows, coded[keep], params.soliton.k, expected_payload)
     else:
         report.reason = "no_surviving_clusters"
     report.timing["total_seconds"] = time.perf_counter() - t_start

@@ -217,12 +217,18 @@ def test_runtime_scales_with_total_weight():
     rng = np.random.default_rng(65)
 
     def run(k, n_rows, planes):
-        rows = [sorted(rng.choice(k, size=6, replace=False).tolist()) for _ in range(n_rows)]
+        # a quarter of the rows have degree 1, so rows wake and BP does work
+        # on every iteration; nonzero coded LLRs that fit no codeword keep
+        # every plane running
+        degrees = np.where(rng.random(n_rows) < 0.25, 1, rng.integers(2, 7, size=n_rows))
+        rows = [sorted(rng.choice(k, size=int(d), replace=False).tolist()) for d in degrees]
         h = make_h(k, rows)
         llrs = rng.uniform(-2, 2, size=(n_rows, planes))
         t0 = time.perf_counter()
-        bp_decode(h, llrs, max_iter=15)
-        return time.perf_counter() - t0, h.total_weight * planes
+        out = bp_decode(h, llrs, max_iter=15)
+        elapsed = time.perf_counter() - t0
+        assert (out.iterations_used > 1).all()
+        return elapsed, h.total_weight * planes
 
     run(50, 60, 8)  # warm-up
     t_small, w_small = run(200, 250, 32)

@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 from oligolab.channel_stats import PoolIndex, levenshtein, quality_product
-from oligolab.cli import EXIT_DECODE_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from oligolab import pipeline
+from oligolab.cli import EXIT_DECODE_FAIL, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oligolab.config import ConfigError, PROFILES, load_config, pipeline_params_from, soliton_from
 from oligolab.dna_codec import read_fasta
 from oligolab.fastq_io import parse_fastq
@@ -283,6 +284,51 @@ def test_malformed_fastq_is_an_io_error(simulated, tmp_path):
     assert run(["decode", "--fastq", truncated, "--seeds", enc / "seeds.txt",
                 "--manifest", enc / "manifest.json", "--outdir", tmp_path / "d",
                 "--profile", "desk-scale", *TINY]) == EXIT_IO
+
+
+def decode_argv(enc, sim, outdir, *extra):
+    return ["decode", "--fastq", sim / "reads.fastq", "--seeds", enc / "seeds.txt",
+            "--manifest", enc / "manifest.json", "--outdir", outdir,
+            "--profile", "desk-scale", *TINY, *extra]
+
+
+@pytest.mark.parametrize("decoder", ["soft", "hard"])
+def test_decoder_fault_is_an_internal_error(simulated, tmp_path, monkeypatch, capsys, decoder):
+    src, enc, sim = simulated
+
+    def faulty_solve(rows_neighbors, coded_bits, k):
+        raise ValueError("injected decoder fault")
+
+    monkeypatch.setattr(pipeline, "lt_erasure_solve", faulty_solve)
+    code = run(decode_argv(enc, sim, tmp_path / "d", "--set", f"decode.decoder={decoder}"))
+    assert code == EXIT_INTERNAL
+    assert code != EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "injected decoder fault" in err
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("override", ["decode.llr_mode=oracle", "decode.decoder=psychic"])
+def test_unknown_decoder_setting_is_a_config_error(simulated, tmp_path, capsys, override):
+    src, enc, sim = simulated
+    assert run(decode_argv(enc, sim, tmp_path / "d", "--set", override)) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
+def test_malformed_seed_table_is_a_config_error(simulated, tmp_path):
+    src, enc, sim = simulated
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("not-hex\n")
+    argv = decode_argv(enc, sim, tmp_path / "d")
+    argv[argv.index(enc / "seeds.txt")] = seeds
+    assert run(argv) == EXIT_USAGE
+
+
+def test_experiment_sampling_point_beyond_total_reads_is_a_config_error(tmp_path):
+    assert run(["experiment", "--outdir", tmp_path / "exp", "--profile", "desk-scale", *TINY,
+                "--set", "experiment.total_reads=100",
+                "--set", "experiment.sampling_points=[50,101]"]) == EXIT_USAGE
+    assert not (tmp_path / "exp" / "reads.fastq").exists()
 
 
 # ------------------------- experiment -------------------------

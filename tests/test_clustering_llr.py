@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oligolab import clustering_llr
 from oligolab.channel_stats import TransitionTable, encode_bases
 from oligolab.clustering_llr import (
     LLR_MAX,
@@ -14,7 +15,7 @@ from oligolab.clustering_llr import (
     majority_vote,
     read_prob_vectors,
 )
-from oligolab.dna_codec import assemble_oligo, seed_to_bases
+from oligolab.dna_codec import assemble_oligo, indices_to_sequence, seed_to_bases
 from oligolab.fastq_io import ReadRecord
 from oligolab.fountain import SeedSchedule
 
@@ -201,15 +202,73 @@ def test_derive_crossover():
     assert abs(derive_crossover(8.352e-4) - 8.352e-4 * 2 / 3) < 1e-18
 
 
+def reference_vote(cluster):
+    """One cluster's per-position majority by np.add.at, ties to the lowest base."""
+    codes = np.stack([encode_bases(m.bases) for m in cluster.members])
+    m, n = codes.shape
+    counts = np.zeros((n, 4), dtype=np.int64)
+    np.add.at(counts, (np.tile(np.arange(n), m), codes.ravel()), 1)
+    return np.argmax(counts, axis=1)
+
+
 def test_majority_vote_ties_lexicographic(oligo_seq):
     pos = 60
     b1 = oligo_seq[pos]
     b2 = "ACGT"[("ACGT".index(b1) + 2) % 4]
     other = oligo_seq[:pos] + b2 + oligo_seq[pos + 1 :]
-    voted = majority_vote(
-        Cluster(seed=5, members=[make_read(oligo_seq, rid="a"), make_read(other, rid="b")])
+    votes = majority_vote(
+        [Cluster(seed=5, members=[make_read(oligo_seq, rid="a"), make_read(other, rid="b")])]
     )
-    assert voted[pos] == min(b1, b2)
+    assert votes.shape == (1, 152)
+    assert votes.dtype == np.uint8
+    expected = oligo_seq[:pos] + min(b1, b2) + oligo_seq[pos + 1 :]
+    assert indices_to_sequence(votes[0]) == expected
+
+
+def vote_clusters(rng):
+    """Clusters of 1-12 reads with tied positions, plus one of 600 reads and
+    one of 256 identical reads whose counts pass the 255 an 8-bit lane holds."""
+    clusters = []
+    for seed in range(40):
+        base = rng.integers(0, 4, size=152)
+        size = int(rng.integers(1, 13))
+        reads = np.tile(base, (size, 1))
+        noisy = rng.random(reads.shape) < 0.3
+        reads[noisy] = rng.integers(0, 4, size=int(noisy.sum()))
+        if size % 2 == 0:  # an exact two-way tie at a few positions
+            for pos in rng.choice(152, size=5, replace=False):
+                a, b = rng.choice(4, size=2, replace=False)
+                reads[:, pos] = np.where(np.arange(size) < size // 2, a, b)
+        clusters.append(reads)
+    big = np.tile(rng.integers(0, 4, size=152), (600, 1))
+    big[:, 10] = [3] * 256 + [2] * 255 + [0] * 89  # T wins 256 to 255
+    big[:, 11] = [1] * 300 + [0] * 300  # tie: A
+    big[:, 12] = [2] * 256 + [1] * 344  # 256 wraps an 8-bit lane to 0
+    clusters.insert(17, rng.permutation(big))
+    clusters.append(np.tile(rng.integers(0, 4, size=152), (256, 1)))  # 256 of each base
+    return [
+        Cluster(seed=i, members=[make_read(indices_to_sequence(r), rid=str(j))
+                                 for j, r in enumerate(reads)])
+        for i, reads in enumerate(clusters)
+    ]
+
+
+@pytest.mark.parametrize("chunk_reads", [None, 1, 50])
+def test_majority_vote_matches_per_cluster_reference(chunk_reads, monkeypatch):
+    if chunk_reads is not None:
+        monkeypatch.setattr(clustering_llr, "_VOTE_CHUNK_READS", chunk_reads)
+    clusters = vote_clusters(np.random.default_rng(57))
+    votes = majority_vote(clusters)
+    assert votes.shape == (len(clusters), 152)
+    for row, cluster in zip(votes, clusters):
+        assert np.array_equal(row, reference_vote(cluster))
+    big = votes[17]
+    assert (big[10], big[11], big[12]) == (3, 0, 1)
+
+
+def test_majority_vote_rejects_empty_cluster(oligo_seq):
+    with pytest.raises(ValueError):
+        majority_vote([Cluster(seed=5, members=[make_read(oligo_seq)]), Cluster(seed=6, members=[])])
 
 
 def test_prob_vectors_sum_to_one(oligo_seq):
@@ -231,3 +290,14 @@ def test_seed_nt_mapping_against_table(oligo_seq):
     for seed, cluster in clusters.items():
         for member in cluster.members:
             assert member.bases[:16] == seed_to_bases(seed)
+
+
+def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
+    # every seed's read lands in its own cluster, the 32-bit extremes included
+    seeds = list(dict.fromkeys([0, 2**32 - 1, *SeedSchedule.first_n(3000).seeds]))
+    reads = [make_read(seed_to_bases(s) + "A" * 136, rid=str(i)) for i, s in enumerate(seeds)]
+    clusters, report = cluster_by_seed(reads, seeds)
+    assert report.n_retained == len(seeds)
+    assert [clusters[s].members[0].id for s in seeds] == [str(i) for i in range(len(seeds))]
+    with pytest.raises(ValueError):
+        cluster_by_seed([], [2**32])

@@ -15,6 +15,11 @@ from oligolab.dna_codec import (
 )
 
 
+def rs_symbols(sequence):
+    """The 38 RS symbols of a 152-nt sequence."""
+    return dna_codec.base_indices_to_symbols(dna_codec.sequence_to_indices(sequence))
+
+
 def test_mapping_paper_example():
     assert bits_to_bases("00011011") == "ACGT"
 
@@ -65,18 +70,18 @@ def test_assembled_oligo_is_rs_clean():
         oligo = assemble_oligo(
             int(rng.integers(0, 2**32)), rng.integers(0, 2, size=256, dtype=np.uint8)
         )
-        out = gf_rs.rs_decode(dna_codec.oligo_to_symbols(oligo.sequence))
+        out = gf_rs.rs_decode(rs_symbols(oligo.sequence))
         assert out.status == gf_rs.STATUS_CLEAN
 
 
 def test_single_base_corruption_is_rs_corrected():
     rng = np.random.default_rng(31)
     oligo = assemble_oligo(12345, rng.integers(0, 2, size=256, dtype=np.uint8))
-    clean = dna_codec.oligo_to_symbols(oligo.sequence)
+    clean = rs_symbols(oligo.sequence)
     for pos in range(0, 152, 7):
         seq = list(oligo.sequence)
         seq[pos] = "ACGT"[("ACGT".index(seq[pos]) + 1) % 4]
-        out = gf_rs.rs_decode(dna_codec.oligo_to_symbols("".join(seq)))
+        out = gf_rs.rs_decode(rs_symbols("".join(seq)))
         assert out.status == gf_rs.STATUS_CORRECTED
         assert out.codeword == clean
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oligolab import gf_rs, pipeline
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
@@ -7,7 +9,13 @@ from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transiti
 from oligolab.clustering_llr import cluster_by_seed
 from oligolab.dna_codec import assemble_oligo
 from oligolab.fastq_io import ReadRecord
-from oligolab.fountain import SeedSchedule, SolitonParams, lt_encode, required_symbols
+from oligolab.fountain import (
+    NeighborCache,
+    SeedSchedule,
+    SolitonParams,
+    lt_encode,
+    required_symbols,
+)
 from oligolab.pipeline import (
     DecodeReport,
     PipelineParams,
@@ -16,6 +24,7 @@ from oligolab.pipeline import (
     iterative_soft_decode,
     lt_erasure_solve,
 )
+from solve_reference import lt_erasure_solve as reference_solve
 
 DESK = SolitonParams(k=60, c=0.05, delta=0.1)
 N_CODED = 100
@@ -120,6 +129,64 @@ def test_erasure_solve_dense_fallback_kicks_in():
     assert resolved.all()
     assert consistent.all()
     assert np.array_equal(info, info_true)
+
+
+def assert_matches_reference(rows, coded, k):
+    info, resolved, consistent = lt_erasure_solve(rows, coded, k)
+    r_info, r_resolved, r_consistent = reference_solve(rows, coded, k)
+    assert np.array_equal(resolved, r_resolved)
+    assert np.array_equal(consistent, r_consistent)
+    assert info.shape == r_info.shape and info.dtype == np.uint8
+    assert np.array_equal(info[:, consistent], r_info[:, consistent])
+    assert not info[~resolved].any()
+    return resolved, consistent
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 60),
+    # one plane, a word less one, a whole word, a word plus one, the decoders' 256
+    planes=st.sampled_from([1, 63, 64, 65, 256]),
+    row_factor=st.floats(0.3, 2.0),
+    degree_one=st.booleans(),
+    duplicates=st.integers(0, 4),
+    contradictions=st.integers(0, 3),
+)
+def test_erasure_solve_matches_reference(
+    seed, k, planes, row_factor, degree_one, duplicates, contradictions
+):
+    rng = np.random.default_rng(seed)
+    n_rows = max(1, int(row_factor * k))
+    # without degree-1 rows peeling cannot start, so elimination does the work
+    low = 1 if degree_one or k == 1 else 2
+    degrees = rng.integers(low, min(k, 8) + 1, size=n_rows)
+    rows = [np.sort(rng.choice(k, size=int(d), replace=False)) for d in degrees]
+    rows += [rows[i].copy() for i in rng.integers(0, n_rows, size=duplicates)]
+    truth = rng.integers(0, 2, size=(k, planes), dtype=np.uint8)
+    coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
+    for _ in range(contradictions):
+        coded[rng.integers(0, len(rows)), rng.integers(0, planes)] ^= 1
+    resolved, consistent = assert_matches_reference(rows, coded, k)
+    if contradictions == 0:
+        assert consistent.all()
+        info, _, _ = lt_erasure_solve(rows, coded, k)
+        assert np.array_equal(info[resolved], truth[resolved])
+
+
+def test_erasure_solve_matches_reference_on_peeling_and_elimination():
+    # a desk-scale LT system whose peel stalls, so both stages resolve bits
+    params = SolitonParams(k=1000, c=0.01, delta=0.001)
+    sched = SeedSchedule.first_n(1100)
+    cache = NeighborCache(params)
+    rows = [cache.neighbors(s) for s in sched.seeds]
+    rng = np.random.default_rng(83)
+    truth = rng.integers(0, 2, size=(params.k, 256), dtype=np.uint8)
+    coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
+    coded[[5, 700], [3, 200]] ^= 1
+    resolved, consistent = assert_matches_reference(rows, coded, params.k)
+    assert 0 < resolved.sum() <= params.k
+    assert (~consistent).sum() in (1, 2)
 
 
 def test_zero_noise_soft_decode_succeeds(encoded_world):

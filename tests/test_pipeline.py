@@ -151,10 +151,11 @@ def assert_matches_reference(rows, coded, k):
     row_factor=st.floats(0.3, 2.0),
     degree_one=st.booleans(),
     duplicates=st.integers(0, 4),
+    repeated_neighbor=st.booleans(),
     contradictions=st.integers(0, 3),
 )
 def test_erasure_solve_matches_reference(
-    seed, k, planes, row_factor, degree_one, duplicates, contradictions
+    seed, k, planes, row_factor, degree_one, duplicates, repeated_neighbor, contradictions
 ):
     rng = np.random.default_rng(seed)
     n_rows = max(1, int(row_factor * k))
@@ -165,6 +166,9 @@ def test_erasure_solve_matches_reference(
     rows += [rows[i].copy() for i in rng.integers(0, n_rows, size=duplicates)]
     truth = rng.integers(0, 2, size=(k, planes), dtype=np.uint8)
     coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
+    if repeated_neighbor:  # both solvers count a neighbor listed twice once
+        rows[0] = np.append(rows[0], rows[0][0])
+        coded[0] = truth[np.unique(rows[0])].sum(axis=0) % 2
     for _ in range(contradictions):
         coded[rng.integers(0, len(rows)), rng.integers(0, planes)] ^= 1
     resolved, consistent = assert_matches_reference(rows, coded, k)

@@ -22,10 +22,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dna_codec import BASES, OLIGO_NT, Oligo
+from .dna_codec import (
+    BASES,
+    OLIGO_NT,
+    indices_to_sequence,
+    indices_to_sequences,
+    sequence_to_indices,
+)
 from .fastq_io import ReadRecord, write_fastq
 
-_BASE_BYTES = np.frombuffer(b"ACGT", dtype=np.uint8)
 # the three substitution targets for each source base, in A<C<G<T order
 _OTHERS = np.array([[b for b in range(4) if b != x] for x in range(4)], dtype=np.uint8)
 
@@ -177,7 +182,7 @@ def corrupt_batch(
         raise ValueError(f"oligo must be {OLIGO_NT} nt")
     if n == 0:
         return [], [], []
-    src = np.array([BASES.index(b) for b in oligo_seq], dtype=np.uint8)
+    src = sequence_to_indices(oligo_seq)
     qm = config.qmodel
     bias = config.transition_bias
     if bias is None:
@@ -206,8 +211,7 @@ def corrupt_batch(
     n_ins = rng.binomial(OLIGO_NT, config.ins_rate, n)
     n_del = rng.binomial(OLIGO_NT, config.del_rate, n)
 
-    seqs = _BASE_BYTES[codes].tobytes().decode("ascii")
-    bases_out = [seqs[r * OLIGO_NT : (r + 1) * OLIGO_NT] for r in range(n)]
+    bases_out = indices_to_sequences(codes)
     q_out = list(q)
     # (position, new base) of row r's substitutions: subs[bounds[r] : bounds[r + 1]]
     subs = list(zip(sub_cols.tolist(), codes[sub_rows, sub_cols].tolist()))
@@ -240,7 +244,7 @@ def corrupt_batch(
                 walk_events.append(("S", i, BASES[sub_at[i]]))
             out_codes.append(int(codes[r, i]))
             out_q.append(int(q[r, i]))
-        bases_out[r] = "".join(BASES[c] for c in out_codes)
+        bases_out[r] = indices_to_sequence(out_codes)
         q_out[r] = np.array(out_q, dtype=np.uint8)
         events_out[r] = walk_events
     return bases_out, q_out, events_out
@@ -269,12 +273,8 @@ class SimulatedPool:
         return (self.n_insertions + self.n_deletions) / self.n_bases_attempted
 
 
-def _oligo_sequences(oligos: Sequence[Oligo | str]) -> list[str]:
-    return [o.sequence if isinstance(o, Oligo) else o for o in oligos]
-
-
 def simulate_pool(
-    oligos: Sequence[Oligo | str],
+    seqs: Sequence[str],
     total_reads: int,
     config: ChannelConfig,
     fastq_path: str | Path,
@@ -286,7 +286,6 @@ def simulate_pool(
     read batch use generators derived from (rng_seed, oligo index), so the
     output bytes are reproducible run to run.
     """
-    seqs = _oligo_sequences(oligos)
     if not seqs:
         raise ValueError("empty oligo pool")
     fastq_path = Path(fastq_path)

@@ -24,24 +24,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dna_codec import BASES, OLIGO_NT, SEED_NT
+from .dna_codec import (
+    BASES,
+    OLIGO_NT,
+    SEED_NT,
+    encode_base_matrix,
+    encode_bases,
+    sequence_to_indices,
+)
 from .fastq_io import ReadRecord, phred_to_prob
 
 TABLE_VERSION = "transition-table v1"
-
-_CODE_LUT = np.full(256, 255, dtype=np.uint8)
-for _i, _b in enumerate(BASES):
-    _CODE_LUT[ord(_b)] = _i
-
-
-def encode_bases(seq: str) -> np.ndarray:
-    """ACGT string -> uint8 codes 0..3 (255 marks anything else)."""
-    return _CODE_LUT[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
-
-
-def encode_base_matrix(seqs: Sequence[str], length: int) -> np.ndarray:
-    flat = np.frombuffer("".join(seqs).encode("ascii"), dtype=np.uint8)
-    return _CODE_LUT[flat].reshape(len(seqs), length)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -288,7 +281,6 @@ class TransitionTable:
         counts = np.zeros((OLIGO_NT, 4, 4), dtype=np.int64)
         denoms = np.zeros((OLIGO_NT, 4), dtype=np.int64)
         fallback = np.zeros((OLIGO_NT, 4), dtype=bool)
-        base_idx = {b: i for i, b in enumerate(BASES)}
         with open(path) as fh:
             header = fh.readline().strip()
             if header != f"# {TABLE_VERSION}":
@@ -299,8 +291,7 @@ class TransitionTable:
                 if len(parts) != 7:
                     raise ValueError(f"malformed table row: {line!r}")
                 i = int(parts[0]) - 1
-                x = base_idx[parts[1]]
-                y = base_idx[parts[2]]
+                x, y = (sequence_to_indices(b).item() for b in parts[1:3])
                 counts[i, x, y] = int(parts[3])
                 denoms[i, x] = int(parts[4])
                 probs[i, y, x] = float(parts[5])

@@ -109,7 +109,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sim = simulate_pool(
-        oligos, total, channel, outdir / "reads.fastq", outdir / "truth.tsv"
+        [o.sequence for o in oligos], total, channel, outdir / "reads.fastq", outdir / "truth.tsv"
     )
     report = {
         "n_reads": sim.n_reads,

@@ -19,8 +19,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bp_decoder import LLR_MAX
-from .channel_stats import TransitionTable, encode_base_matrix, encode_bases
-from .dna_codec import BASES, OLIGO_NT, PARITY_NT, SEED_BITS, SEED_NT
+from .channel_stats import TransitionTable
+from .dna_codec import (
+    OLIGO_NT,
+    PARITY_NT,
+    PARITY_SLICE,
+    PAYLOAD_SLICE,
+    SEED_NT,
+    base_indices_to_bit_array,
+    encode_base_matrix,
+    indices_to_sequences,
+    seeds_to_base_indices,
+)
 from .fastq_io import ReadRecord, phred_to_prob
 from .fountain import SeedSchedule
 
@@ -30,10 +40,6 @@ from .fountain import SeedSchedule
 from scipy import sparse
 
 _TINY = 1e-300
-_BASE_BYTES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
-
-_PAYLOAD_SLICE = slice(SEED_NT, OLIGO_NT - PARITY_NT)
-_PARITY_SLICE = slice(OLIGO_NT - PARITY_NT, OLIGO_NT)
 
 
 @dataclass
@@ -57,10 +63,8 @@ class DiscardReport:
 
 @dataclass
 class ClusterLlr:
-    seed: int
     payload_llrs: np.ndarray  # (256,) interleaved (y1, y2) per payload position
-    rs_parity_hard: str
-    member_count: int
+    rs_parity_hard: np.ndarray  # (8,) uint8 base codes of the RS parity
 
 
 def cluster_by_seed(
@@ -69,7 +73,7 @@ def cluster_by_seed(
 ) -> tuple[dict[int, Cluster], DiscardReport]:
     """Group reads by exact seed-region match against the seed table."""
     seeds = seed_table.seeds if isinstance(seed_table, SeedSchedule) else seed_table
-    nt_to_seed = dict(zip(_seed_prefixes(seeds), seeds))
+    nt_to_seed = dict(zip(indices_to_sequences(seeds_to_base_indices(seeds)), seeds))
     clusters: dict[int, Cluster] = {}
     report = DiscardReport()
     for read in reads:
@@ -93,21 +97,10 @@ def cluster_by_seed(
     return clusters, report
 
 
-def _seed_prefixes(seeds: Sequence[int]) -> list[str]:
-    """The 16-nt prefix of every seed, as `seed_to_bases` renders it."""
-    for s in seeds:
-        if not 0 <= s < 2**SEED_BITS:
-            raise ValueError(f"seed out of 32-bit range: {s}")
-    shifts = np.arange(2 * SEED_NT - 2, -1, -2)  # MSB-first, 2 bits per base
-    bases = (np.array(seeds, dtype=np.int64)[:, None] >> shifts) & 3
-    text = _BASE_BYTES[bases].tobytes().decode("ascii")
-    return [text[i : i + SEED_NT] for i in range(0, len(text), SEED_NT)]
-
-
 def _stack_cluster(cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
     if not cluster.members:
         raise ValueError("empty cluster")
-    codes = np.stack([encode_bases(m.bases) for m in cluster.members])
+    codes = encode_base_matrix([m.bases for m in cluster.members], OLIGO_NT)
     qs = np.stack([np.asarray(m.qscores, dtype=np.float64) for m in cluster.members])
     return codes, qs
 
@@ -137,7 +130,7 @@ def llr_proposed(cluster: Cluster, table: TransitionTable) -> ClusterLlr:
     lexicographic A < C < G < T.
     """
     full = read_prob_vectors(*_stack_cluster(cluster), table)
-    vec = full[:, _PAYLOAD_SLICE]
+    vec = full[:, PAYLOAD_SLICE]
     y1 = np.log(np.maximum(vec[..., 0] + vec[..., 1], _TINY)) - np.log(
         np.maximum(vec[..., 2] + vec[..., 3], _TINY)
     )
@@ -148,17 +141,12 @@ def llr_proposed(cluster: Cluster, table: TransitionTable) -> ClusterLlr:
     llrs[0::2] = y1.sum(axis=0)
     llrs[1::2] = y2.sum(axis=0)
     llrs = np.clip(llrs, -LLR_MAX, LLR_MAX)
-    return ClusterLlr(
-        seed=cluster.seed,
-        payload_llrs=llrs,
-        rs_parity_hard=_parity_hard(full[:, _PARITY_SLICE]),
-        member_count=cluster.size,
-    )
+    return ClusterLlr(payload_llrs=llrs, rs_parity_hard=_parity_hard(full[:, PARITY_SLICE]))
 
 
-def _parity_hard(vec: np.ndarray) -> str:
+def _parity_hard(vec: np.ndarray) -> np.ndarray:
     scores = np.log(np.maximum(vec, _TINY)).sum(axis=0)  # (8, 4)
-    return "".join(BASES[i] for i in np.argmax(scores, axis=1))
+    return np.argmax(scores, axis=1).astype(np.uint8)
 
 
 def derive_crossover(sub_rate: float) -> float:
@@ -179,23 +167,14 @@ def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
     if not 0.0 < crossover_p < 0.5:
         raise ValueError(f"crossover_p must be in (0, 0.5), got {crossover_p}")
     codes, _ = _stack_cluster(cluster)
-    payload = codes[:, _PAYLOAD_SLICE]
-    m = payload.shape[0]
-    bits1 = (payload >> 1).sum(axis=0)
-    bits2 = (payload & 1).sum(axis=0)
+    m = len(codes)
+    ones = base_indices_to_bit_array(codes[:, PAYLOAD_SLICE]).sum(axis=0, dtype=np.int64)
     scale = np.log((1.0 - crossover_p) / crossover_p)
-    llrs = np.empty(2 * payload.shape[1])
-    llrs[0::2] = (m - 2.0 * bits1) * scale  # n0 - n1 = m - 2*n1
-    llrs[1::2] = (m - 2.0 * bits2) * scale
-    llrs = np.clip(llrs, -LLR_MAX, LLR_MAX)
+    llrs = np.clip((m - 2.0 * ones) * scale, -LLR_MAX, LLR_MAX)  # n0 - n1 = m - 2*n1
 
-    parity = codes[:, _PARITY_SLICE]
     counts = np.zeros((PARITY_NT, 4), dtype=np.int64)
-    np.add.at(counts, (np.tile(np.arange(PARITY_NT), m), parity.ravel()), 1)
-    hard = "".join(BASES[i] for i in np.argmax(counts, axis=1))
-    return ClusterLlr(
-        seed=cluster.seed, payload_llrs=llrs, rs_parity_hard=hard, member_count=m
-    )
+    np.add.at(counts, (np.tile(np.arange(PARITY_NT), m), codes[:, PARITY_SLICE].ravel()), 1)
+    return ClusterLlr(payload_llrs=llrs, rs_parity_hard=np.argmax(counts, axis=1).astype(np.uint8))
 
 
 # The vote counts the four bases of a position in the four bytes of one

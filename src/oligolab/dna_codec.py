@@ -1,9 +1,13 @@
-"""Bit/base mapping, oligo assembly and parsing, FASTA I/O.
+"""The oligo layout: letters, base codes, bits, RS symbols and seeds; FASTA I/O.
 
-Mapping: 00=A, 01=C, 10=G, 11=T, first bit of each pair is the high bit.
-An oligo is 152 nt: 16 nt seed + 128 nt payload + 8 nt RS parity, where one
-RS symbol is 8 bits = 4 bases packed MSB-first. Sequencing primers are
-carried as pool metadata only; all coding operates on the 152-nt region.
+This module is the only one that knows how these map onto each other.
+Bases are coded A=0, C=1, G=2, T=3, two bits per base with the high bit
+first (00=A, 01=C, 10=G, 11=T). An oligo is 152 nt: 16 nt seed + 128 nt
+payload + 8 nt RS parity, where one RS symbol is 8 bits = 4 bases packed
+MSB-first, so a seed's four RS symbols are its big-endian bytes. The array
+conversions take any leading axes and convert along the last one.
+Sequencing primers are carried as pool metadata only; all coding operates
+on the 152-nt region.
 """
 
 from __future__ import annotations
@@ -17,92 +21,98 @@ import numpy as np
 from . import gf_rs
 
 BASES = "ACGT"
-BASE_TO_INDEX = {b: i for i, b in enumerate(BASES)}
 
 SEED_NT = 16
 PAYLOAD_NT = 128
 PARITY_NT = 8
 OLIGO_NT = SEED_NT + PAYLOAD_NT + PARITY_NT
+PAYLOAD_SLICE = slice(SEED_NT, SEED_NT + PAYLOAD_NT)
+PARITY_SLICE = slice(SEED_NT + PAYLOAD_NT, OLIGO_NT)
 
 SEED_BITS = 32
 PAYLOAD_BITS = 256
+SEED_SYMBOLS = SEED_NT // 4
+PAYLOAD_SYMBOLS = PAYLOAD_NT // 4
 
 # amplification/sequencing primers from the pool this layout comes from
 PRIMER_5 = "GTTCAGAGTTCTACAGTCCGACGATC"
 PRIMER_3 = "TGGAATTCTCGGGTGCCAAGG"
+_PRIMED_NT = len(PRIMER_5) + OLIGO_NT + len(PRIMER_3)
+
+_BASE_BYTES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)  # code -> letter
+_CODE_LUT = np.full(256, 255, dtype=np.uint8)  # letter -> code, 255 for anything else
+_CODE_LUT[_BASE_BYTES] = np.arange(len(BASES))
 
 
-def bits_to_bases(bits: str) -> str:
-    """Map an even-length 0/1 string to bases, two bits per base."""
-    if len(bits) % 2 != 0:
-        raise ValueError(f"bit string length must be even, got {len(bits)}")
-    out = []
-    for i in range(0, len(bits), 2):
-        pair = bits[i : i + 2]
-        try:
-            idx = int(pair, 2)
-        except ValueError:
-            raise ValueError(f"invalid bit pair {pair!r} at offset {i}") from None
-        out.append(BASES[idx])
-    return "".join(out)
+def encode_bases(seq: str) -> np.ndarray:
+    """ACGT string -> uint8 codes 0..3 (255 marks anything else)."""
+    # "replace" keeps one byte per character, so positions stay aligned
+    return _CODE_LUT[np.frombuffer(seq.encode("ascii", "replace"), dtype=np.uint8)]
 
 
-def bases_to_bits(bases: str) -> str:
-    out = []
-    for b in bases:
-        try:
-            idx = BASE_TO_INDEX[b]
-        except KeyError:
-            raise ValueError(f"invalid base {b!r}") from None
-        out.append(format(idx, "02b"))
-    return "".join(out)
-
-
-def bit_array_to_base_indices(bits: np.ndarray) -> np.ndarray:
-    """(2n,) 0/1 array -> (n,) base indices; first bit of each pair is high."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or len(bits) % 2 != 0:
-        raise ValueError("bits must be a 1-D even-length array")
-    return (bits[0::2] << 1) | bits[1::2]
-
-
-def base_indices_to_bit_array(indices: np.ndarray) -> np.ndarray:
-    indices = np.asarray(indices, dtype=np.uint8)
-    bits = np.empty(2 * len(indices), dtype=np.uint8)
-    bits[0::2] = indices >> 1
-    bits[1::2] = indices & 1
-    return bits
-
-
-def base_indices_to_symbols(indices: np.ndarray) -> list[int]:
-    """Pack base indices into 8-bit RS symbols, 4 bases per symbol, MSB-first."""
-    indices = np.asarray(indices, dtype=np.uint8)
-    if len(indices) % 4 != 0:
-        raise ValueError("base count must be a multiple of 4")
-    quads = indices.reshape(-1, 4).astype(np.int64)
-    syms = (quads[:, 0] << 6) | (quads[:, 1] << 4) | (quads[:, 2] << 2) | quads[:, 3]
-    return syms.tolist()
-
-
-def symbols_to_base_indices(symbols: Sequence[int]) -> np.ndarray:
-    syms = np.asarray(symbols, dtype=np.int64)
-    out = np.empty(4 * len(syms), dtype=np.uint8)
-    out[0::4] = (syms >> 6) & 3
-    out[1::4] = (syms >> 4) & 3
-    out[2::4] = (syms >> 2) & 3
-    out[3::4] = syms & 3
-    return out
+def encode_base_matrix(seqs: Sequence[str], length: int) -> np.ndarray:
+    """Equal-length strings -> (len(seqs), length) codes, as encode_bases."""
+    return encode_bases("".join(seqs)).reshape(len(seqs), length)
 
 
 def sequence_to_indices(seq: str) -> np.ndarray:
-    try:
-        return np.array([BASE_TO_INDEX[b] for b in seq], dtype=np.uint8)
-    except KeyError as exc:
-        raise ValueError(f"invalid base {exc.args[0]!r}") from None
+    """ACGT string -> uint8 codes; a ValueError names the first other character."""
+    codes = encode_bases(seq)
+    if codes.max(initial=0) == 255:
+        raise ValueError(f"invalid base {seq[int(np.argmax(codes == 255))]!r}")
+    return codes
 
 
-def indices_to_sequence(indices: Iterable[int]) -> str:
-    return "".join(BASES[int(i)] for i in indices)
+def indices_to_sequence(indices: Sequence[int] | np.ndarray) -> str:
+    return _BASE_BYTES[np.asarray(indices, dtype=np.intp)].tobytes().decode("ascii")
+
+
+def indices_to_sequences(codes: np.ndarray) -> list[str]:
+    """(n, length) codes -> n strings."""
+    n, length = np.shape(codes)
+    text = indices_to_sequence(np.ravel(codes))
+    return [text[r * length : (r + 1) * length] for r in range(n)]
+
+
+def bit_array_to_base_indices(bits: np.ndarray) -> np.ndarray:
+    """(..., 2n) 0/1 array -> (..., n) base codes; first bit of each pair is high."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim == 0 or bits.shape[-1] % 2 != 0:
+        raise ValueError("bits must have an even-length last axis")
+    return (bits[..., 0::2] << 1) | bits[..., 1::2]
+
+
+def base_indices_to_bit_array(indices: np.ndarray) -> np.ndarray:
+    """(..., n) base codes -> (..., 2n) bits, high bit first."""
+    indices = np.asarray(indices, dtype=np.uint8)
+    bits = np.empty((*indices.shape[:-1], 2 * indices.shape[-1]), dtype=np.uint8)
+    bits[..., 0::2] = indices >> 1
+    bits[..., 1::2] = indices & 1
+    return bits
+
+
+def base_indices_to_symbols(indices: np.ndarray) -> list:
+    """(..., 4n) base codes -> (..., n) 8-bit RS symbols as (nested) lists of ints.
+
+    A symbol is the 8 bits of its 4 bases, MSB-first.
+    """
+    indices = np.asarray(indices, dtype=np.uint8)
+    if indices.ndim == 0 or indices.shape[-1] % 4 != 0:
+        raise ValueError("base count must be a multiple of 4")
+    return np.packbits(base_indices_to_bit_array(indices), axis=-1).tolist()
+
+
+def symbols_to_base_indices(symbols: Sequence[int]) -> np.ndarray:
+    """(..., n) RS symbols -> (..., 4n) base codes."""
+    return bit_array_to_base_indices(np.unpackbits(np.asarray(symbols, dtype=np.uint8), axis=-1))
+
+
+def seeds_to_base_indices(seeds: Sequence[int]) -> np.ndarray:
+    """32-bit seeds -> (len(seeds), 16) base codes of their big-endian bytes."""
+    for s in seeds:
+        if not 0 <= s < 2**SEED_BITS:
+            raise ValueError(f"seed out of 32-bit range: {s}")
+    return symbols_to_base_indices(np.array(seeds, dtype=">u4").reshape(-1, 1).view(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -121,20 +131,23 @@ class Oligo:
         if len(self.parity_nt) != PARITY_NT:
             raise ValueError(f"parity must be {PARITY_NT} nt")
 
+    @classmethod
+    def split(cls, sequence: str) -> Oligo:
+        return cls(sequence[:SEED_NT], sequence[PAYLOAD_SLICE], sequence[PARITY_SLICE])
+
     @property
     def sequence(self) -> str:
         return self.seed_nt + self.payload_nt + self.parity_nt
 
     @property
     def seed_value(self) -> int:
-        return int(bases_to_bits(self.seed_nt), 2)
+        symbols = base_indices_to_symbols(sequence_to_indices(self.seed_nt))
+        return int.from_bytes(bytes(symbols), "big")
 
 
 def seed_to_bases(seed: int) -> str:
     """Render a 32-bit seed as its 16-nt prefix, MSB-first."""
-    if not 0 <= seed < 2**SEED_BITS:
-        raise ValueError(f"seed out of 32-bit range: {seed}")
-    return bits_to_bases(format(seed, "032b"))
+    return indices_to_sequence(seeds_to_base_indices([seed])[0])
 
 
 def assemble_oligo(seed: int, payload_bits: np.ndarray) -> Oligo:
@@ -142,28 +155,19 @@ def assemble_oligo(seed: int, payload_bits: np.ndarray) -> Oligo:
     payload_bits = np.asarray(payload_bits, dtype=np.uint8)
     if payload_bits.shape != (PAYLOAD_BITS,):
         raise ValueError(f"payload must be {PAYLOAD_BITS} bits, got {payload_bits.shape}")
-    seed_nt = seed_to_bases(seed)
-    seed_idx = sequence_to_indices(seed_nt)
-    payload_idx = bit_array_to_base_indices(payload_bits)
-    message = base_indices_to_symbols(np.concatenate([seed_idx, payload_idx]))
-    codeword = gf_rs.rs_encode(message)
-    parity_idx = symbols_to_base_indices(codeword[gf_rs.N_MESSAGE :])
-    return Oligo(
-        seed_nt=seed_nt,
-        payload_nt=indices_to_sequence(payload_idx),
-        parity_nt=indices_to_sequence(parity_idx),
+    message = np.concatenate(
+        [seeds_to_base_indices([seed])[0], bit_array_to_base_indices(payload_bits)]
     )
+    codeword = gf_rs.rs_encode(base_indices_to_symbols(message))
+    parity = symbols_to_base_indices(codeword[gf_rs.N_MESSAGE :])
+    return Oligo.split(indices_to_sequence(np.concatenate([message, parity])))
 
 
 def parse_oligo(sequence: str) -> tuple[int, np.ndarray, Oligo]:
     """Split a 152-nt sequence back into (seed value, payload bits, Oligo)."""
     if len(sequence) != OLIGO_NT:
         raise ValueError(f"oligo must be {OLIGO_NT} nt, got {len(sequence)}")
-    oligo = Oligo(
-        seed_nt=sequence[:SEED_NT],
-        payload_nt=sequence[SEED_NT : SEED_NT + PAYLOAD_NT],
-        parity_nt=sequence[SEED_NT + PAYLOAD_NT :],
-    )
+    oligo = Oligo.split(sequence)
     payload_bits = base_indices_to_bit_array(sequence_to_indices(oligo.payload_nt))
     return oligo.seed_value, payload_bits, oligo
 
@@ -184,7 +188,11 @@ def write_fasta(
 
 
 def read_fasta(path: str | Path) -> list[Oligo]:
-    """Read a pool written by write_fasta (primer-stripped records)."""
+    """Read a pool written by write_fasta, with or without primers.
+
+    A record flanked by exactly PRIMER_5 and PRIMER_3 is stripped to its
+    152-nt oligo.
+    """
     oligos = []
     header = None
     seq_parts: list[str] = []
@@ -193,6 +201,8 @@ def read_fasta(path: str | Path) -> list[Oligo]:
         if header is None:
             return
         seq = "".join(seq_parts)
+        if len(seq) == _PRIMED_NT and seq.startswith(PRIMER_5) and seq.endswith(PRIMER_3):
+            seq = seq[len(PRIMER_5) : -len(PRIMER_3)]
         if len(seq) != OLIGO_NT:
             raise ValueError(
                 f"record {header!r}: expected {OLIGO_NT} nt, got {len(seq)}"

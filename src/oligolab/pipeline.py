@@ -32,19 +32,20 @@ from .clustering_llr import (
     majority_vote,
 )
 from .dna_codec import (
+    PARITY_NT,
     PAYLOAD_BITS,
-    PAYLOAD_NT,
-    SEED_NT,
+    PAYLOAD_SLICE,
+    PAYLOAD_SYMBOLS,
+    SEED_SYMBOLS,
     base_indices_to_bit_array,
     base_indices_to_symbols,
-    sequence_to_indices,
+    bit_array_to_base_indices,
+    seeds_to_base_indices,
     symbols_to_base_indices,
 )
 from .fastq_io import ReadRecord
 from .fountain import NeighborCache, SeedSchedule, SolitonParams, required_symbols
 
-SEED_SYMBOLS = 4
-PAYLOAD_SYMBOLS = 32
 _WORD = np.dtype("<u8")  # packed GF(2) rows: bit j of word w is column 64w + j
 
 
@@ -160,6 +161,9 @@ def lt_erasure_solve(
     peeled_vars: list[int] = []
     peeled_vals: list[int] = []
     contradicted = 0  # bit p set: plane p reduced some row to 0 = 1
+    for r, n in enumerate(unknowns_left):
+        if n == 0:  # a row with no neighbors reads 0 = its coded value
+            contradicted |= row_val[r]
 
     queue = [r for r, n in enumerate(unknowns_left) if n == 1]
     while queue:
@@ -240,13 +244,6 @@ def _prepare_cluster_llrs(
     return {seed: llr_proposed(c, table) for seed, c in clusters.items()}
 
 
-def _payload_bits(codeword: Sequence[int]) -> np.ndarray:
-    """The 256 payload bits of a 38-symbol RS word."""
-    return base_indices_to_bit_array(
-        symbols_to_base_indices(codeword[SEED_SYMBOLS : SEED_SYMBOLS + PAYLOAD_SYMBOLS])
-    )
-
-
 def _solve_tail(
     report: DecodeReport,
     rows_neighbors: Sequence[np.ndarray],
@@ -304,12 +301,10 @@ def iterative_soft_decode(
     llrs = np.array(
         [cluster_llrs[s].payload_llrs for s in order], dtype=np.float64
     ).reshape(len(order), PAYLOAD_BITS)
-    # a seed's four RS symbols are its big-endian bytes
-    seed_syms = (seeds[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
-    parity_nt = "".join(cluster_llrs[s].rs_parity_hard for s in order)
-    parity_syms = np.array(
-        base_indices_to_symbols(sequence_to_indices(parity_nt)), dtype=np.int64
-    ).reshape(len(order), gf_rs.N_PARITY)
+    seed_codes = seeds_to_base_indices(order)
+    parity_codes = np.array(
+        [cluster_llrs[s].rs_parity_hard for s in order], dtype=np.uint8
+    ).reshape(len(order), PARITY_NT)
     active = np.arange(len(seeds))
 
     round_idx = 0
@@ -332,10 +327,10 @@ def iterative_soft_decode(
         )
         report.iterations_performed = round_idx + 1
 
-        words = np.concatenate(
-            [seed_syms[active], np.packbits(bp.coded_bits, axis=1), parity_syms[active]],
-            axis=1,
-        ).tolist()
+        payload_codes = bit_array_to_base_indices(bp.coded_bits)
+        words = base_indices_to_symbols(
+            np.concatenate([seed_codes[active], payload_codes, parity_codes[active]], axis=1)
+        )
         coded = bp.coded_bits.astype(np.uint8)  # RS payload corrections go here
         removed = np.zeros(len(active), dtype=bool)
         seed_corrections = 0
@@ -350,7 +345,8 @@ def iterative_soft_decode(
                 elif any(
                     p < SEED_SYMBOLS + PAYLOAD_SYMBOLS for p in outcome.corrected_positions
                 ):
-                    coded[r] = _payload_bits(outcome.codeword)
+                    fixed = symbols_to_base_indices(outcome.codeword)
+                    coded[r] = base_indices_to_bit_array(fixed[PAYLOAD_SLICE])
 
         if not removed.any():
             _solve_tail(report, h.rows_neighbors, coded, params.soliton.k, expected_payload)
@@ -389,15 +385,9 @@ def hard_decode_baseline(
     report = DecodeReport(success=False, reason="", iterations_performed=1)
     order = sorted(clusters)
     votes = majority_vote([clusters[s] for s in order])  # (n, 152) base indices
-    # 4 bases per RS symbol, MSB first; 2 payload bits per base, high bit first
-    quads = votes.reshape(len(order), gf_rs.N_SYMBOLS, 4)
-    words = (quads[..., 0] << 6) | (quads[..., 1] << 4) | (quads[..., 2] << 2) | quads[..., 3]
-    payload = votes[:, SEED_NT : SEED_NT + PAYLOAD_NT]
-    coded = np.empty((len(order), PAYLOAD_BITS), dtype=np.uint8)
-    coded[:, 0::2] = payload >> 1
-    coded[:, 1::2] = payload & 1
+    coded = base_indices_to_bit_array(votes[:, PAYLOAD_SLICE])
     keep = np.ones(len(order), dtype=bool)
-    for r, word in enumerate(words.tolist()):
+    for r, word in enumerate(base_indices_to_symbols(votes)):
         outcome = gf_rs.rs_decode(word)
         if outcome.status == gf_rs.STATUS_DETECTED:
             keep[r] = False
@@ -405,7 +395,8 @@ def hard_decode_baseline(
             SEED_SYMBOLS <= p < SEED_SYMBOLS + PAYLOAD_SYMBOLS
             for p in outcome.corrected_positions
         ):
-            coded[r] = _payload_bits(outcome.codeword)
+            fixed = symbols_to_base_indices(outcome.codeword)
+            coded[r] = base_indices_to_bit_array(fixed[PAYLOAD_SLICE])
     report.clusters_discarded_per_round = [int((~keep).sum())]
     report.active_clusters = int(keep.sum())
     if keep.any():

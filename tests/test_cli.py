@@ -206,6 +206,26 @@ def test_decode_roundtrip(simulated, tmp_path):
     assert rep["checksum_ok"] is True
 
 
+def test_primer_flanked_pool_runs_the_chain(simulated, tmp_path):
+    src, enc, sim = simulated
+    primed = tmp_path / "enc_primed"
+    assert run(["encode", "--input", src, "--outdir", primed, "--with-primers",
+                "--profile", "desk-scale", *TINY]) == EXIT_OK
+    pool = primed / "pool.fasta"
+    assert pool.read_bytes() != (enc / "pool.fasta").read_bytes()
+    sim_p, stats, dec = tmp_path / "sim_primed", tmp_path / "stats_primed", tmp_path / "dec_p"
+    assert run(["simulate", "--pool", pool, "--outdir", sim_p, "--reads", 1300,
+                "--profile", "desk-scale", "--set", "channel.rng_seed=5"]) == EXIT_OK
+    # the primers are stripped on reading: same oligos, same reads
+    assert (sim_p / "reads.fastq").read_bytes() == (sim / "reads.fastq").read_bytes()
+    assert run(["stats", "--fastq", sim_p / "reads.fastq", "--pool", pool,
+                "--outdir", stats, "--profile", "desk-scale"]) == EXIT_OK
+    assert run(["decode", "--fastq", sim_p / "reads.fastq", "--seeds", primed / "seeds.txt",
+                "--manifest", primed / "manifest.json", "--transition", stats / "transition.tsv",
+                "--outdir", dec, "--profile", "desk-scale", *TINY]) == EXIT_OK
+    assert (dec / "recovered.bin").read_bytes() == src.read_bytes()
+
+
 def test_decode_below_required_seeds_fails(simulated, tmp_path):
     src, enc, sim = simulated
     # keep only a sliver of reads: distinct seeds fall below the required count

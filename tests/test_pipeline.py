@@ -120,6 +120,16 @@ def test_erasure_solve_flags_inconsistency():
     assert consistent[1]
 
 
+@pytest.mark.parametrize("value", [0, 1])
+def test_erasure_solve_empty_row_reads_zero_equals_value(value):
+    # a row with no neighbors is the equation 0 = value
+    info, resolved, consistent = lt_erasure_solve(
+        [np.array([0]), np.array([], dtype=int)], [[1], [value]], 1
+    )
+    assert resolved.all() and info[0, 0] == 1
+    assert consistent[0] == (value == 0)
+
+
 def test_erasure_solve_dense_fallback_kicks_in():
     # no degree-1 rows: peeling stalls, elimination must solve
     rows = [np.array([0, 1]), np.array([1, 2]), np.array([0, 2]), np.array([0, 1, 2])]

@@ -37,20 +37,27 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .fountain import NeighborCache, SolitonParams
+from .fountain import SolitonParams
 
 LLR_MAX = 30.0
 
 
 @dataclass
 class SparseParityMatrix:
+    """Check rows over the information bits, as CSR rows (indptr, indices).
+
+    Row r's information bits are indices[indptr[r]:indptr[r + 1]]; its
+    coded bit is column n_info + r.
+    """
+
     n_info: int
     row_seeds: tuple[int, ...]
-    rows_neighbors: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows_neighbors)
+        return len(self.indptr) - 1
 
     @property
     def n_cols(self) -> int:
@@ -58,23 +65,23 @@ class SparseParityMatrix:
 
     @property
     def total_weight(self) -> int:
-        return sum(len(nb) + 1 for nb in self.rows_neighbors)
+        return len(self.indices) + self.n_rows
 
     def row_weight(self, r: int) -> int:
-        return len(self.rows_neighbors[r]) + 1
+        return int(self.indptr[r + 1] - self.indptr[r]) + 1
 
 
 def build_h(
     active_seeds: Sequence[int],
+    rows: tuple[np.ndarray, np.ndarray],
     params: SolitonParams,
-    cache: NeighborCache | None = None,
 ) -> SparseParityMatrix:
-    """One check row per active seed, in the order given."""
-    if cache is None:
-        cache = NeighborCache(params)
-    rows = [cache.neighbors(s) for s in active_seeds]
+    """One check row per active seed, in the order given, from its CSR neighbor rows."""
+    indptr, indices = rows
+    if len(indptr) - 1 != len(active_seeds):
+        raise ValueError(f"{len(active_seeds)} seeds but {len(indptr) - 1} neighbor rows")
     return SparseParityMatrix(
-        n_info=params.k, row_seeds=tuple(active_seeds), rows_neighbors=rows
+        n_info=params.k, row_seeds=tuple(active_seeds), indptr=indptr, indices=indices
     )
 
 
@@ -98,11 +105,14 @@ class _Graph:
 
     def __init__(self, h: SparseParityMatrix):
         # every row's columns in H's edge order: its neighbors, then its coded bit
-        row_cols = np.concatenate(
-            [part for r, nb in enumerate(h.rows_neighbors) for part in (nb, [h.n_info + r])]
-        ).astype(np.int64)
-        weights = np.array([len(nb) + 1 for nb in h.rows_neighbors], dtype=np.int64)
-        row_first = np.concatenate([[0], np.cumsum(weights)[:-1]])
+        weights = np.diff(h.indptr) + 1
+        row_first = h.indptr[:-1] + np.arange(h.n_rows)
+        coded_at = row_first + weights - 1
+        is_info = np.ones(h.total_weight, dtype=bool)
+        is_info[coded_at] = False
+        row_cols = np.empty(h.total_weight, dtype=np.int64)
+        row_cols[is_info] = h.indices
+        row_cols[coded_at] = h.n_info + np.arange(h.n_rows)
         self.groups = []  # (the rows of weight w, their edges' slice, w)
         order = []  # the H-order index of each stored edge
         at = 0

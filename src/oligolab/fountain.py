@@ -3,8 +3,10 @@
 Coded symbols are identified by 32-bit seeds. A seed deterministically
 expands to a degree and a set of source-packet indices via a counter-based
 splitmix64 stream, so encoder and decoder reconstruct identical neighbor
-sets from the seed value alone. The expansion generator is frozen: changing
-it invalidates every pool encoded with it (golden vectors pinned in tests).
+sets from the seed value alone. A batch of seeds expands in one vectorized
+pass into CSR rows (indptr, indices). The expansion generator is frozen:
+changing it invalidates every pool encoded with it (golden vectors pinned in
+tests).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +39,11 @@ class SolitonParams:
         if self.ripple >= self.k:
             raise ValueError(
                 f"degenerate parameters: R={self.ripple:.3f} >= k={self.k}"
+            )
+        if self.spike - 1 > self.k:
+            raise ValueError(
+                f"degenerate parameters: spike={self.spike} (k/R with R={self.ripple:.3f}) "
+                f"exceeds k+1={self.k + 1}"
             )
 
     @property
@@ -100,48 +107,101 @@ def required_symbols(params: SolitonParams) -> int:
     return int(math.ceil(total))
 
 
-# splitmix64: counter-based 64-bit mixer driving all seed expansion.
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+# splitmix64: counter-based 64-bit mixer driving all seed expansion. Draw t
+# of seed s mixes the counter s + (t + 1) * golden, in wrapping uint64.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SEED_LIMIT = 1 << 32
+_CHUNK = 4096  # seeds per batch: bounds the working arrays at any batch size
 
 
-class _SeedStream:
-    """Deterministic uniform doubles in [0, 1) derived from one 32-bit seed."""
-
-    def __init__(self, seed: int):
-        self._counter = seed & 0xFFFFFFFF
-
-    def next_float(self) -> float:
-        self._counter = (self._counter + _GOLDEN) & _MASK64
-        z = self._counter
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return (z >> 11) * (1.0 / (1 << 53))
-
-    def next_below(self, n: int) -> int:
-        return int(self.next_float() * n)
+def _draws(counters: np.ndarray) -> np.ndarray:
+    """splitmix64 of each uint64 counter as a double in [0, 1)."""
+    z = (counters ^ (counters >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
-def seed_expand(seed: int, params: SolitonParams, dist: DegreeDistribution) -> np.ndarray:
-    """Expand a seed into its sorted set of distinct source-packet indices.
+def _expand_chunk(
+    seeds: np.ndarray, k: int, cumulative: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and row-sorted indices of a batch of uint64 seeds.
 
-    Degree is drawn by inverse CDF, then indices by a sparse partial
-    Fisher-Yates shuffle, so memory stays O(degree) even for large k.
+    Step t of a seed's sparse Fisher-Yates swaps positions t and
+    j_t = t + floor(u * (k - t)) and picks the value at j_t. That value is
+    the one written by the latest earlier step m with j_m = j_t, or j_t if
+    no step wrote there; step m wrote the value at its own position m, found
+    the same way. One sort of the writes keyed by (row, position, step)
+    answers every lookup, and pointer jumping follows the chains.
     """
-    stream = _SeedStream(seed)
-    u = stream.next_float()
-    degree = int(np.searchsorted(dist.cumulative, u, side="right")) + 1
-    degree = min(degree, params.k)
+    degree = np.searchsorted(cumulative, _draws(seeds + _GOLDEN), side="right") + 1
+    degree = np.minimum(degree, k)
+    starts = np.cumsum(degree) - degree
+    row = np.repeat(np.arange(len(seeds), dtype=np.int64), degree)
+    step = np.arange(len(row), dtype=np.int64) - starts[row]
+    u = _draws(seeds[row] + (step + 2).astype(np.uint64) * _GOLDEN)
+    j = step + (u * (k - step)).astype(np.int64)
 
-    swapped: dict[int, int] = {}
-    picked = np.empty(degree, dtype=np.int64)
-    for i in range(degree):
-        j = i + stream.next_below(params.k - i)
-        picked[i] = swapped.get(j, j)
-        swapped[j] = swapped.get(i, i)
-    picked.sort()
-    return picked
+    span = int(degree.max())
+    row_base = row * k
+    writes = (row_base + j) * span + step
+    order = np.argsort(writes)
+    written = writes[order]
+
+    def writer(position: np.ndarray) -> np.ndarray:
+        """The step that last wrote `position` before each step, or -1."""
+        query = (row_base + position) * span + step
+        at = np.maximum(np.searchsorted(written, query) - 1, 0)
+        hit = (written[at] < query) & (written[at] // span == row_base + position)
+        return np.where(hit, order[at], -1)
+
+    value, link = step.copy(), writer(step)  # what each step writes
+    while True:
+        linked = np.flatnonzero(link >= 0)
+        if not len(linked):
+            break
+        to = link[linked]
+        value[linked] = value[to]
+        link[linked] = link[to]
+    source = writer(j)
+    picked = np.where(source >= 0, value[source], j)
+    keys = row_base + picked
+    keys.sort()
+    return degree, keys - row_base
+
+
+def seed_expand(
+    seeds: Sequence[int] | np.ndarray,
+    params: SolitonParams,
+    dist: DegreeDistribution | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand seeds into CSR rows of sorted, distinct source-packet indices.
+
+    Row r of the result, indices[indptr[r]:indptr[r + 1]], is the neighbor
+    set of seeds[r]. A seed's degree is drawn by inverse CDF, then its
+    indices by a sparse partial Fisher-Yates shuffle, so memory stays
+    O(degree) per seed even for large k.
+    """
+    try:
+        values = np.asarray(seeds, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("seed out of 32-bit range") from None
+    if len(values) and (values.min() < 0 or values.max() >= _SEED_LIMIT):
+        raise ValueError("seed out of 32-bit range")
+    if dist is None:
+        dist = robust_soliton(params)
+    k = params.k
+    chunk = max(1, min(_CHUNK, (1 << 62) // (k * k)))  # keeps sort keys in int64
+    degrees, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for at in range(0, len(values), chunk):
+        degree, picked = _expand_chunk(
+            values[at : at + chunk].astype(np.uint64), k, dist.cumulative
+        )
+        degrees.append(degree)
+        indices.append(picked)
+    return np.cumsum(np.concatenate(degrees)), np.concatenate(indices)
 
 
 def seed_sequence_value(index: int) -> int:
@@ -171,6 +231,9 @@ class SeedSchedule:
     def __post_init__(self) -> None:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be pairwise distinct")
+        bad = next((s for s in self.seeds if not 0 <= s < _SEED_LIMIT), None)
+        if bad is not None:
+            raise ValueError(f"seed {bad} out of 32-bit range [0, 2**32)")
 
     @property
     def count(self) -> int:
@@ -193,22 +256,6 @@ class SeedSchedule:
         return cls(seeds=seeds)
 
 
-class NeighborCache:
-    """Memoized seed expansion for a fixed parameter set."""
-
-    def __init__(self, params: SolitonParams, dist: DegreeDistribution | None = None):
-        self.params = params
-        self.dist = dist if dist is not None else robust_soliton(params)
-        self._cache: dict[int, np.ndarray] = {}
-
-    def neighbors(self, seed: int) -> np.ndarray:
-        hit = self._cache.get(seed)
-        if hit is None:
-            hit = seed_expand(seed, self.params, self.dist)
-            self._cache[seed] = hit
-        return hit
-
-
 def lt_encode(
     source_bits: np.ndarray,
     schedule: SeedSchedule | Sequence[int],
@@ -217,21 +264,19 @@ def lt_encode(
 ) -> np.ndarray:
     """XOR-combine source packets into coded packets, one per seed.
 
-    source_bits: (k, 256) array of 0/1. Returns (count, 256) uint8.
+    source_bits: (k, 256) array of 0/1. Returns (count, 256) uint8. The
+    packets are packed into 64-bit words and each coded packet is one
+    XOR-reduction over its seed's row.
     """
-    seeds: Iterable[int] = schedule.seeds if isinstance(schedule, SeedSchedule) else schedule
-    seeds = list(seeds)
-    if not seeds:
+    seeds = schedule.seeds if isinstance(schedule, SeedSchedule) else schedule
+    if not len(seeds):
         raise ValueError("schedule is empty")
     source = np.asarray(source_bits, dtype=np.uint8)
     if source.shape != (params.k, PACKET_BITS):
         raise ValueError(
             f"source must have shape ({params.k}, {PACKET_BITS}), got {source.shape}"
         )
-    if dist is None:
-        dist = robust_soliton(params)
-    coded = np.empty((len(seeds), PACKET_BITS), dtype=np.uint8)
-    for row, seed in enumerate(seeds):
-        nbrs = seed_expand(seed, params, dist)
-        coded[row] = np.bitwise_xor.reduce(source[nbrs], axis=0)
-    return coded
+    indptr, indices = seed_expand(seeds, params, dist)
+    words = np.packbits(source, axis=1).view(np.uint64)
+    coded = np.bitwise_xor.reduceat(words[indices], indptr[:-1], axis=0)
+    return np.unpackbits(coded.view(np.uint8), axis=1)

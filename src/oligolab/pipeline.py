@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import gf_rs
+from . import fountain, gf_rs
 from .bp_decoder import bp_decode, build_h
 from .channel_stats import TransitionTable
 from .clustering_llr import (
@@ -44,7 +44,7 @@ from .dna_codec import (
     symbols_to_base_indices,
 )
 from .fastq_io import ReadRecord
-from .fountain import NeighborCache, SeedSchedule, SolitonParams, required_symbols
+from .fountain import SeedSchedule, SolitonParams, required_symbols
 
 _WORD = np.dtype("<u8")  # packed GF(2) rows: bit j of word w is column 64w + j
 
@@ -110,12 +110,24 @@ def _words_to_bits(words: np.ndarray, planes: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=planes, bitorder="little")
 
 
+def _keep_rows(
+    rows: tuple[np.ndarray, np.ndarray], keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows where the boolean mask `keep` is set."""
+    indptr, indices = rows
+    lengths = np.diff(indptr)
+    return np.concatenate([[0], np.cumsum(lengths[keep])]), indices[np.repeat(keep, lengths)]
+
+
 def lt_erasure_solve(
-    rows_neighbors: Sequence[np.ndarray],
+    rows: tuple[np.ndarray, np.ndarray],
     coded_bits: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve info bits from coded-bit rows: XOR(info[nbrs]) = coded[row].
+
+    rows: CSR rows (indptr, indices); row r's neighbors are
+    indices[indptr[r]:indptr[r + 1]].
 
     Returns (info (k, P) uint8, resolved (k,) bool, consistent (P,) bool).
     Peeling resolves degree-1 rows and substitutes. A row keeps its count
@@ -130,7 +142,8 @@ def lt_erasure_solve(
     if coded.ndim == 1:
         coded = coded[:, None]
     n_rows, planes = coded.shape
-    if n_rows != len(rows_neighbors):
+    indptr, indices = rows
+    if n_rows != len(indptr) - 1:
         raise ValueError("coded_bits rows do not match neighbor rows")
     n_words = _plane_words(planes)
     row_bytes = np.packbits(coded, axis=1, bitorder="little")
@@ -138,10 +151,8 @@ def lt_erasure_solve(
     row_val = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
     # the (variable, row) edges, a repeated neighbor once, grouped by variable
-    var = np.concatenate(
-        [np.zeros(0, dtype=np.int64), *(np.asarray(nb, dtype=np.int64) for nb in rows_neighbors)]
-    )
-    row = np.repeat(np.arange(n_rows), [len(nb) for nb in rows_neighbors])
+    var = np.asarray(indices, dtype=np.int64)
+    row = np.repeat(np.arange(n_rows), np.diff(indptr))
     order = np.lexsort((row, var))
     var, row = var[order], row[order]
     new_edge = np.ones(len(var), dtype=bool)
@@ -246,13 +257,13 @@ def _prepare_cluster_llrs(
 
 def _solve_tail(
     report: DecodeReport,
-    rows_neighbors: Sequence[np.ndarray],
+    rows: tuple[np.ndarray, np.ndarray],
     coded_bits: np.ndarray,
     k: int,
     expected_payload: np.ndarray | None,
 ) -> None:
     """Erasure-solve the accepted rows and record the outcome in the report."""
-    info, resolved, consistent = lt_erasure_solve(rows_neighbors, coded_bits, k)
+    info, resolved, consistent = lt_erasure_solve(rows, coded_bits, k)
     if not resolved.all():
         report.reason = f"unresolved_info_bits: {int((~resolved).sum())}"
     elif not consistent.all():
@@ -274,7 +285,6 @@ def iterative_soft_decode(
     table: TransitionTable,
     params: PipelineParams,
     expected_payload: np.ndarray | None = None,
-    cache: NeighborCache | None = None,
     cluster_llrs: Mapping[int, ClusterLlr] | None = None,
 ) -> DecodeReport:
     """BP-decode, RS-check, drop bad clusters, repeat (at most n_re redecodes)."""
@@ -288,8 +298,6 @@ def iterative_soft_decode(
         report.reason = f"insufficient_clusters: {len(clusters)} active < {k_required} required"
         report.timing["total_seconds"] = time.perf_counter() - t_start
         return report
-    if cache is None:
-        cache = NeighborCache(params.soliton)
     if cluster_llrs is None:
         cluster_llrs = _prepare_cluster_llrs(clusters, table, params)
     max_redecodes = params.n_re if params.redecoding_enabled else 0
@@ -298,6 +306,7 @@ def iterative_soft_decode(
     # and the reshapes keep the row shapes when there are no clusters
     order = sorted(clusters)
     seeds = np.array(order, dtype=np.int64)
+    rows = fountain.seed_expand(seeds, params.soliton)  # the active clusters' rows
     llrs = np.array(
         [cluster_llrs[s].payload_llrs for s in order], dtype=np.float64
     ).reshape(len(order), PAYLOAD_BITS)
@@ -314,7 +323,7 @@ def iterative_soft_decode(
                 f"insufficient_clusters: {len(active)} active < {k_required} required"
             )
             break
-        h = build_h(seeds[active].tolist(), params.soliton, cache)
+        h = build_h(seeds[active].tolist(), rows, params.soliton)
         t_bp = time.perf_counter()
         bp = bp_decode(
             h,
@@ -349,7 +358,7 @@ def iterative_soft_decode(
                     coded[r] = base_indices_to_bit_array(fixed[PAYLOAD_SLICE])
 
         if not removed.any():
-            _solve_tail(report, h.rows_neighbors, coded, params.soliton.k, expected_payload)
+            _solve_tail(report, rows, coded, params.soliton.k, expected_payload)
             break
 
         report.clusters_discarded_per_round.append(int(removed.sum()))
@@ -364,6 +373,7 @@ def iterative_soft_decode(
             )
             break
         active = active[~removed]
+        rows = _keep_rows(rows, ~removed)
         round_idx += 1
 
     report.active_clusters = len(active)
@@ -376,12 +386,9 @@ def hard_decode_baseline(
     seed_table: SeedSchedule,
     params: PipelineParams,
     expected_payload: np.ndarray | None = None,
-    cache: NeighborCache | None = None,
 ) -> DecodeReport:
     """Majority vote -> RS decode -> discard failures -> LT erasure recovery."""
     t_start = time.perf_counter()
-    if cache is None:
-        cache = NeighborCache(params.soliton)
     report = DecodeReport(success=False, reason="", iterations_performed=1)
     order = sorted(clusters)
     votes = majority_vote([clusters[s] for s in order])  # (n, 152) base indices
@@ -400,7 +407,7 @@ def hard_decode_baseline(
     report.clusters_discarded_per_round = [int((~keep).sum())]
     report.active_clusters = int(keep.sum())
     if keep.any():
-        rows = [cache.neighbors(s) for s, kept in zip(order, keep.tolist()) if kept]
+        rows = fountain.seed_expand(np.array(order, dtype=np.int64)[keep], params.soliton)
         _solve_tail(report, rows, coded[keep], params.soliton.k, expected_payload)
     else:
         report.reason = "no_surviving_clusters"
@@ -506,8 +513,6 @@ def experiment_sweep(
             f"sampling point exceeds available reads ({max(points)} > {len(reads)})"
         )
     names = list(variants)
-    solitons = {params.soliton for params in variants.values()}
-    caches = {s: NeighborCache(s) for s in solitons}
     successes = {n: [0] * len(points) for n in names}
     rounds_acc = {n: [0.0] * len(points) for n in names}
     removed_acc = {n: [0.0] * len(points) for n in names}
@@ -536,14 +541,11 @@ def experiment_sweep(
         walls: dict[str, float] = {}
         for name in run_order:
             params = variants[name]
-            cache = caches[params.soliton]
             t0 = time.perf_counter()
             if name in derived_from:
                 rep = _derive_no_redecode(reports[derived_from[name]])
             elif params.decoder == "hard":
-                rep = hard_decode_baseline(
-                    clusters, seed_table, params, expected_payload, cache
-                )
+                rep = hard_decode_baseline(clusters, seed_table, params, expected_payload)
             else:
                 mode_key = (params.llr_mode, params.crossover_p)
                 if mode_key not in llr_cache:
@@ -554,7 +556,6 @@ def experiment_sweep(
                     table,
                     params,
                     expected_payload,
-                    cache,
                     cluster_llrs=llr_cache[mode_key],
                 )
             reports[name] = rep

@@ -20,7 +20,7 @@ class _Graph:
     def __init__(self, h: SparseParityMatrix):
         cols = []
         rows = []
-        for r, nbrs in enumerate(h.rows_neighbors):
+        for r, nbrs in enumerate(np.split(h.indices, h.indptr[1:-1])):
             cols.append(nbrs)
             cols.append([h.n_info + r])
             rows.append(np.full(len(nbrs) + 1, r, dtype=np.int64))

@@ -7,21 +7,24 @@ from hypothesis import strategies as st
 
 from bp_reference import bp_decode as reference_bp_decode
 from oligolab.bp_decoder import SparseParityMatrix, bp_decode, build_h
-from oligolab.fountain import (
-    NeighborCache,
-    SeedSchedule,
-    SolitonParams,
-    robust_soliton,
-    seed_expand,
-)
+from oligolab.fountain import SeedSchedule, SolitonParams, seed_expand
 
 
 def make_h(n_info, rows):
     return SparseParityMatrix(
         n_info=n_info,
         row_seeds=tuple(range(len(rows))),
-        rows_neighbors=[np.asarray(r, dtype=np.int64) for r in rows],
+        indptr=np.cumsum([0] + [len(r) for r in rows]),
+        indices=np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(np.int64),
     )
+
+
+def expanded_h(seeds, params):
+    return build_h(seeds, seed_expand(seeds, params), params)
+
+
+def row_list(h):
+    return np.split(h.indices, h.indptr[1:-1])
 
 
 def rows_parity_ok(rows, info_bits, coded_bits):
@@ -80,20 +83,18 @@ def brute_force_posteriors(rows, k, coded_llrs):
 
 def test_build_h_row_weights():
     params = SolitonParams(k=100, c=0.025, delta=0.001)
-    cache = NeighborCache(params)
     seeds = list(range(40))
-    h = build_h(seeds, params, cache)
-    dist = robust_soliton(params)
+    h = expanded_h(seeds, params)
     for r, seed in enumerate(seeds):
-        assert h.row_weight(r) == len(seed_expand(seed, params, dist)) + 1
+        indptr, _ = seed_expand([seed], params)
+        assert h.row_weight(r) == indptr[1] + 1
     assert h.n_cols == 100 + 40
 
 
 def test_build_h_removing_seed_drops_one_row():
     params = SolitonParams(k=50, c=0.05, delta=0.05)
-    cache = NeighborCache(params)
-    h_all = build_h(list(range(30)), params, cache)
-    h_less = build_h([s for s in range(30) if s != 7], params, cache)
+    h_all = expanded_h(list(range(30)), params)
+    h_less = expanded_h([s for s in range(30) if s != 7], params)
     assert h_less.n_rows == h_all.n_rows - 1
     assert h_less.n_cols == h_all.n_cols - 1
     assert 7 not in h_less.row_seeds
@@ -291,10 +292,10 @@ def test_bp_matches_reference_kernel_on_random_graphs(
 def test_bp_matches_reference_kernel_on_desk_graph():
     # the desk profile's code over its first 1100 seeds, info bits punctured
     params = SolitonParams(k=1000, c=0.01, delta=0.001)
-    h = build_h(list(SeedSchedule.first_n(1100).seeds), params, NeighborCache(params))
+    h = expanded_h(SeedSchedule.first_n(1100).seeds, params)
     rng = np.random.default_rng(70)
     info = rng.integers(0, 2, size=(params.k, 256))
-    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in h.rows_neighbors])
+    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in row_list(h)])
     llrs = (1 - 2 * coded) * rng.uniform(2.0, 40.0, size=coded.shape)
     llrs[rng.random(llrs.shape) < 0.01] *= -1
     llrs[rng.random(llrs.shape) < 0.005] = 0.0
@@ -304,10 +305,10 @@ def test_bp_matches_reference_kernel_on_desk_graph():
 def test_bp_matches_reference_kernel_on_bp_active_graph():
     # c = 0.03 leaves enough degree-1 rows for BP to move every row
     params = SolitonParams(k=1000, c=0.03, delta=0.001)
-    h = build_h(list(SeedSchedule.first_n(1400).seeds), params, NeighborCache(params))
+    h = expanded_h(SeedSchedule.first_n(1400).seeds, params)
     rng = np.random.default_rng(71)
     info = rng.integers(0, 2, size=(params.k, 16))
-    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in h.rows_neighbors])
+    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in row_list(h)])
     llrs = (2.0 - 4.0 * coded) + rng.normal(0.0, 2.0, size=coded.shape)
     for early_stop in (True, False):
         kwargs = dict(max_iter=40, early_stop_on_syndrome=early_stop)

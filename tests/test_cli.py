@@ -121,6 +121,15 @@ def test_encode_oversized_input(tmp_path):
                 "--profile", "desk-scale", *TINY]) == EXIT_USAGE
 
 
+def test_encode_degenerate_soliton_spike_is_a_config_error(tmp_path, capsys):
+    # the desk profile's c = 0.01 at k = 60 puts the soliton spike at 70 > k + 1
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    assert run(["encode", "--input", src, "--outdir", tmp_path / "enc",
+                "--profile", "desk-scale", "--set", "code.k=60"]) == EXIT_USAGE
+    assert "spike=70" in capsys.readouterr().err
+
+
 def test_encode_paper_scale_18000_oligos(tmp_path):
     src = tmp_path / "image.bin"
     src.write_bytes(bytes(513_600))  # 513.6 KB fills k=16050 packets exactly
@@ -316,7 +325,7 @@ def decode_argv(enc, sim, outdir, *extra):
 def test_decoder_fault_is_an_internal_error(simulated, tmp_path, monkeypatch, capsys, decoder):
     src, enc, sim = simulated
 
-    def faulty_solve(rows_neighbors, coded_bits, k):
+    def faulty_solve(rows, coded_bits, k):
         raise ValueError("injected decoder fault")
 
     monkeypatch.setattr(pipeline, "lt_erasure_solve", faulty_solve)
@@ -342,6 +351,17 @@ def test_malformed_seed_table_is_a_config_error(simulated, tmp_path):
     argv = decode_argv(enc, sim, tmp_path / "d")
     argv[argv.index(enc / "seeds.txt")] = seeds
     assert run(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("line", ["1ffffffff", "-5"])
+def test_out_of_range_seed_table_is_a_config_error(simulated, tmp_path, capsys, line):
+    src, enc, sim = simulated
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text((enc / "seeds.txt").read_text() + f"{line}\n")
+    argv = decode_argv(enc, sim, tmp_path / "d")
+    argv[argv.index(enc / "seeds.txt")] = seeds
+    assert run(argv) == EXIT_USAGE
+    assert "out of 32-bit range" in capsys.readouterr().err
 
 
 def test_experiment_sampling_point_beyond_total_reads_is_a_config_error(tmp_path):

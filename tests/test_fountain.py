@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expand_reference import seed_expand as reference_expand
 from oligolab.fountain import (
     DegreeDistribution,
-    NeighborCache,
     SeedSchedule,
     SolitonParams,
     lt_encode,
@@ -16,6 +18,12 @@ from oligolab.fountain import (
 
 PAPER = SolitonParams(k=16050, c=0.025, delta=0.001)
 SMALL = SolitonParams(k=100, c=0.025, delta=0.001)
+
+
+def expand_rows(seeds, params, dist=None):
+    """The batched expansion as one neighbor array per seed."""
+    indptr, indices = seed_expand(seeds, params, dist)
+    return np.split(indices, indptr[1:-1]) if len(seeds) else []
 
 
 def test_params_validation():
@@ -85,16 +93,14 @@ def test_required_symbols_small_instance_against_direct_summation():
 
 def test_seed_expand_deterministic():
     dist = robust_soliton(SMALL)
-    for seed in (0, 1, 12345, 0xFFFFFFFF):
-        a = seed_expand(seed, SMALL, dist)
-        b = seed_expand(seed, SMALL, dist)
+    seeds = [0, 1, 12345, 0xFFFFFFFF]
+    for a, b in zip(expand_rows(seeds, SMALL, dist), expand_rows(seeds, SMALL, dist)):
         assert np.array_equal(a, b)
 
 
 def test_seed_expand_indices_distinct_and_in_range():
     dist = robust_soliton(SMALL)
-    for seed in range(500):
-        nbrs = seed_expand(seed, SMALL, dist)
+    for nbrs in expand_rows(range(500), SMALL, dist):
         assert 1 <= len(nbrs) <= SMALL.k
         assert len(set(nbrs.tolist())) == len(nbrs)
         assert nbrs.min() >= 0 and nbrs.max() < SMALL.k
@@ -105,9 +111,8 @@ def test_seed_expand_degree_histogram_matches_distribution():
     params = SolitonParams(k=50, c=0.05, delta=0.05)
     dist = robust_soliton(params)
     n = 100_000
-    counts = np.zeros(params.k)
-    for seed in range(n):
-        counts[len(seed_expand(seed, params, dist)) - 1] += 1
+    indptr, _ = seed_expand(range(n), params, dist)
+    counts = np.bincount(np.diff(indptr) - 1, minlength=params.k)
     expected = dist.probabilities * n
     mask = expected >= 5
     chi2 = ((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum()
@@ -128,9 +133,9 @@ GOLDEN_VECTORS = {
 
 def test_seed_expand_golden_vectors():
     dist = robust_soliton(GOLDEN_PARAMS)
-    for seed, expected in GOLDEN_VECTORS.items():
-        got = seed_expand(seed, GOLDEN_PARAMS, dist).tolist()
-        assert got == expected, f"seed {seed} expansion drifted"
+    rows = expand_rows(list(GOLDEN_VECTORS), GOLDEN_PARAMS, dist)
+    for (seed, expected), got in zip(GOLDEN_VECTORS.items(), rows):
+        assert got.tolist() == expected, f"seed {seed} expansion drifted"
 
 
 def test_lt_encode_degree_one_copies_neighbor():
@@ -139,8 +144,9 @@ def test_lt_encode_degree_one_copies_neighbor():
     rng = np.random.default_rng(3)
     source = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
     # find a degree-1 seed
-    seed = next(s for s in range(1000) if len(seed_expand(s, params, dist)) == 1)
-    nbr = seed_expand(seed, params, dist)[0]
+    rows = expand_rows(range(1000), params, dist)
+    seed = next(s for s in range(1000) if len(rows[s]) == 1)
+    nbr = rows[seed][0]
     coded = lt_encode(source, [seed], params, dist)
     assert np.array_equal(coded[0], source[nbr])
 
@@ -152,9 +158,9 @@ def test_lt_encode_matches_bruteforce_xor():
     source = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
     seeds = list(range(12))
     coded = lt_encode(source, seeds, params, dist)
-    for row, seed in enumerate(seeds):
+    for row, nbrs in enumerate(expand_rows(seeds, params, dist)):
         acc = np.zeros(256, dtype=np.uint8)
-        for idx in seed_expand(seed, params, dist):
+        for idx in nbrs:
             acc ^= source[idx]
         assert np.array_equal(coded[row], acc)
 
@@ -220,8 +226,86 @@ def test_schedule_rejects_duplicates():
         SeedSchedule(seeds=(1, 1, 2))
 
 
-def test_neighbor_cache_consistent():
-    cache = NeighborCache(SMALL)
-    dist = robust_soliton(SMALL)
-    for seed in range(50):
-        assert np.array_equal(cache.neighbors(seed), seed_expand(seed, SMALL, dist))
+def test_schedule_rejects_seeds_outside_32_bits():
+    for bad in (2**32, 0x1FFFFFFFF, -5):
+        with pytest.raises(ValueError, match="out of 32-bit range"):
+            SeedSchedule(seeds=(1, bad))
+
+
+def test_seed_expand_rejects_seeds_outside_32_bits():
+    for bad in ([2**32], [0, -1], [2**64], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="out of 32-bit range"):
+            seed_expand(bad, SMALL)
+
+
+def test_params_reject_spike_beyond_k_plus_one():
+    # the desk profile's c at k=60: R = 0.85, so the spike k/R lands at 70
+    with pytest.raises(ValueError, match="spike=70"):
+        SolitonParams(k=60, c=0.01, delta=0.001)
+    # spike = k + 1 still builds: tau covers every degree and has no spike term
+    params = SolitonParams(k=10, c=0.1, delta=0.5)
+    assert params.spike == params.k + 1
+    assert abs(robust_soliton(params).probabilities.sum() - 1.0) < 1e-12
+
+
+# the profiles' codes, the CLI tests' tiny code, and tiny k where most
+# Fisher-Yates steps land on a position an earlier step wrote
+EXPAND_PARAMS = [
+    PAPER,
+    GOLDEN_PARAMS,  # also the desk profile's code
+    SolitonParams(k=60, c=0.05, delta=0.1),
+    SolitonParams(k=10, c=0.1, delta=0.5),
+    SolitonParams(k=5, c=0.2, delta=0.5),
+    SolitonParams(k=3, c=0.3, delta=0.5),
+    SolitonParams(k=2, c=0.3, delta=0.5),
+    SolitonParams(k=1, c=0.5, delta=0.3),
+]
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    params=st.sampled_from(EXPAND_PARAMS),
+    seeds=st.lists(SEEDS, max_size=40),
+    repeats=st.integers(0, 3),
+)
+def test_seed_expand_matches_reference(params, seeds, repeats):
+    seeds = seeds + seeds[:repeats]  # a batch may list a seed more than once
+    dist = robust_soliton(params)
+    indptr, indices = seed_expand(seeds, params, dist)
+    expected = [reference_expand(s, params, dist) for s in seeds]
+    assert indptr.tolist() == np.cumsum([0] + [len(e) for e in expected]).tolist()
+    assert indices.dtype == np.int64
+    for r, e in enumerate(expected):
+        assert indices[indptr[r] : indptr[r + 1]].tolist() == e.tolist()
+
+
+def test_seed_expand_empty_batch():
+    indptr, indices = seed_expand([], PAPER)
+    assert indptr.tolist() == [0] and indices.dtype == np.int64 and len(indices) == 0
+
+
+def test_seed_expand_matches_reference_across_batches():
+    # more seeds than one internal batch holds, at the paper's k
+    seeds = SeedSchedule.first_n(5000).seeds
+    dist = robust_soliton(PAPER)
+    for got, seed in zip(expand_rows(seeds, PAPER, dist), seeds):
+        assert np.array_equal(got, reference_expand(seed, PAPER, dist))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    params=st.sampled_from(EXPAND_PARAMS),
+    seeds=st.lists(SEEDS, min_size=1, max_size=30),
+    source_seed=st.integers(0, 2**32 - 1),
+)
+def test_lt_encode_matches_reference_xor(params, seeds, source_seed):
+    source = np.random.default_rng(source_seed).integers(
+        0, 2, size=(params.k, 256), dtype=np.uint8
+    )
+    coded = lt_encode(source, seeds, params)
+    dist = robust_soliton(params)
+    assert coded.shape == (len(seeds), 256) and coded.dtype == np.uint8
+    for row, seed in enumerate(seeds):
+        expected = np.bitwise_xor.reduce(source[reference_expand(seed, params, dist)], axis=0)
+        assert np.array_equal(coded[row], expected)

@@ -10,11 +10,11 @@ from oligolab.clustering_llr import cluster_by_seed
 from oligolab.dna_codec import assemble_oligo
 from oligolab.fastq_io import ReadRecord
 from oligolab.fountain import (
-    NeighborCache,
     SeedSchedule,
     SolitonParams,
     lt_encode,
     required_symbols,
+    seed_expand,
 )
 from oligolab.pipeline import (
     DecodeReport,
@@ -29,6 +29,11 @@ from solve_reference import lt_erasure_solve as reference_solve
 DESK = SolitonParams(k=60, c=0.05, delta=0.1)
 N_CODED = 100
 
+
+def csr(rows):
+    """A list of neighbor arrays as the solver's CSR rows (indptr, indices)."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(np.int64)
 
 def brute_solve_gf2(rows, coded_bits, k):
     """Reference GF(2) solver via exhaustive elimination on a dense matrix."""
@@ -103,7 +108,7 @@ def test_erasure_solve_matches_brute_force(planes):
         ]
         info_true = rng.integers(0, 2, size=(k, planes), dtype=np.uint8)
         coded = np.stack([info_true[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
-        info, resolved, consistent = lt_erasure_solve(rows, coded, k)
+        info, resolved, consistent = lt_erasure_solve(csr(rows), coded, k)
         b_info, b_resolved, b_consistent = brute_solve_gf2(rows, coded, k)
         assert np.array_equal(resolved, b_resolved)
         assert consistent.all() and b_consistent.all()
@@ -114,7 +119,7 @@ def test_erasure_solve_matches_brute_force(planes):
 def test_erasure_solve_flags_inconsistency():
     rows = [np.array([0]), np.array([0]), np.array([1])]
     coded = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
-    info, resolved, consistent = lt_erasure_solve(rows, coded, 2)
+    info, resolved, consistent = lt_erasure_solve(csr(rows), coded, 2)
     # plane 0 has contradictory values for bit 0; plane 1 agrees
     assert not consistent[0]
     assert consistent[1]
@@ -124,7 +129,7 @@ def test_erasure_solve_flags_inconsistency():
 def test_erasure_solve_empty_row_reads_zero_equals_value(value):
     # a row with no neighbors is the equation 0 = value
     info, resolved, consistent = lt_erasure_solve(
-        [np.array([0]), np.array([], dtype=int)], [[1], [value]], 1
+        csr([np.array([0]), np.array([], dtype=int)]), [[1], [value]], 1
     )
     assert resolved.all() and info[0, 0] == 1
     assert consistent[0] == (value == 0)
@@ -135,14 +140,14 @@ def test_erasure_solve_dense_fallback_kicks_in():
     rows = [np.array([0, 1]), np.array([1, 2]), np.array([0, 2]), np.array([0, 1, 2])]
     info_true = np.array([[1], [0], [1]], dtype=np.uint8)
     coded = np.stack([info_true[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
-    info, resolved, consistent = lt_erasure_solve(rows, coded, 3)
+    info, resolved, consistent = lt_erasure_solve(csr(rows), coded, 3)
     assert resolved.all()
     assert consistent.all()
     assert np.array_equal(info, info_true)
 
 
 def assert_matches_reference(rows, coded, k):
-    info, resolved, consistent = lt_erasure_solve(rows, coded, k)
+    info, resolved, consistent = lt_erasure_solve(csr(rows), coded, k)
     r_info, r_resolved, r_consistent = reference_solve(rows, coded, k)
     assert np.array_equal(resolved, r_resolved)
     assert np.array_equal(consistent, r_consistent)
@@ -184,7 +189,7 @@ def test_erasure_solve_matches_reference(
     resolved, consistent = assert_matches_reference(rows, coded, k)
     if contradictions == 0:
         assert consistent.all()
-        info, _, _ = lt_erasure_solve(rows, coded, k)
+        info, _, _ = lt_erasure_solve(csr(rows), coded, k)
         assert np.array_equal(info[resolved], truth[resolved])
 
 
@@ -192,8 +197,8 @@ def test_erasure_solve_matches_reference_on_peeling_and_elimination():
     # a desk-scale LT system whose peel stalls, so both stages resolve bits
     params = SolitonParams(k=1000, c=0.01, delta=0.001)
     sched = SeedSchedule.first_n(1100)
-    cache = NeighborCache(params)
-    rows = [cache.neighbors(s) for s in sched.seeds]
+    indptr, indices = seed_expand(sched.seeds, params)
+    rows = np.split(indices, indptr[1:-1])
     rng = np.random.default_rng(83)
     truth = rng.integers(0, 2, size=(params.k, 256), dtype=np.uint8)
     coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)

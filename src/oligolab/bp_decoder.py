@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .fountain import SolitonParams
 
@@ -128,6 +127,10 @@ class _Graph:
         self.row_starts = np.flatnonzero(np.diff(self.edge_row, prepend=-1))
         self.connected = np.zeros(h.n_cols, dtype=bool)
         self.connected[self.edge_col] = True
+        # scipy is imported here, not with the module, so that commands that
+        # run no BP (encode, simulate, stats, the hard decode) never load it
+        from scipy import sparse
+
         # column sums in H's edge order, which fixes their rounding: a CSR
         # row is summed in its stored order, even an unsorted one
         self.col_sum = sparse.csr_matrix(

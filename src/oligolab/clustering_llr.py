@@ -1,19 +1,24 @@
 """Seed clustering and conversion of read clusters to decoder soft inputs.
 
-A cluster is the set of length-152, N-free reads whose 16-nt prefix decodes
-to one of the pre-determined seed values; reads with any other prefix are
-discarded and counted. For each cluster the per-read basecall probability
-vectors combine the Q-score (probability the call is right) with the
-estimated transition table (how the remaining probability splits across
-the other three bases). Payload positions become per-bit LLRs summed over
-members; RS parity positions get a hard decision from the per-base
-probability products. A basecall-count LLR rule with a fixed crossover
-probability is provided as the comparison baseline.
+A cluster is the set of length-152, ACGT-only reads whose 16-nt prefix
+decodes to one of the pre-determined seed values; reads with any other
+prefix are discarded and counted. Clustering keeps no read records: the
+retained reads become one seed-sorted (reads, 152) uint8 matrix of base
+codes and one of Q-scores, and each cluster holds its row slice of both.
+For each cluster the per-read basecall probability vectors combine the
+Q-score (probability the call is right) with the estimated transition
+table (how the remaining probability splits across the other three bases).
+Payload positions become per-bit LLRs summed over members; RS parity
+positions get a hard decision from the per-base probability products. A
+basecall-count LLR rule with a fixed crossover probability is provided as
+the comparison baseline, and a per-position majority vote feeds the hard
+decoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,29 +32,47 @@ from .dna_codec import (
     PAYLOAD_SLICE,
     SEED_NT,
     base_indices_to_bit_array,
+    base_indices_to_seeds,
     encode_base_matrix,
-    indices_to_sequences,
     seeds_to_base_indices,
 )
 from .fastq_io import ReadRecord, phred_to_prob
 from .fountain import SeedSchedule
 
-# after bp_decoder, which imports it first: importing scipy ahead of it moves
-# a full garbage-collection pass into the start-up imports (about 45 ms per
-# process on a 2-core x86 box)
-from scipy import sparse
-
 _TINY = 1e-300
+_CHUNK_READS = 4096  # reads per code matrix of a clustering step or a vote chunk
 
 
-@dataclass
 class Cluster:
-    seed: int
-    members: list[ReadRecord]
+    """The retained reads of one seed as row-aligned (size, 152) uint8
+    matrices of base codes and Q-scores, members in input order.
+
+    `cluster_by_seed` passes row slices of its seed-sorted matrices as
+    `codes` and `qscores`; `Cluster(seed, members=[...])` codes ReadRecords,
+    which must be 152-nt ACGT reads.
+    """
+
+    __slots__ = ("seed", "codes", "qscores")
+
+    def __init__(
+        self,
+        seed: int,
+        members: Sequence[ReadRecord] | None = None,
+        *,
+        codes: np.ndarray | None = None,
+        qscores: np.ndarray | None = None,
+    ):
+        if members is not None:
+            full, codes, qscores = _read_rows(members)
+            if not full.all() or (codes > 3).any():
+                raise ValueError("cluster members must be 152-nt ACGT reads")
+        if len(codes) == 0:
+            raise ValueError("empty cluster")
+        self.seed, self.codes, self.qscores = seed, codes, qscores
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.codes)
 
 
 @dataclass
@@ -67,42 +90,86 @@ class ClusterLlr:
     rs_parity_hard: np.ndarray  # (8,) uint8 base codes of the RS parity
 
 
+def _read_rows(reads: Sequence[ReadRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of the 152-nt reads, and those reads as (m, 152) uint8 base codes
+    (255 for a letter other than ACGT) and Q-scores."""
+    bases = [r.bases for r in reads]
+    full = np.fromiter(map(len, bases), dtype=np.intp, count=len(bases)) == OLIGO_NT
+    codes = encode_base_matrix(list(compress(bases, full)), OLIGO_NT)
+    qscores = np.array([r.qscores for r in compress(reads, full)], dtype=np.uint8)
+    return full, codes, qscores.reshape(len(codes), OLIGO_NT)
+
+
 def cluster_by_seed(
     reads: Iterable[ReadRecord],
     seed_table: SeedSchedule | Sequence[int],
 ) -> tuple[dict[int, Cluster], DiscardReport]:
-    """Group reads by exact seed-region match against the seed table."""
+    """Group reads by exact seed-region match against the seed table.
+
+    A read is retained when it is 152 nt long, all its bases are A, C, G or
+    T, and its 16-nt prefix is a table seed's. The others count as
+    n_wrong_length, n_with_n (any other letter: N is the only one
+    `parse_fastq` lets through, but a hand-built record's lowercase or other
+    letter is discarded here too) or n_seed_mismatch, in that order.
+
+    Reads are coded _CHUNK_READS at a time and only retained rows are kept.
+    One stable sort by seed then moves them into a (retained, 152) uint8
+    matrix of base codes and one of Q-scores; each cluster holds its row
+    slice of both, members in input order. Clusters are keyed in the order
+    of their first read.
+    """
     seeds = seed_table.seeds if isinstance(seed_table, SeedSchedule) else seed_table
-    nt_to_seed = dict(zip(indices_to_sequences(seeds_to_base_indices(seeds)), seeds))
-    clusters: dict[int, Cluster] = {}
+    table = np.unique(base_indices_to_seeds(seeds_to_base_indices(seeds)))
     report = DiscardReport()
-    for read in reads:
-        report.n_input += 1
-        if len(read.bases) != OLIGO_NT:
-            report.n_wrong_length += 1
-            continue
-        if "N" in read.bases:
-            report.n_with_n += 1
-            continue
-        seed = nt_to_seed.get(read.bases[:SEED_NT])
-        if seed is None:
-            report.n_seed_mismatch += 1
-            continue
-        cluster = clusters.get(seed)
-        if cluster is None:
-            clusters[seed] = Cluster(seed=seed, members=[read])
-        else:
-            cluster.members.append(read)
-        report.n_retained += 1
+    # per chunk, for the retained reads: table index, base codes, Q-scores
+    found, code_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []
+    reads = iter(reads)
+    while chunk := list(islice(reads, _CHUNK_READS)):
+        full, codes, qscores = _read_rows(chunk)
+        acgt = (codes <= 3).all(axis=1)
+        values = base_indices_to_seeds(codes[:, :SEED_NT])
+        at = np.searchsorted(table, values)
+        keep = acgt & (np.searchsorted(table, values, side="right") > at)
+        report.n_input += len(chunk)
+        report.n_wrong_length += len(chunk) - len(codes)
+        report.n_with_n += int((~acgt).sum())
+        report.n_seed_mismatch += int((acgt & ~keep).sum())
+        found.append(at[keep])
+        code_rows.append(codes[keep])
+        q_rows.append(qscores[keep])
+
+    index = np.concatenate(found)
+    report.n_retained = len(index)
+    order = np.argsort(index, kind="stable")
+    dest = np.empty_like(order)
+    dest[order] = np.arange(len(order))
+    codes = _sorted_rows(code_rows, dest)
+    qscores = _sorted_rows(q_rows, dest)
+    starts = np.flatnonzero(np.diff(index[order], prepend=-1))
+    bounds = np.append(starts, len(order)).tolist()
+    seeds_at = table[index[order[starts]]].tolist()
+    clusters: dict[int, Cluster] = {}
+    for c in np.argsort(order[starts]).tolist():
+        a, b = bounds[c], bounds[c + 1]
+        clusters[seeds_at[c]] = Cluster(seeds_at[c], codes=codes[a:b], qscores=qscores[a:b])
     return clusters, report
 
 
-def _stack_cluster(cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
-    if not cluster.members:
-        raise ValueError("empty cluster")
-    codes = encode_base_matrix([m.bases for m in cluster.members], OLIGO_NT)
-    qs = np.stack([np.asarray(m.qscores, dtype=np.float64) for m in cluster.members])
-    return codes, qs
+def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray) -> np.ndarray:
+    """Stack row chunks into one matrix with stacked row i at dest[i].
+
+    Each chunk is released once placed, so the rows are held about once,
+    not twice as by concatenating and then reordering: a paper-scale hard
+    decode peaked 6 MB higher that way, because the freed memory is not
+    returned to the system.
+    """
+    out = np.empty((len(dest), OLIGO_NT), dtype=np.uint8)
+    at = 0
+    while chunks:
+        rows = chunks.pop(0)
+        out[dest[at : at + len(rows)]] = rows
+        at += len(rows)
+    return out
 
 
 def read_prob_vectors(codes: np.ndarray, qs: np.ndarray, table: TransitionTable) -> np.ndarray:
@@ -129,7 +196,7 @@ def llr_proposed(cluster: Cluster, table: TransitionTable) -> ClusterLlr:
     computed in log space; exact ties resolve to the first maximum, which is
     lexicographic A < C < G < T.
     """
-    full = read_prob_vectors(*_stack_cluster(cluster), table)
+    full = read_prob_vectors(cluster.codes, cluster.qscores, table)
     vec = full[:, PAYLOAD_SLICE]
     y1 = np.log(np.maximum(vec[..., 0] + vec[..., 1], _TINY)) - np.log(
         np.maximum(vec[..., 2] + vec[..., 3], _TINY)
@@ -166,7 +233,7 @@ def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
     """
     if not 0.0 < crossover_p < 0.5:
         raise ValueError(f"crossover_p must be in (0, 0.5), got {crossover_p}")
-    codes, _ = _stack_cluster(cluster)
+    codes = cluster.codes
     m = len(codes)
     ones = base_indices_to_bit_array(codes[:, PAYLOAD_SLICE]).sum(axis=0, dtype=np.int64)
     scale = np.log((1.0 - crossover_p) / crossover_p)
@@ -182,9 +249,6 @@ def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
 # clusters are split into several segments whose counts are added in
 # full-width integers.
 _SEGMENT_MAX = 255
-_LANE_ONE = np.zeros(256, dtype="<u4")  # code -> a one in that base's byte
-_LANE_ONE[:4] = 1 << (8 * np.arange(4))
-_VOTE_CHUNK_READS = 1 << 15  # members per code matrix, bounding its memory
 
 
 def majority_vote(clusters: Sequence[Cluster]) -> np.ndarray:
@@ -192,23 +256,18 @@ def majority_vote(clusters: Sequence[Cluster]) -> np.ndarray:
 
     Returns a (len(clusters), 152) uint8 matrix of base indices (A=0 .. T=3)
     in the order given. Clusters are counted in chunks of about
-    _VOTE_CHUNK_READS members: one code matrix per chunk and one segmented
+    _CHUNK_READS members: one code matrix per chunk and one segmented
     sum per cluster.
     """
     sizes = np.array([c.size for c in clusters], dtype=np.int64)
-    if (sizes == 0).any():
-        raise ValueError("empty cluster")
     votes = np.empty((len(clusters), OLIGO_NT), dtype=np.uint8)
     ends = np.cumsum(sizes)
     lo = 0
     while lo < len(clusters):
         # at least one cluster, then whole clusters up to the chunk size
         base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _VOTE_CHUNK_READS, side="right")))
-        chunk = clusters[lo:hi]
-        codes = encode_base_matrix(
-            [m.bases for c in chunk for m in c.members], OLIGO_NT
-        )
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_READS, side="right")))
+        codes = np.concatenate([c.codes for c in clusters[lo:hi]])
         votes[lo:hi] = _vote_chunk(codes, sizes[lo:hi])
         lo = hi
     return votes
@@ -222,14 +281,11 @@ def _vote_chunk(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     starts = (np.cumsum(sizes) - sizes)[owner] + _SEGMENT_MAX * (
         np.arange(len(owner)) - first_piece[owner]
     )
-    n = len(codes)
-    # one indicator row per segment: the segment sums are one sparse product
-    segments = sparse.csr_matrix(
-        (np.ones(n, dtype=_LANE_ONE.dtype), np.arange(n), np.append(starts, n)),
-        shape=(len(starts), n),
-    )
-    packed = np.asarray(segments @ _LANE_ONE[codes], dtype=_LANE_ONE.dtype)
-    counts = packed.view(np.uint8).reshape(*packed.shape, 4)
+    # a one in the byte of each read's base; the sums run over the lanes of
+    # two positions per uint64, which never carry since no byte passes 255
+    lanes = np.left_shift(np.uint32(1), codes << 3, dtype="<u4")
+    packed = np.add.reduceat(lanes.view("<u8"), starts, axis=0)
+    counts = packed.view(np.uint8).reshape(len(starts), OLIGO_NT, 4)
     if len(owner) > len(sizes):
         counts = np.add.reduceat(counts, first_piece, axis=0, dtype=np.int64)
     return counts.argmax(axis=2)

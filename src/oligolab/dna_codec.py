@@ -115,6 +115,12 @@ def seeds_to_base_indices(seeds: Sequence[int]) -> np.ndarray:
     return symbols_to_base_indices(np.array(seeds, dtype=">u4").reshape(-1, 1).view(np.uint8))
 
 
+def base_indices_to_seeds(indices: np.ndarray) -> np.ndarray:
+    """(..., 16) base codes -> (...) uint32 seeds, the inverse of seeds_to_base_indices."""
+    symbols = np.packbits(base_indices_to_bit_array(indices), axis=-1)
+    return symbols.view(">u4")[..., 0].astype(np.uint32)
+
+
 @dataclass(frozen=True)
 class Oligo:
     """One encoded 152-nt sequence."""
@@ -141,8 +147,7 @@ class Oligo:
 
     @property
     def seed_value(self) -> int:
-        symbols = base_indices_to_symbols(sequence_to_indices(self.seed_nt))
-        return int.from_bytes(bytes(symbols), "big")
+        return int(base_indices_to_seeds(sequence_to_indices(self.seed_nt)))
 
 
 def seed_to_bases(seed: int) -> str:

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import oligolab
 from oligolab.channel_stats import PoolIndex, levenshtein, quality_product
 from oligolab import pipeline
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -248,6 +252,31 @@ def test_decode_below_required_seeds_fails(simulated, tmp_path):
     assert code == EXIT_DECODE_FAIL
     rep = json.loads((outdir / "decode_report.json").read_text())
     assert rep["reason"].startswith("insufficient_clusters")
+
+
+_LOADS_SCIPY = """
+import sys
+from oligolab.cli import main
+code = main(sys.argv[1:])
+print(code, any(name.split(".")[0] == "scipy" for name in sys.modules))
+"""
+
+
+def test_only_the_soft_decode_loads_scipy(simulated, tmp_path):
+    # scipy serves BP alone, so a hard decode must run without importing it
+    src, enc, sim = simulated
+    env = {**os.environ, "PYTHONPATH": str(Path(oligolab.__file__).parents[1])}
+
+    def decode(decoder):
+        argv = ["decode", "--fastq", sim / "reads.fastq", "--seeds", enc / "seeds.txt",
+                "--manifest", enc / "manifest.json", "--outdir", tmp_path / decoder,
+                "--profile", "desk-scale", *TINY, "--set", f"decode.decoder={decoder}"]
+        out = subprocess.run([sys.executable, "-c", _LOADS_SCIPY, *map(str, argv)],
+                             env=env, capture_output=True, text=True, check=True)
+        return out.stdout.split()[-2:]
+
+    assert decode("hard") == [str(EXIT_OK), "False"]
+    assert decode("soft") == [str(EXIT_OK), "True"]
 
 
 def test_decode_missing_seed_table(simulated, tmp_path):

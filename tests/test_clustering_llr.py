@@ -1,7 +1,10 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oligolab import clustering_llr
 from oligolab.channel_stats import TransitionTable
@@ -15,9 +18,17 @@ from oligolab.clustering_llr import (
     majority_vote,
     read_prob_vectors,
 )
-from oligolab.dna_codec import assemble_oligo, encode_bases, indices_to_sequence, seed_to_bases
+from oligolab.dna_codec import (
+    assemble_oligo,
+    encode_bases,
+    indices_to_sequence,
+    indices_to_sequences,
+    seed_to_bases,
+)
 from oligolab.fastq_io import ReadRecord
 from oligolab.fountain import SeedSchedule
+
+import cluster_reference as ref
 
 
 def make_read(bases, q=30, rid="r0"):
@@ -53,14 +64,18 @@ def test_cluster_by_seed_discards(oligo_seq):
         make_read(seed_err),
         make_read(oligo_seq[:-1]),  # wrong length
         make_read("N" + oligo_seq[1:]),  # contains N
+        make_read(oligo_seq[:40] + "a" + oligo_seq[41:]),  # a letter outside ACGTN
     ]
     clusters, report = cluster_by_seed(reads, TABLE)
-    assert report.n_input == 4
+    assert report.n_input == 5
     assert report.n_seed_mismatch == 1
     assert report.n_wrong_length == 1
-    assert report.n_with_n == 1
+    assert report.n_with_n == 2
     assert report.n_retained == 1
     assert clusters[SEED5].size == 1
+    for bad in reads[2:]:
+        with pytest.raises(ValueError):
+            Cluster(seed=SEED5, members=[reads[0], bad])
 
 
 def test_worked_example_probabilities_and_llrs(oligo_seq):
@@ -204,7 +219,7 @@ def test_derive_crossover():
 
 def reference_vote(cluster):
     """One cluster's per-position majority by np.add.at, ties to the lowest base."""
-    codes = np.stack([encode_bases(m.bases) for m in cluster.members])
+    codes = cluster.codes
     m, n = codes.shape
     counts = np.zeros((n, 4), dtype=np.int64)
     np.add.at(counts, (np.tile(np.arange(n), m), codes.ravel()), 1)
@@ -256,7 +271,7 @@ def vote_clusters(rng):
 @pytest.mark.parametrize("chunk_reads", [None, 1, 50])
 def test_majority_vote_matches_per_cluster_reference(chunk_reads, monkeypatch):
     if chunk_reads is not None:
-        monkeypatch.setattr(clustering_llr, "_VOTE_CHUNK_READS", chunk_reads)
+        monkeypatch.setattr(clustering_llr, "_CHUNK_READS", chunk_reads)
     clusters = vote_clusters(np.random.default_rng(57))
     votes = majority_vote(clusters)
     assert votes.shape == (len(clusters), 152)
@@ -288,8 +303,7 @@ def test_seed_nt_mapping_against_table(oligo_seq):
     # every member of a cluster decodes its prefix to the cluster seed
     clusters, _ = cluster_by_seed([make_read(oligo_seq)], TABLE)
     for seed, cluster in clusters.items():
-        for member in cluster.members:
-            assert member.bases[:16] == seed_to_bases(seed)
+        assert indices_to_sequences(cluster.codes[:, :16]) == [seed_to_bases(seed)] * cluster.size
 
 
 def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
@@ -298,6 +312,93 @@ def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
     reads = [make_read(seed_to_bases(s) + "A" * 136, rid=str(i)) for i, s in enumerate(seeds)]
     clusters, report = cluster_by_seed(reads, seeds)
     assert report.n_retained == len(seeds)
-    assert [clusters[s].members[0].id for s in seeds] == [str(i) for i in range(len(seeds))]
+    assert list(clusters) == seeds
+    assert [indices_to_sequence(clusters[s].codes[0]) for s in seeds] == [r.bases for r in reads]
     with pytest.raises(ValueError):
         cluster_by_seed([], [2**32])
+
+
+# the 32-bit extremes and a few schedule seeds; prefixes drawn at random
+# almost never hit one of them, so they exercise the seed-mismatch path
+REF_SEEDS = [0, 2**32 - 1, *SeedSchedule.first_n(6).seeds]
+
+
+@st.composite
+def read_lists(draw):
+    """Reads of every discard kind, and at times one seed's cluster of more
+    than 255 reads scattered among them; the list may be empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = list(rng.choice(["ok", "ok", "ok", "length", "n", "prefix"], size=draw(st.integers(0, 80))))
+    kinds += ["big"] * draw(st.sampled_from([0, 0, 256, 300]))
+    reads = []
+    for i in rng.permutation(len(kinds)):
+        kind = kinds[i]
+        seed = REF_SEEDS[0 if kind == "big" else rng.integers(len(REF_SEEDS))]
+        if kind == "prefix":
+            seed = int(rng.integers(0, 2**32))
+        length = int(rng.choice([0, 16, 151, 153, 200])) if kind == "length" else 152
+        bases = list(seed_to_bases(seed) + indices_to_sequence(rng.integers(0, 4, size=136)))
+        bases = (bases * 2)[:length]
+        if kind == "n" or (kind == "length" and rng.random() < 0.3):
+            for pos in rng.choice(max(length, 1), size=int(rng.integers(1, 3))):
+                if pos < length:
+                    bases[pos] = "N"
+        q = rng.integers(0, 42, size=length, dtype=np.uint8)
+        reads.append(ReadRecord(id=str(len(reads)), bases="".join(bases), qscores=q))
+    table = TransitionTable.uniform()
+    for y in range(4):
+        others = [x for x in range(4) if x != y]
+        table.probs[:, y, others] = rng.dirichlet([1.0, 1.0, 1.0], size=152)
+    return reads, table
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(read_lists(), st.floats(1e-4, 0.3), st.sampled_from([1, 7, clustering_llr._CHUNK_READS]))
+def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
+    reads, table = drawn
+    want, want_report = ref.cluster_by_seed(reads, REF_SEEDS)
+    with mock.patch.object(clustering_llr, "_CHUNK_READS", chunk_reads):
+        got, got_report = cluster_by_seed(iter(reads), REF_SEEDS)
+        votes = majority_vote(list(got.values()))
+    assert got_report == want_report
+    assert list(got) == list(want)
+    for seed, w in want.items():
+        g = got[seed]
+        assert (g.seed, g.size) == (seed, w.size)
+        assert np.array_equal(g.codes, np.stack([encode_bases(m.bases) for m in w.members]))
+        assert np.array_equal(g.qscores, np.stack([m.qscores for m in w.members]))
+        for ours, theirs in [
+            (llr_proposed(g, table), ref.llr_proposed(w, table)),
+            (llr_chandak(g, crossover_p), ref.llr_chandak(w, crossover_p)),
+        ]:
+            assert np.array_equal(
+                ours.payload_llrs.view(np.uint64), theirs.payload_llrs.view(np.uint64)
+            )
+            assert np.array_equal(ours.rs_parity_hard, theirs.rs_parity_hard)
+    assert np.array_equal(votes, ref.majority_vote(list(want.values())))
+
+
+def test_cluster_by_seed_keeps_two_byte_rows_per_read():
+    """Clustering keeps a read's base codes and Q-scores, 304 bytes, and
+    little else: no read record outlives it."""
+    n_reads, n_seeds = 40_000, 2_000
+    sched = SeedSchedule.first_n(n_seeds)
+    prefixes = [seed_to_bases(s) for s in sched.seeds]
+    rng = np.random.default_rng(9)
+    bodies = [indices_to_sequence(rng.integers(0, 4, size=136)) for _ in range(64)]
+    quals = rng.integers(2, 42, size=(64, 152), dtype=np.uint8)
+
+    def reads():
+        for i in range(n_reads):
+            yield ReadRecord(
+                id=f"read{i}", bases=prefixes[i % n_seeds] + bodies[i % 64], qscores=quals[i % 64].copy()
+            )
+
+    tracemalloc.start()
+    try:
+        clusters, report = cluster_by_seed(reads(), sched)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_retained == n_reads and len(clusters) == n_seeds
+    assert live <= 1.5 * 2 * 152 * n_reads

@@ -9,6 +9,7 @@ from oligolab.dna_codec import (
     Oligo,
     assemble_oligo,
     base_indices_to_bit_array,
+    base_indices_to_seeds,
     base_indices_to_symbols,
     bit_array_to_base_indices,
     encode_bases,
@@ -73,6 +74,7 @@ def test_seed_layout_matches_reference(drawn):
     want = [ref.seed_to_bases(s) for s in seeds]
     assert [seed_to_bases(s) for s in seeds] == want
     assert indices_to_sequences(seeds_to_base_indices(seeds)) == want
+    assert base_indices_to_seeds(seeds_to_base_indices(seeds)).tolist() == seeds
     assert [Oligo(w, "A" * 128, "A" * 8).seed_value for w in want] == seeds
 
 

@@ -1,4 +1,4 @@
-"""Parity-check construction from active seeds and sum-product BP decoding.
+"""Parity-check construction from neighbor rows and sum-product BP decoding.
 
 Each active cluster contributes one check row: the XOR of its seed's
 source-bit neighbors and the cluster's own coded bit is zero, so the
@@ -32,7 +32,6 @@ the fountain's reach) stay at posterior 0 and are counted in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ class SparseParityMatrix:
     """
 
     n_info: int
-    row_seeds: tuple[int, ...]
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -70,18 +68,10 @@ class SparseParityMatrix:
         return int(self.indptr[r + 1] - self.indptr[r]) + 1
 
 
-def build_h(
-    active_seeds: Sequence[int],
-    rows: tuple[np.ndarray, np.ndarray],
-    params: SolitonParams,
-) -> SparseParityMatrix:
-    """One check row per active seed, in the order given, from its CSR neighbor rows."""
+def build_h(rows: tuple[np.ndarray, np.ndarray], params: SolitonParams) -> SparseParityMatrix:
+    """One check row per CSR neighbor row (indptr, indices), in the order given."""
     indptr, indices = rows
-    if len(indptr) - 1 != len(active_seeds):
-        raise ValueError(f"{len(active_seeds)} seeds but {len(indptr) - 1} neighbor rows")
-    return SparseParityMatrix(
-        n_info=params.k, row_seeds=tuple(active_seeds), indptr=indptr, indices=indices
-    )
+    return SparseParityMatrix(n_info=params.k, indptr=indptr, indices=indices)
 
 
 @dataclass

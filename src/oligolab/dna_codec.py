@@ -42,12 +42,15 @@ _PRIMED_NT = len(PRIMER_5) + OLIGO_NT + len(PRIMER_3)
 _BASE_BYTES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)  # code -> letter
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)  # letter -> code, 255 for anything else
 _CODE_LUT[_BASE_BYTES] = np.arange(len(BASES))
+_CODE_TABLE = _CODE_LUT.tobytes()  # the same map for bytes.translate
 
 
 def encode_bases(seq: str) -> np.ndarray:
     """ACGT string -> uint8 codes 0..3 (255 marks anything else)."""
-    # "replace" keeps one byte per character, so positions stay aligned
-    return _CODE_LUT[np.frombuffer(seq.encode("ascii", "replace"), dtype=np.uint8)]
+    # "replace" keeps one byte per character, so positions stay aligned;
+    # the bytearray copy makes the array writable
+    codes = bytearray(seq.encode("ascii", "replace").translate(_CODE_TABLE))
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
 def encode_base_matrix(seqs: Sequence[str], length: int) -> np.ndarray:

@@ -175,7 +175,6 @@ def _expand_chunk(
 def seed_expand(
     seeds: Sequence[int] | np.ndarray,
     params: SolitonParams,
-    dist: DegreeDistribution | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand seeds into CSR rows of sorted, distinct source-packet indices.
 
@@ -190,14 +189,13 @@ def seed_expand(
         raise ValueError("seed out of 32-bit range") from None
     if len(values) and (values.min() < 0 or values.max() >= _SEED_LIMIT):
         raise ValueError("seed out of 32-bit range")
-    if dist is None:
-        dist = robust_soliton(params)
+    cumulative = robust_soliton(params).cumulative
     k = params.k
     chunk = max(1, min(_CHUNK, (1 << 62) // (k * k)))  # keeps sort keys in int64
     degrees, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for at in range(0, len(values), chunk):
         degree, picked = _expand_chunk(
-            values[at : at + chunk].astype(np.uint64), k, dist.cumulative
+            values[at : at + chunk].astype(np.uint64), k, cumulative
         )
         degrees.append(degree)
         indices.append(picked)
@@ -260,7 +258,6 @@ def lt_encode(
     source_bits: np.ndarray,
     schedule: SeedSchedule | Sequence[int],
     params: SolitonParams,
-    dist: DegreeDistribution | None = None,
 ) -> np.ndarray:
     """XOR-combine source packets into coded packets, one per seed.
 
@@ -276,7 +273,7 @@ def lt_encode(
         raise ValueError(
             f"source must have shape ({params.k}, {PACKET_BITS}), got {source.shape}"
         )
-    indptr, indices = seed_expand(seeds, params, dist)
+    indptr, indices = seed_expand(seeds, params)
     words = np.packbits(source, axis=1).view(np.uint64)
     coded = np.bitwise_xor.reduceat(words[indices], indptr[:-1], axis=0)
     return np.unpackbits(coded.view(np.uint8), axis=1)

@@ -25,7 +25,6 @@ from .bp_decoder import bp_decode, build_h
 from .channel_stats import TransitionTable
 from .clustering_llr import (
     Cluster,
-    ClusterLlr,
     cluster_by_seed,
     llr_chandak,
     llr_proposed,
@@ -65,6 +64,8 @@ class PipelineParams:
             raise ValueError("n_re must be >= 0")
         if self.llr_mode not in ("proposed", "chandak"):
             raise ValueError(f"unknown llr_mode {self.llr_mode!r}")
+        if self.llr_mode == "chandak" and self.crossover_p is None:
+            raise ValueError("chandak llr_mode requires crossover_p")
         if self.decoder not in ("soft", "hard"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -243,16 +244,26 @@ def lt_erasure_solve(
     return info, resolved, consistent
 
 
-def _prepare_cluster_llrs(
-    clusters: Mapping[int, Cluster],
-    table: TransitionTable,
-    params: PipelineParams,
-) -> dict[int, ClusterLlr]:
-    if params.llr_mode == "chandak":
-        if params.crossover_p is None:
-            raise ValueError("chandak llr_mode requires crossover_p")
-        return {seed: llr_chandak(c, params.crossover_p) for seed, c in clusters.items()}
-    return {seed: llr_proposed(c, table) for seed, c in clusters.items()}
+def _rs_check(codes: np.ndarray, coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RS-decode every row of an (n, 152) base-code matrix, one word per row.
+
+    A correction in the payload symbols is written into that row of
+    `coded`, the (n, 256) coded bits. Returns the rows RS detected as
+    uncorrectable and the rows whose correction touched a seed symbol.
+    """
+    detected = np.zeros(len(codes), dtype=bool)
+    seed_corrected = np.zeros(len(codes), dtype=bool)
+    for r, word in enumerate(base_indices_to_symbols(codes)):
+        outcome = gf_rs.rs_decode(word)
+        if outcome.status == gf_rs.STATUS_DETECTED:
+            detected[r] = True
+        elif outcome.status == gf_rs.STATUS_CORRECTED:
+            positions = outcome.corrected_positions
+            seed_corrected[r] = any(p < SEED_SYMBOLS for p in positions)
+            if any(SEED_SYMBOLS <= p < SEED_SYMBOLS + PAYLOAD_SYMBOLS for p in positions):
+                fixed = symbols_to_base_indices(outcome.codeword)
+                coded[r] = base_indices_to_bit_array(fixed[PAYLOAD_SLICE])
+    return detected, seed_corrected
 
 
 def _solve_tail(
@@ -285,7 +296,6 @@ def iterative_soft_decode(
     table: TransitionTable,
     params: PipelineParams,
     expected_payload: np.ndarray | None = None,
-    cluster_llrs: Mapping[int, ClusterLlr] | None = None,
 ) -> DecodeReport:
     """BP-decode, RS-check, drop bad clusters, repeat (at most n_re redecodes)."""
     t_start = time.perf_counter()
@@ -298,8 +308,6 @@ def iterative_soft_decode(
         report.reason = f"insufficient_clusters: {len(clusters)} active < {k_required} required"
         report.timing["total_seconds"] = time.perf_counter() - t_start
         return report
-    if cluster_llrs is None:
-        cluster_llrs = _prepare_cluster_llrs(clusters, table, params)
     max_redecodes = params.n_re if params.redecoding_enabled else 0
 
     # per-cluster state in ascending seed order; `active` indexes its rows,
@@ -307,13 +315,17 @@ def iterative_soft_decode(
     order = sorted(clusters)
     seeds = np.array(order, dtype=np.int64)
     rows = fountain.seed_expand(seeds, params.soliton)  # the active clusters' rows
-    llrs = np.array(
-        [cluster_llrs[s].payload_llrs for s in order], dtype=np.float64
-    ).reshape(len(order), PAYLOAD_BITS)
+    if params.llr_mode == "chandak":
+        soft = [llr_chandak(clusters[s], params.crossover_p) for s in order]
+    else:
+        soft = [llr_proposed(clusters[s], table) for s in order]
+    llrs = np.array([c.payload_llrs for c in soft], dtype=np.float64).reshape(
+        len(order), PAYLOAD_BITS
+    )
     seed_codes = seeds_to_base_indices(order)
-    parity_codes = np.array(
-        [cluster_llrs[s].rs_parity_hard for s in order], dtype=np.uint8
-    ).reshape(len(order), PARITY_NT)
+    parity_codes = np.array([c.rs_parity_hard for c in soft], dtype=np.uint8).reshape(
+        len(order), PARITY_NT
+    )
     active = np.arange(len(seeds))
 
     round_idx = 0
@@ -323,7 +335,7 @@ def iterative_soft_decode(
                 f"insufficient_clusters: {len(active)} active < {k_required} required"
             )
             break
-        h = build_h(seeds[active].tolist(), rows, params.soliton)
+        h = build_h(rows, params.soliton)
         t_bp = time.perf_counter()
         bp = bp_decode(
             h,
@@ -337,25 +349,12 @@ def iterative_soft_decode(
         report.iterations_performed = round_idx + 1
 
         payload_codes = bit_array_to_base_indices(bp.coded_bits)
-        words = base_indices_to_symbols(
-            np.concatenate([seed_codes[active], payload_codes, parity_codes[active]], axis=1)
-        )
         coded = bp.coded_bits.astype(np.uint8)  # RS payload corrections go here
-        removed = np.zeros(len(active), dtype=bool)
-        seed_corrections = 0
-        for r, word in enumerate(words):
-            outcome = gf_rs.rs_decode(word)
-            if outcome.status == gf_rs.STATUS_DETECTED:
-                removed[r] = True
-            elif outcome.status == gf_rs.STATUS_CORRECTED:
-                if any(p < SEED_SYMBOLS for p in outcome.corrected_positions):
-                    removed[r] = True
-                    seed_corrections += 1
-                elif any(
-                    p < SEED_SYMBOLS + PAYLOAD_SYMBOLS for p in outcome.corrected_positions
-                ):
-                    fixed = symbols_to_base_indices(outcome.codeword)
-                    coded[r] = base_indices_to_bit_array(fixed[PAYLOAD_SLICE])
+        detected, seed_corrected = _rs_check(
+            np.concatenate([seed_codes[active], payload_codes, parity_codes[active]], axis=1),
+            coded,
+        )
+        removed = detected | seed_corrected
 
         if not removed.any():
             _solve_tail(report, rows, coded, params.soliton.k, expected_payload)
@@ -363,6 +362,7 @@ def iterative_soft_decode(
 
         report.clusters_discarded_per_round.append(int(removed.sum()))
         report.removed_seeds_per_round.append(seeds[active[removed]].tolist())
+        seed_corrections = int(seed_corrected.sum())
         report.seed_corrections_per_round.append(seed_corrections)
         report.clusters_with_seed_corrections_removed += seed_corrections
         if round_idx == max_redecodes:
@@ -393,17 +393,7 @@ def hard_decode_baseline(
     order = sorted(clusters)
     votes = majority_vote([clusters[s] for s in order])  # (n, 152) base indices
     coded = base_indices_to_bit_array(votes[:, PAYLOAD_SLICE])
-    keep = np.ones(len(order), dtype=bool)
-    for r, word in enumerate(base_indices_to_symbols(votes)):
-        outcome = gf_rs.rs_decode(word)
-        if outcome.status == gf_rs.STATUS_DETECTED:
-            keep[r] = False
-        elif any(
-            SEED_SYMBOLS <= p < SEED_SYMBOLS + PAYLOAD_SYMBOLS
-            for p in outcome.corrected_positions
-        ):
-            fixed = symbols_to_base_indices(outcome.codeword)
-            coded[r] = base_indices_to_bit_array(fixed[PAYLOAD_SLICE])
+    keep = ~_rs_check(votes, coded)[0]  # seed-corrected words are kept
     report.clusters_discarded_per_round = [int((~keep).sum())]
     report.active_clusters = int(keep.sum())
     if keep.any():
@@ -449,7 +439,7 @@ class SweepReport:
         return rows
 
 
-def _derive_no_redecode(on_report: DecodeReport) -> DecodeReport:
+def _no_redecode_outcome(on_report: DecodeReport) -> DecodeReport:
     """The redecoding-off outcome implied by a redecoding-on run.
 
     Both algorithms share a deterministic first round, so the off variant
@@ -469,7 +459,7 @@ def _derive_no_redecode(on_report: DecodeReport) -> DecodeReport:
             active_clusters=on_report.active_clusters,
             timing={"derived_from_redecoding_run": True},
         )
-    out = DecodeReport(
+    return DecodeReport(
         success=on_report.success,
         reason=on_report.reason,
         iterations_performed=min(on_report.iterations_performed, 1),
@@ -477,7 +467,6 @@ def _derive_no_redecode(on_report: DecodeReport) -> DecodeReport:
         active_clusters=on_report.active_clusters,
         timing={"derived_from_redecoding_run": True},
     )
-    return out
 
 
 def experiment_sweep(
@@ -489,7 +478,6 @@ def experiment_sweep(
     variants: Mapping[str, PipelineParams],
     rng_seed: int = 0,
     expected_payload: np.ndarray | None = None,
-    derive_no_redecode: bool = True,
     jobs: int = 1,
 ) -> SweepReport:
     """Random-subset success-count sweep; subsets are shared across variants.
@@ -500,7 +488,7 @@ def experiment_sweep(
     When a redecoding-off variant has a twin with equal params except
     redecoding_enabled, its outcome is derived from the twin's first round
     instead of re-running BP; the two computations are identical by
-    construction (set derive_no_redecode=False to force separate runs).
+    construction.
     jobs > 1 runs trials in a thread pool (the heavy lifting is in numpy,
     which releases the GIL); results merge by trial index, so the report
     does not depend on scheduling.
@@ -519,16 +507,15 @@ def experiment_sweep(
     wall_acc = {n: [0.0] * len(points) for n in names}
     retained = [0.0] * len(points)
 
+    on_by_params = {
+        p: n for n, p in variants.items() if p.decoder == "soft" and p.redecoding_enabled
+    }
     derived_from: dict[str, str] = {}
-    if derive_no_redecode:
-        on_by_params = {
-            p: n for n, p in variants.items() if p.decoder == "soft" and p.redecoding_enabled
-        }
-        for n, p in variants.items():
-            if p.decoder == "soft" and not p.redecoding_enabled:
-                twin = on_by_params.get(dataclasses.replace(p, redecoding_enabled=True))
-                if twin is not None:
-                    derived_from[n] = twin
+    for n, p in variants.items():
+        if p.decoder == "soft" and not p.redecoding_enabled:
+            twin = on_by_params.get(dataclasses.replace(p, redecoding_enabled=True))
+            if twin is not None:
+                derived_from[n] = twin
     run_order = [n for n in names if n not in derived_from] + list(derived_from)
 
     def run_trial(pi: int, point: int, t: int) -> tuple[dict[str, DecodeReport], dict[str, float], int]:
@@ -536,28 +523,17 @@ def experiment_sweep(
         idx = rng.choice(len(reads), size=point, replace=False)
         subset = [reads[i] for i in idx]
         clusters, disc = cluster_by_seed(subset, seed_table)
-        llr_cache: dict[tuple, dict[int, ClusterLlr]] = {}
         reports: dict[str, DecodeReport] = {}
         walls: dict[str, float] = {}
         for name in run_order:
             params = variants[name]
             t0 = time.perf_counter()
             if name in derived_from:
-                rep = _derive_no_redecode(reports[derived_from[name]])
+                rep = _no_redecode_outcome(reports[derived_from[name]])
             elif params.decoder == "hard":
                 rep = hard_decode_baseline(clusters, seed_table, params, expected_payload)
             else:
-                mode_key = (params.llr_mode, params.crossover_p)
-                if mode_key not in llr_cache:
-                    llr_cache[mode_key] = _prepare_cluster_llrs(clusters, table, params)
-                rep = iterative_soft_decode(
-                    clusters,
-                    seed_table,
-                    table,
-                    params,
-                    expected_payload,
-                    cluster_llrs=llr_cache[mode_key],
-                )
+                rep = iterative_soft_decode(clusters, seed_table, table, params, expected_payload)
             reports[name] = rep
             walls[name] = time.perf_counter() - t0
         return reports, walls, disc.n_retained

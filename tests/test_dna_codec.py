@@ -67,6 +67,16 @@ def test_sequence_to_indices_names_first_invalid_base():
         sequence_to_indices("ACéGN")
 
 
+def test_encode_bases_matches_table_lookup():
+    # every character 0-255 and a non-ASCII one, against a numpy table lookup
+    text = "".join(map(chr, range(256))) + "é" + "TGCA"
+    lookup = dna_codec._CODE_LUT[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    codes = encode_bases(text)
+    assert codes.dtype == np.uint8 and codes.flags.writeable
+    assert np.array_equal(codes, lookup)
+    assert np.array_equal(codes[-4:], [3, 2, 1, 0]) and (codes[:-4] != 255).sum() == 4
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(SEEDS, max_size=20))
 def test_seed_layout_matches_reference(drawn):

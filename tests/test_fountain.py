@@ -20,9 +20,9 @@ PAPER = SolitonParams(k=16050, c=0.025, delta=0.001)
 SMALL = SolitonParams(k=100, c=0.025, delta=0.001)
 
 
-def expand_rows(seeds, params, dist=None):
+def expand_rows(seeds, params):
     """The batched expansion as one neighbor array per seed."""
-    indptr, indices = seed_expand(seeds, params, dist)
+    indptr, indices = seed_expand(seeds, params)
     return np.split(indices, indptr[1:-1]) if len(seeds) else []
 
 
@@ -92,15 +92,13 @@ def test_required_symbols_small_instance_against_direct_summation():
 
 
 def test_seed_expand_deterministic():
-    dist = robust_soliton(SMALL)
     seeds = [0, 1, 12345, 0xFFFFFFFF]
-    for a, b in zip(expand_rows(seeds, SMALL, dist), expand_rows(seeds, SMALL, dist)):
+    for a, b in zip(expand_rows(seeds, SMALL), expand_rows(seeds, SMALL)):
         assert np.array_equal(a, b)
 
 
 def test_seed_expand_indices_distinct_and_in_range():
-    dist = robust_soliton(SMALL)
-    for nbrs in expand_rows(range(500), SMALL, dist):
+    for nbrs in expand_rows(range(500), SMALL):
         assert 1 <= len(nbrs) <= SMALL.k
         assert len(set(nbrs.tolist())) == len(nbrs)
         assert nbrs.min() >= 0 and nbrs.max() < SMALL.k
@@ -111,7 +109,7 @@ def test_seed_expand_degree_histogram_matches_distribution():
     params = SolitonParams(k=50, c=0.05, delta=0.05)
     dist = robust_soliton(params)
     n = 100_000
-    indptr, _ = seed_expand(range(n), params, dist)
+    indptr, _ = seed_expand(range(n), params)
     counts = np.bincount(np.diff(indptr) - 1, minlength=params.k)
     expected = dist.probabilities * n
     mask = expected >= 5
@@ -132,33 +130,30 @@ GOLDEN_VECTORS = {
 
 
 def test_seed_expand_golden_vectors():
-    dist = robust_soliton(GOLDEN_PARAMS)
-    rows = expand_rows(list(GOLDEN_VECTORS), GOLDEN_PARAMS, dist)
+    rows = expand_rows(list(GOLDEN_VECTORS), GOLDEN_PARAMS)
     for (seed, expected), got in zip(GOLDEN_VECTORS.items(), rows):
         assert got.tolist() == expected, f"seed {seed} expansion drifted"
 
 
 def test_lt_encode_degree_one_copies_neighbor():
     params = SolitonParams(k=10, c=0.1, delta=0.5)
-    dist = robust_soliton(params)
     rng = np.random.default_rng(3)
     source = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
     # find a degree-1 seed
-    rows = expand_rows(range(1000), params, dist)
+    rows = expand_rows(range(1000), params)
     seed = next(s for s in range(1000) if len(rows[s]) == 1)
     nbr = rows[seed][0]
-    coded = lt_encode(source, [seed], params, dist)
+    coded = lt_encode(source, [seed], params)
     assert np.array_equal(coded[0], source[nbr])
 
 
 def test_lt_encode_matches_bruteforce_xor():
     params = SolitonParams(k=10, c=0.1, delta=0.5)
-    dist = robust_soliton(params)
     rng = np.random.default_rng(5)
     source = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
     seeds = list(range(12))
-    coded = lt_encode(source, seeds, params, dist)
-    for row, nbrs in enumerate(expand_rows(seeds, params, dist)):
+    coded = lt_encode(source, seeds, params)
+    for row, nbrs in enumerate(expand_rows(seeds, params)):
         acc = np.zeros(256, dtype=np.uint8)
         for idx in nbrs:
             acc ^= source[idx]
@@ -272,7 +267,7 @@ SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 def test_seed_expand_matches_reference(params, seeds, repeats):
     seeds = seeds + seeds[:repeats]  # a batch may list a seed more than once
     dist = robust_soliton(params)
-    indptr, indices = seed_expand(seeds, params, dist)
+    indptr, indices = seed_expand(seeds, params)
     expected = [reference_expand(s, params, dist) for s in seeds]
     assert indptr.tolist() == np.cumsum([0] + [len(e) for e in expected]).tolist()
     assert indices.dtype == np.int64
@@ -289,7 +284,7 @@ def test_seed_expand_matches_reference_across_batches():
     # more seeds than one internal batch holds, at the paper's k
     seeds = SeedSchedule.first_n(5000).seeds
     dist = robust_soliton(PAPER)
-    for got, seed in zip(expand_rows(seeds, PAPER, dist), seeds):
+    for got, seed in zip(expand_rows(seeds, PAPER), seeds):
         assert np.array_equal(got, reference_expand(seed, PAPER, dist))
 
 

@@ -7,7 +7,14 @@ from oligolab import gf_rs, pipeline
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
 from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transitions
 from oligolab.clustering_llr import cluster_by_seed
-from oligolab.dna_codec import assemble_oligo
+from oligolab.dna_codec import (
+    SEED_SYMBOLS,
+    assemble_oligo,
+    base_indices_to_symbols,
+    indices_to_sequence,
+    sequence_to_indices,
+    symbols_to_base_indices,
+)
 from oligolab.fastq_io import ReadRecord
 from oligolab.fountain import (
     SeedSchedule,
@@ -405,6 +412,47 @@ def test_hard_baseline_discards_detected_clusters(encoded_world):
     assert rep.success
 
 
+def seed_miscorrected_read(seq, rid, rng):
+    """A high-Q read of seq with two symbol errors in payload or parity that
+    RS decodes as one correction inside the seed symbols."""
+    word = base_indices_to_symbols(sequence_to_indices(seq))
+    while True:
+        bad = list(word)
+        for p in rng.choice(np.arange(SEED_SYMBOLS, len(word)), size=2, replace=False):
+            bad[p] ^= int(rng.integers(1, 256))
+        outcome = gf_rs.rs_decode(bad)
+        if (
+            outcome.status == gf_rs.STATUS_CORRECTED
+            and outcome.corrected_positions[0] < SEED_SYMBOLS
+        ):
+            bases = indices_to_sequence(symbols_to_base_indices(bad))
+            return ReadRecord(id=rid, bases=bases, qscores=np.full(152, 40, dtype=np.uint8))
+
+
+def test_seed_correction_drops_soft_cluster_but_not_hard(encoded_world):
+    sched, source, coded, seqs = encoded_world
+    victim = 20
+    reads = clean_reads(seqs, per_oligo=1)
+    reads[victim] = seed_miscorrected_read(seqs[victim], "miscorrected", np.random.default_rng(8))
+    clusters, _ = cluster_by_seed(reads, sched)
+    assert len(clusters) == N_CODED
+    # one BP iteration leaves every coded bit at its channel sign, so the
+    # read's errors reach RS unchanged
+    soft = iterative_soft_decode(
+        clusters, sched, TransitionTable.uniform(),
+        PipelineParams(soliton=DESK, bp_max_iter=1), expected_payload=source,
+    )
+    assert soft.removed_seeds_per_round[0] == [sched.seeds[victim]]
+    assert soft.clusters_with_seed_corrections_removed == 1
+    assert soft.success
+    hard = hard_decode_baseline(
+        clusters, sched, PipelineParams(soliton=DESK, decoder="hard"),
+        expected_payload=source,
+    )
+    assert hard.clusters_discarded_per_round == [0]
+    assert hard.active_clusters == N_CODED
+
+
 def test_decode_report_mismatch_flagged(encoded_world):
     sched, source, coded, seqs = encoded_world
     clusters, _ = cluster_by_seed(clean_reads(seqs), sched)
@@ -418,12 +466,10 @@ def test_decode_report_mismatch_flagged(encoded_world):
     assert rep.reason == "payload_mismatch"
 
 
-def test_chandak_mode_requires_crossover(encoded_world):
-    sched, source, coded, seqs = encoded_world
-    clusters, _ = cluster_by_seed(clean_reads(seqs[:80]), sched)
-    params = PipelineParams(soliton=DESK, llr_mode="chandak")
-    with pytest.raises(ValueError):
-        iterative_soft_decode(clusters, sched, TransitionTable.uniform(), params)
+def test_chandak_mode_requires_crossover():
+    # refused when the params are built, before any decode
+    with pytest.raises(ValueError, match="requires crossover_p"):
+        PipelineParams(soliton=DESK, llr_mode="chandak")
 
 
 @pytest.fixture(scope="module")
@@ -491,19 +537,19 @@ def test_experiment_sweep_deterministic(noisy_world):
 
 def test_sweep_derived_no_redecode_matches_real_run(noisy_world):
     sched, source, seqs, reads, table = noisy_world
-    variants = {
-        "on": PipelineParams(soliton=DESK),
-        "off": PipelineParams(soliton=DESK, redecoding_enabled=False),
-    }
+    on = PipelineParams(soliton=DESK)
+    off = PipelineParams(soliton=DESK, redecoding_enabled=False)
+    # "off" is derived from its twin in the first sweep; alone, it runs BP.
+    # Subsets depend only on (rng_seed, point index, trial), so both see the same.
     derived = experiment_sweep(
-        reads, sched, table, [400, 650], trials=4, variants=variants,
-        rng_seed=13, expected_payload=source, derive_no_redecode=True,
+        reads, sched, table, [400, 650], trials=4, variants={"on": on, "off": off},
+        rng_seed=13, expected_payload=source,
     )
     real = experiment_sweep(
-        reads, sched, table, [400, 650], trials=4, variants=variants,
-        rng_seed=13, expected_payload=source, derive_no_redecode=False,
+        reads, sched, table, [400, 650], trials=4, variants={"off": off},
+        rng_seed=13, expected_payload=source,
     )
-    assert derived.successes == real.successes
+    assert derived.successes["off"] == real.successes["off"]
     assert derived.mean_rounds["off"] == real.mean_rounds["off"]
 
 

@@ -16,7 +16,7 @@ the source oligo reproduces the read bases exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -289,6 +289,9 @@ def simulate_pool(
     if not seqs:
         raise ValueError("empty oligo pool")
     fastq_path = Path(fastq_path)
+    if config.transition_bias is None:
+        # resolved once here rather than once per corrupt_batch call
+        config = replace(config, transition_bias=default_transition_bias())
     counts = sample_abundances(len(seqs), total_reads, config)
     stats = dict(subs=0, ins=0, dels=0, correct_len=0)
     serial = 0

@@ -28,6 +28,7 @@ from .dna_codec import (
     BASES,
     OLIGO_NT,
     SEED_NT,
+    base_indices_to_seeds,
     encode_base_matrix,
     encode_bases,
     sequence_to_indices,
@@ -35,6 +36,7 @@ from .dna_codec import (
 from .fastq_io import ReadRecord, phred_to_prob
 
 TABLE_VERSION = "transition-table v1"
+_CHUNK_READS = 20000  # reads per estimate_transitions step
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -110,12 +112,15 @@ class PoolIndex:
             raise ValueError(f"all pool oligos must be {OLIGO_NT} nt")
         self.sequences = list(sequences)
         self.codes = encode_base_matrix(self.sequences, OLIGO_NT)
+        if (self.codes > 3).any():
+            raise ValueError("pool oligos must be A/C/G/T only")
         self.base_counts = np.stack(
             [(self.codes == b).sum(axis=1) for b in range(4)], axis=1
         ).astype(np.int32)
-        self.seed_to_index: dict[str, int] = {}
-        for i, s in enumerate(self.sequences):
-            self.seed_to_index.setdefault(s[:SEED_NT], i)
+        # sorted distinct seeds, each with the first oligo that carries it
+        self.seeds, self.seed_oligo = np.unique(
+            base_indices_to_seeds(self.codes[:, :SEED_NT]), return_index=True
+        )
         limit = self.DMIN_POOL_LIMIT if dmin_pool_limit is None else dmin_pool_limit
         self._dmin: np.ndarray | None = None
         if len(sequences) <= limit:
@@ -147,11 +152,6 @@ class PoolIndex:
         return self._dmin
 
 
-def _bag_lower_bounds(read_counts: np.ndarray, pool: PoolIndex) -> np.ndarray:
-    # multiset (bag) distance / 2 lower-bounds edit distance
-    return np.abs(pool.base_counts - read_counts[None, :]).sum(axis=1) // 2
-
-
 def _exact_scan(read_codes: np.ndarray, pool: PoolIndex, upper: int | None) -> tuple[int, int]:
     """Exact argmin edit distance with lower-bound pruning; ties -> lowest index.
 
@@ -163,20 +163,22 @@ def _exact_scan(read_codes: np.ndarray, pool: PoolIndex, upper: int | None) -> t
     """
     codes_list = read_codes.tolist()
     counts = np.bincount(read_codes, minlength=4)[:4].astype(np.int32)
-    lbs = _bag_lower_bounds(counts, pool)
+    # multiset (bag) distance / 2 lower-bounds edit distance
+    lbs = np.abs(pool.base_counts - counts[None, :]).sum(axis=1) // 2
     ub = upper if upper is not None else len(read_codes) + OLIGO_NT
     rung = 2
     while True:
         start = min(rung, ub)
         best_d = np.iinfo(np.int32).max
         best_i = -1
-        for idx in range(len(pool)):
+        # an oligo whose bound exceeds start cannot be within any band of this rung
+        for idx in np.flatnonzero(lbs <= start).tolist():
             bound = min(start, best_d - 1) if best_i >= 0 else start
             if lbs[idx] > bound:
                 continue
             d = levenshtein_banded(codes_list, pool.codes_list(idx), bound)
             if d <= bound:
-                best_d, best_i = int(d), int(idx)
+                best_d, best_i = int(d), idx
         if best_i >= 0:
             return best_i, best_d
         if start >= ub:
@@ -184,43 +186,35 @@ def _exact_scan(read_codes: np.ndarray, pool: PoolIndex, upper: int | None) -> t
         rung *= 4
 
 
-def align_reads(
-    bases_list: Sequence[str], codes: np.ndarray, pool: PoolIndex
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Nearest pool oligo of each 152-nt ACGT read, ties to the lowest index.
+def align_reads(codes: np.ndarray, pool: PoolIndex) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nearest pool oligo of each read, ties to the lowest index.
 
-    codes is encode_base_matrix(bases_list, OLIGO_NT). Returns the aligned
+    codes is an (m, 152) matrix of A/C/G/T base codes. Returns the aligned
     oligo index and the Hamming distance to it per read, and the number of
     reads that took the exact scan.
     """
-    m = len(bases_list)
-    hams = np.empty(m, dtype=np.int64)
-    lookup = pool.seed_to_index
-    cand = np.full(m, -1, dtype=np.int64)
-    for r, bases in enumerate(bases_list):
-        hit = lookup.get(bases[:SEED_NT])
-        if hit is not None:
-            cand[r] = hit
-    have = cand >= 0
-    if have.any():
-        rows = np.nonzero(have)[0]
-        hams[rows] = (codes[rows] != pool.codes[cand[rows]]).sum(axis=1)
-    miss = np.nonzero(~have)[0]
-    if len(miss):
-        # no seed hit: take the hamming-nearest oligo as the candidate,
-        # in blocks sized to keep the comparison tensor small
-        block = max(1, 6_000_000 // (len(pool) * OLIGO_NT))
-        for lo in range(0, len(miss), block):
-            rows = miss[lo : lo + block]
-            hm = (codes[rows][:, None, :] != pool.codes[None, :, :]).sum(axis=2)
-            cand[rows] = hm.argmin(axis=1)
-            hams[rows] = hm.min(axis=1)
+    values = base_indices_to_seeds(codes[:, :SEED_NT])
+    at = np.searchsorted(pool.seeds, values).clip(max=len(pool.seeds) - 1)
+    have = pool.seeds[at] == values
+    cand = np.where(have, pool.seed_oligo[at], -1)
+    hams = np.empty(len(codes), dtype=np.int64)
+    rows = np.flatnonzero(have)
+    hams[rows] = (codes[rows] != pool.codes[cand[rows]]).sum(axis=1)
+    miss = np.flatnonzero(~have)
+    # no seed hit: take the hamming-nearest oligo as the candidate,
+    # in blocks sized to keep the comparison tensor small
+    block = max(1, 6_000_000 // (len(pool) * OLIGO_NT))
+    for lo in range(0, len(miss), block):
+        rows = miss[lo : lo + block]
+        hm = (codes[rows][:, None, :] != pool.codes[None, :, :]).sum(axis=2)
+        cand[rows] = hm.argmin(axis=1)
+        hams[rows] = hm.min(axis=1)
     if pool.dmin is not None:
         certified = 2 * hams < pool.dmin[cand]
     else:
         # without dmin only exact matches are certified without a scan
         certified = hams == 0
-    slow_rows = np.nonzero(~certified)[0]
+    slow_rows = np.flatnonzero(~certified)
     for r in slow_rows:
         idx, _ = _exact_scan(codes[r], pool, int(hams[r]))
         cand[r] = idx
@@ -277,6 +271,12 @@ class TransitionTable:
 
     @classmethod
     def load_tsv(cls, path: str | Path) -> "TransitionTable":
+        """Read a table written by save_tsv.
+
+        Every position 1..152 must give each off-diagonal (from, to) pair
+        exactly once; anything else raises ValueError.
+        """
+        seen = np.zeros((OLIGO_NT, 4, 4), dtype=bool)
         probs = np.zeros((OLIGO_NT, 4, 4))
         counts = np.zeros((OLIGO_NT, 4, 4), dtype=np.int64)
         denoms = np.zeros((OLIGO_NT, 4), dtype=np.int64)
@@ -292,16 +292,21 @@ class TransitionTable:
                     raise ValueError(f"malformed table row: {line!r}")
                 i = int(parts[0]) - 1
                 x, y = (sequence_to_indices(b).item() for b in parts[1:3])
+                if not 0 <= i < OLIGO_NT or x == y or seen[i, x, y]:
+                    raise ValueError(f"out-of-range or repeated table row: {line!r}")
+                seen[i, x, y] = True
                 counts[i, x, y] = int(parts[3])
                 denoms[i, x] = int(parts[4])
                 probs[i, y, x] = float(parts[5])
                 fallback[i, y] = bool(int(parts[6]))
+        if seen.sum() != OLIGO_NT * 12:
+            raise ValueError(f"table has {seen.sum()} of the {OLIGO_NT * 12} rows")
         return cls(probs=probs, counts=counts, denoms=denoms, fallback=fallback,
                    meta={"source": str(path)})
 
 
 class TransitionEstimator:
-    """Chunked f/N accumulator over aligned reads."""
+    """f/N accumulator over aligned reads."""
 
     def __init__(self, pool: PoolIndex):
         self.pool = pool
@@ -312,55 +317,38 @@ class TransitionEstimator:
         self.reads_conditioned = 0
         self.slow_path_reads = 0
         self.mismatch_histogram: dict[int, int] = {}
-        self._onehot = np.stack(
-            [(pool.codes == b) for b in range(4)], axis=2
-        ).astype(np.int64)
 
-    def add_reads(
-        self, reads: Iterable[ReadRecord | str], chunk_size: int = 20000
-    ) -> list[tuple[ReadRecord | str, int]]:
+    def add_reads(self, reads: Iterable[ReadRecord | str]) -> list[tuple[ReadRecord | str, int]]:
         """Count the reads in; return (read, position_errors) of those conditioned on.
 
-        Reads that are not 152 nt or contain N are skipped and counted.
+        Reads that are not 152 nt of A/C/G/T are skipped and counted, the
+        reads that `cluster_by_seed` discards before the seed check.
         """
-        conditioned: list[tuple[ReadRecord | str, int]] = []
-        chunk: list[ReadRecord | str] = []
-        for read in reads:
-            bases = read.bases if isinstance(read, ReadRecord) else read
-            self.reads_seen += 1
-            if len(bases) != OLIGO_NT or "N" in bases:
-                self.reads_skipped += 1
-                continue
-            chunk.append(read)
-            if len(chunk) >= chunk_size:
-                conditioned += self._add_chunk(chunk)
-                chunk = []
-        if chunk:
-            conditioned += self._add_chunk(chunk)
-        return conditioned
-
-    def _add_chunk(self, chunk: list[ReadRecord | str]) -> list[tuple[ReadRecord | str, int]]:
-        bases_list = [r.bases if isinstance(r, ReadRecord) else r for r in chunk]
-        codes = encode_base_matrix(bases_list, OLIGO_NT)
-        aligned, hams, n_slow = align_reads(bases_list, codes, self.pool)
+        reads = list(reads)
+        bases = [r.bases if isinstance(r, ReadRecord) else r for r in reads]
+        full = np.flatnonzero(np.fromiter(map(len, bases), dtype=np.intp) == OLIGO_NT)
+        codes = encode_base_matrix([bases[r] for r in full.tolist()], OLIGO_NT)
+        acgt = (codes <= 3).all(axis=1)
+        kept, codes = full[acgt], codes[acgt]
+        self.reads_seen += len(reads)
+        self.reads_skipped += len(reads) - len(kept)
+        aligned, hams, n_slow = align_reads(codes, self.pool)
         self.slow_path_reads += n_slow
 
         for d, c in zip(*np.unique(hams, return_counts=True)):
             self.mismatch_histogram[int(d)] = self.mismatch_histogram.get(int(d), 0) + int(c)
 
-        sel = np.nonzero(hams >= 1)[0]
-        if not len(sel):
-            return []
+        sel = np.flatnonzero(hams >= 1)
         self.reads_conditioned += len(sel)
-        sub_codes = codes[sel]
-        sub_pool = self.pool.codes[aligned[sel]]
-        mm = sub_codes != sub_pool
-        rr, pos = np.nonzero(mm)
-        np.add.at(self.counts, (pos, sub_pool[rr, pos], sub_codes[rr, pos]), 1)
-        per_oligo = np.bincount(aligned[sel], minlength=len(self.pool)).astype(np.int64)
-        used = np.nonzero(per_oligo)[0]
-        self.denoms += np.tensordot(per_oligo[used], self._onehot[used], axes=(0, 0))
-        return list(zip([chunk[r] for r in sel], hams[sel].tolist()))
+        read_codes, oligo_codes = codes[sel], self.pool.codes[aligned[sel]]
+        # cell (i, x) = position i of the aligned oligo holding base x
+        cells = np.arange(OLIGO_NT) * 4 + oligo_codes
+        self.denoms += np.bincount(cells.ravel(), minlength=OLIGO_NT * 4).reshape(OLIGO_NT, 4)
+        mm = read_codes != oligo_codes
+        self.counts += np.bincount(
+            cells[mm] * 4 + read_codes[mm], minlength=OLIGO_NT * 16
+        ).reshape(OLIGO_NT, 4, 4)
+        return list(zip([reads[r] for r in kept[sel].tolist()], hams[sel].tolist()))
 
     def finish(self) -> TransitionTable:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -394,12 +382,11 @@ class TransitionEstimator:
 def estimate_transitions(
     reads: Iterable[ReadRecord | str],
     pool: PoolIndex | Sequence[str],
-    chunk_size: int = 20000,
     on_conditioned: Callable[[list[tuple[ReadRecord | str, int]]], None] | None = None,
 ) -> TransitionTable:
     """Build the transition table from reads aligned to the encoded pool.
 
-    Reads are taken chunk_size at a time. on_conditioned, if given, gets
+    Reads are taken _CHUNK_READS at a time. on_conditioned, if given, gets
     each chunk's (read, position_errors) pairs of the reads conditioned on,
     in read order, before the next chunk is read.
     """
@@ -407,8 +394,8 @@ def estimate_transitions(
         pool = PoolIndex(pool)
     est = TransitionEstimator(pool)
     it = iter(reads)
-    while chunk := list(islice(it, chunk_size)):
-        conditioned = est.add_reads(chunk, chunk_size=chunk_size)
+    while chunk := list(islice(it, _CHUNK_READS)):
+        conditioned = est.add_reads(chunk)
         if on_conditioned is not None:
             on_conditioned(conditioned)
     return est.finish()

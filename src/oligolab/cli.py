@@ -103,7 +103,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         oligos = read_fasta(args.pool)
     channel = channel_from(cfg)
     with user_input("experiment config"):
-        total = args.reads if args.reads else int(cfg["experiment"]["total_reads"])
+        total = args.reads if args.reads is not None else int(cfg["experiment"]["total_reads"])
     if total < 1:
         raise ConfigError(f"the read count must be >= 1, got {total}")
     outdir = Path(args.outdir)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import align_reference as ref
+from oligolab import channel_stats
 from oligolab.channel_sim import ChannelConfig, corrupt_batch, default_transition_bias
 from oligolab.channel_stats import (
     PoolIndex,
@@ -36,7 +39,7 @@ def brute_force_align(bases, pool):
 
 
 def align(reads, pool):
-    aligned, hams, _ = align_reads(reads, encode_base_matrix(reads, 152), pool)
+    aligned, hams, _ = align_reads(encode_base_matrix(reads, 152), pool)
     return list(zip(aligned.tolist(), hams.tolist()))
 
 
@@ -131,6 +134,73 @@ def test_empty_pool_rejected():
         PoolIndex([])
 
 
+def test_pool_outside_acgt_rejected(pool):
+    with pytest.raises(ValueError):
+        PoolIndex([pool.sequences[0], "N" + pool.sequences[1][1:]])
+
+
+def _edit_read(src: str, kind: str, rng: np.random.Generator) -> str:
+    """One read of src carrying one kind of channel error."""
+    codes = encode_bases(src).tolist()
+
+    def sub(lo, hi, count):
+        for i in rng.choice(np.arange(lo, hi), size=count, replace=False).tolist():
+            codes[i] = (codes[i] + 1 + int(rng.integers(3))) % 4
+
+    if kind == "sub":
+        sub(0, 152, int(rng.integers(1, 6)))
+    elif kind == "seed":
+        sub(0, 16, int(rng.integers(1, 3)))
+    elif kind in ("indel", "long"):
+        codes.insert(int(rng.integers(153)), int(rng.integers(4)))
+    if kind in ("indel", "short"):
+        del codes[int(rng.integers(len(codes)))]
+    read = "".join("ACGT"[c] for c in codes)
+    if kind == "n":
+        i = int(rng.integers(152))
+        read = read[:i] + "N" + read[i + 1 :]
+    return read
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n_oligos=st.sampled_from([1, 2, 7, PoolIndex.DMIN_POOL_LIMIT + 2]),
+    shared_prefix=st.booleans(),
+    reads=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["clean", "sub", "seed", "indel", "short", "long", "n"]),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_alignment_and_table_match_reference(n_oligos, shared_prefix, reads, seed):
+    rng = np.random.default_rng(seed)
+    seqs = ["".join("ACGT"[c] for c in row) for row in rng.integers(0, 4, (n_oligos, 152))]
+    if shared_prefix and n_oligos > 1:
+        # the first oligo with a prefix wins the seed lookup
+        seqs[-1] = seqs[0][:16] + seqs[-1][16:]
+    bases = [_edit_read(seqs[i % n_oligos], kind, rng) for i, kind in reads]
+    pool, ref_pool = PoolIndex(seqs), ref.PoolIndex(seqs)
+    assert (pool.dmin is None) == (n_oligos > PoolIndex.DMIN_POOL_LIMIT)
+
+    valid = [b for b in bases if len(b) == 152 and "N" not in b]
+    codes = encode_base_matrix(valid, 152)
+    got, want = align_reads(codes, pool), ref.align_reads(valid, codes, ref_pool)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+    est, ref_est = TransitionEstimator(pool), ref.TransitionEstimator(ref_pool)
+    assert est.add_reads(bases) == ref_est.add_reads(bases)
+    table, ref_table = est.finish(), ref_est.finish()
+    assert np.array_equal(table.probs.view(np.uint64), ref_table.probs.view(np.uint64))
+    for name in ("counts", "denoms", "fallback"):
+        assert np.array_equal(getattr(table, name), getattr(ref_table, name))
+    assert table.meta == ref_table.meta
+
+
 def test_error_free_reads_give_uniform_fallback(pool):
     table = estimate_transitions(pool.sequences * 3, pool)
     assert table.fallback.all()
@@ -138,19 +208,41 @@ def test_error_free_reads_give_uniform_fallback(pool):
     assert table.counts.sum() == 0
 
 
-def test_add_reads_returns_conditioned_reads_in_order(pool):
-    def substitute(seq, positions):
-        out = list(seq)
-        for i in positions:
-            out[i] = "A" if out[i] != "A" else "C"
-        return "".join(out)
+def substitute(seq, positions):
+    out = list(seq)
+    for i in positions:
+        out[i] = "A" if out[i] != "A" else "C"
+    return "".join(out)
 
+
+def test_add_reads_returns_conditioned_reads_in_order(pool):
     one = substitute(pool.sequences[1], [60])
     two = substitute(pool.sequences[9], [3, 100])
     est = TransitionEstimator(pool)
-    got = est.add_reads([pool.sequences[0], one, "ACGT", "N" * 152, two], chunk_size=2)
+    got = est.add_reads([pool.sequences[0], one, "ACGT", "N" * 152, two])
     assert got == [(one, 1), (two, 2)]
     assert (est.reads_seen, est.reads_skipped, est.reads_conditioned) == (5, 2, 2)
+
+
+def test_on_conditioned_gets_each_chunk_in_read_order(pool, monkeypatch):
+    monkeypatch.setattr(channel_stats, "_CHUNK_READS", 2)
+    one = substitute(pool.sequences[1], [60])
+    two = substitute(pool.sequences[9], [3, 100])
+    three = substitute(pool.sequences[4], [151])
+    calls = []
+    table = estimate_transitions(
+        [pool.sequences[0], one, "ACGT", "N" * 152, two, three], pool, on_conditioned=calls.append
+    )
+    assert calls == [[(one, 1)], [], [(two, 2), (three, 1)]]
+    assert (table.meta["reads_seen"], table.meta["reads_skipped"]) == (6, 2)
+
+
+def test_read_with_a_letter_outside_acgt_is_skipped(pool):
+    src = pool.sequences[2]
+    read = src[:50] + "a" + src[51:]
+    est = TransitionEstimator(pool)
+    assert est.add_reads([read, ReadRecord("r", read, np.full(152, 30, np.uint8)), src]) == []
+    assert (est.reads_seen, est.reads_skipped, est.reads_conditioned) == (3, 2, 0)
 
 
 def test_single_constructed_error_counted(pool):

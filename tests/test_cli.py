@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import oligolab
-from oligolab.channel_stats import PoolIndex, levenshtein, quality_product
+from oligolab.channel_stats import PoolIndex, TransitionTable, levenshtein, quality_product
 from oligolab import pipeline
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oligolab.config import ConfigError, PROFILES, load_config, pipeline_params_from, soliton_from
@@ -391,6 +391,41 @@ def test_out_of_range_seed_table_is_a_config_error(simulated, tmp_path, capsys, 
     argv[argv.index(enc / "seeds.txt")] = seeds
     assert run(argv) == EXIT_USAGE
     assert "out of 32-bit range" in capsys.readouterr().err
+
+
+def _position_zero(rows):
+    return ["0" + rows[0][1:], *rows[1:]]
+
+
+def _position_153(rows):
+    return [*rows, "153" + rows[-1][3:]]
+
+
+def _truncated(rows):
+    return rows[:-12]
+
+
+@pytest.mark.parametrize("edit", [_position_zero, _position_153, _truncated])
+def test_malformed_transition_table_is_a_config_error(simulated, tmp_path, capsys, edit):
+    src, enc, sim = simulated
+    good = tmp_path / "good.tsv"
+    TransitionTable.uniform().save_tsv(good)
+    header, columns, *rows = good.read_text().splitlines()
+    assert rows[0].startswith("1\t") and rows[-1].startswith("152\t")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join([header, columns, *edit(rows)]) + "\n")
+    outdir = tmp_path / "d"
+    assert run(decode_argv(enc, sim, outdir, "--transition", bad)) == EXIT_USAGE
+    assert "transition table" in capsys.readouterr().err
+    assert not (outdir / "decode_report.json").exists()
+
+
+def test_simulate_zero_reads_is_a_config_error(encoded, tmp_path):
+    src, enc = encoded
+    outdir = tmp_path / "sim0"
+    assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", outdir,
+                "--reads", 0, "--profile", "desk-scale"]) == EXIT_USAGE
+    assert not (outdir / "reads.fastq").exists()
 
 
 def test_experiment_sampling_point_beyond_total_reads_is_a_config_error(tmp_path):

@@ -7,12 +7,14 @@ position and observed base, the three source-base probabilities are the
 per-source mismatch rates normalized to sum to 1. Positions with no
 observed transitions fall back to uniform 1/3 and are flagged.
 
-Alignment is exact but accelerated: a read whose seed region matches a
-pool seed is compared against that oligo, any other read against its
-Hamming-nearest oligo. A metric-ball argument (2 * hamming < min pairwise
-pool distance), or an exact match, certifies that candidate without
-scanning; everything else goes through a pruned exact scan, so results are
-identical to brute force including the tie rule.
+Alignment is exact but accelerated. A read's candidate is the oligo whose
+seed its seed region matches or, in pools small enough to know their
+minimum pairwise distance, its Hamming-nearest oligo; an exact match, or
+2 * hamming < that distance, certifies it. The other reads of a chunk go
+through one exact scan: a batched banded edit-distance kernel over every
+(read, oligo) pair within the bag-distance lower bound, at bands 2, 8, 32,
+...; each read keeps its smallest distance, ties to the lowest index, as
+brute force would. The same kernel at full band gives the pool distances.
 """
 
 from __future__ import annotations
@@ -30,73 +32,59 @@ from .dna_codec import (
     SEED_NT,
     base_indices_to_seeds,
     encode_base_matrix,
-    encode_bases,
+    encode_bases,  # noqa: F401  (re-exported)
     sequence_to_indices,
 )
 from .fastq_io import ReadRecord, phred_to_prob
 
 TABLE_VERSION = "transition-table v1"
 _CHUNK_READS = 20000  # reads per estimate_transitions step
+_PAIR_BLOCK = 16384  # (read, oligo) pairs per _edit_distance call in _exact_scan
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Exact edit distance, row-vectorized DP."""
-    ca = encode_bases(a).astype(np.int32)
-    cb = encode_bases(b).astype(np.int32)
-    m = len(cb)
-    prev = np.arange(m + 1, dtype=np.int32)
-    idx = np.arange(m + 1, dtype=np.int32)
-    cur = np.empty(m + 1, dtype=np.int32)
-    for i, ch in enumerate(ca):
-        cur[0] = i + 1
-        np.minimum(prev[:-1] + (cb != ch), prev[1:] + 1, out=cur[1:])
-        # settle the left-to-right insertion chain in one accumulate pass
-        chain = np.minimum.accumulate(cur - idx) + idx
-        np.minimum(cur, chain, out=cur)
-        prev, cur = cur, prev
-    return int(prev[m])
+def _edit_distance(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
+    """Edit distance of each row pair of two (P, n) base-code matrices.
 
-
-def levenshtein_banded(a_codes, b_codes, cutoff: int) -> int:
-    """Edit distance if <= cutoff, else cutoff + 1 (Ukkonen band)."""
-    n = len(a_codes)
-    m = len(b_codes)
-    if abs(n - m) > cutoff:
-        return cutoff + 1
-    if isinstance(a_codes, np.ndarray):
-        a_codes = a_codes.tolist()
-    if isinstance(b_codes, np.ndarray):
-        b_codes = b_codes.tolist()
-    big = cutoff + 1
-    # prev[d] holds row value at column i - 1 + (d - cutoff) for row i - 1
-    width = 2 * cutoff + 1
-    prev = [big] * width
-    for j in range(cutoff + 1):
-        if j <= m:
-            prev[cutoff + j] = j
+    A pair whose distance exceeds band gets band + 1. Only the cells within
+    band of the diagonal are kept (Ukkonen), and a pair leaves the batch
+    once every cell of its band row exceeds band: distances never fall
+    along a DP path.
+    """
+    n_pairs, n = a.shape
+    w, width = band, 2 * band + 1
+    out = np.full(n_pairs, band + 1, dtype=np.int16)
+    # cell k of DP row i holds column j = i + k - w, which compares a[i - 1]
+    # with b[j - 1] = bpad[i - 1 + k]; columns outside 0..n stay at the cap
+    bpad = np.full((n_pairs, n + 2 * w), 4, dtype=np.uint8)
+    bpad[:, w : w + n] = b
+    k = np.arange(width, dtype=np.int16)
+    live = np.arange(n_pairs)
+    prev = np.where((k >= w) & (k <= w + n), k - w, w + 1).astype(np.int16)
+    prev = np.broadcast_to(prev, (n_pairs, width))
     for i in range(1, n + 1):
-        cur = [big] * width
-        lo = max(1, i - cutoff)
-        hi = min(m, i + cutoff)
-        if i - cutoff <= 0:
-            cur[cutoff - i] = i
-        ai = a_codes[i - 1]
-        best = big
-        for j in range(lo, hi + 1):
-            d = j - i + cutoff
-            sub = prev[d] + (ai != b_codes[j - 1])
-            dele = prev[d + 1] + 1 if d + 1 < width else big
-            ins = cur[d - 1] + 1 if d - 1 >= 0 else big
-            v = sub if sub < dele else dele
-            if ins < v:
-                v = ins
-            cur[d] = v
-            if v < best:
-                best = v
-        if best > cutoff and (i - cutoff > 0 or cur[cutoff - i] > cutoff):
-            return big
+        lo, hi = max(0, w - i), min(width, w + n - i + 1)
+        cur = prev + (bpad[:, i - 1 : i - 1 + width] != a[:, i - 1 : i])
+        np.minimum(cur[:, :-1], prev[:, 1:] + 1, out=cur[:, :-1])
+        if i <= w:
+            cur[:, lo] = i  # column 0
+        seg = cur[:, lo:hi]
+        # settle the left-to-right insertion chain in one accumulate pass
+        np.minimum(seg, np.minimum.accumulate(seg - k[: hi - lo], axis=1) + k[: hi - lo], out=seg)
+        cur[:, :lo] = cur[:, hi:] = w + 1
+        np.minimum(cur, w + 1, out=cur)
+        keep = cur.min(axis=1) <= w
+        if not keep.all():
+            live, a, bpad, cur = live[keep], a[keep], bpad[keep], cur[keep]
         prev = cur
-    return min(prev[m - n + cutoff], big)
+        if not len(live):
+            break
+    out[live] = prev[:, w]
+    return out
+
+
+def _base_counts(codes: np.ndarray) -> np.ndarray:
+    """(m, 4) count of each base per row of a base-code matrix."""
+    return np.stack([(codes == b).sum(axis=1) for b in range(4)], axis=1).astype(np.int16)
 
 
 class PoolIndex:
@@ -114,9 +102,7 @@ class PoolIndex:
         self.codes = encode_base_matrix(self.sequences, OLIGO_NT)
         if (self.codes > 3).any():
             raise ValueError("pool oligos must be A/C/G/T only")
-        self.base_counts = np.stack(
-            [(self.codes == b).sum(axis=1) for b in range(4)], axis=1
-        ).astype(np.int32)
+        self.base_counts = _base_counts(self.codes)
         # sorted distinct seeds, each with the first oligo that carries it
         self.seeds, self.seed_oligo = np.unique(
             base_indices_to_seeds(self.codes[:, :SEED_NT]), return_index=True
@@ -125,26 +111,16 @@ class PoolIndex:
         self._dmin: np.ndarray | None = None
         if len(sequences) <= limit:
             self._dmin = self._pairwise_dmin()
-        self._codes_lists: list[list[int]] | None = None
-
-    def codes_list(self, idx: int) -> list[int]:
-        if self._codes_lists is None:
-            self._codes_lists = [row.tolist() for row in self.codes]
-        return self._codes_lists[idx]
 
     def __len__(self) -> int:
         return len(self.sequences)
 
     def _pairwise_dmin(self) -> np.ndarray:
-        n = len(self.sequences)
-        dmin = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = levenshtein(self.sequences[i], self.sequences[j])
-                if d < dmin[i]:
-                    dmin[i] = d
-                if d < dmin[j]:
-                    dmin[j] = d
+        i, j = np.triu_indices(len(self), 1)
+        d = _edit_distance(self.codes[i], self.codes[j], OLIGO_NT)
+        dmin = np.full(len(self), np.iinfo(np.int32).max, dtype=np.int32)
+        np.minimum.at(dmin, i, d)
+        np.minimum.at(dmin, j, d)
         return dmin
 
     @property
@@ -152,38 +128,51 @@ class PoolIndex:
         return self._dmin
 
 
-def _exact_scan(read_codes: np.ndarray, pool: PoolIndex, upper: int | None) -> tuple[int, int]:
-    """Exact argmin edit distance with lower-bound pruning; ties -> lowest index.
+def _exact_scan(codes: np.ndarray, pool: PoolIndex, upper: np.ndarray) -> np.ndarray:
+    """Nearest oligo of each row by edit distance, ties to the lowest index.
 
-    Scans in ascending index order so the first oligo achieving the minimum
-    wins ties; once a best is set, later oligos must beat it strictly. The
-    band cutoff escalates from small values because the nearest oligo is
-    usually very close in edit distance even when hamming distance is large
-    (length-preserving indel bursts); a failed rung just widens the band.
+    upper[r] bounds row r's edit distance to the pool (its Hamming distance
+    to some oligo, or 152). The band escalates from small values because
+    the nearest oligo is usually very close in edit distance even when the
+    Hamming distance is large (length-preserving indel bursts): at each
+    rung every (row, oligo) pair within the bag-distance lower bound goes
+    through one batched kernel, and a row that found nothing widens its band.
     """
-    codes_list = read_codes.tolist()
-    counts = np.bincount(read_codes, minlength=4)[:4].astype(np.int32)
-    # multiset (bag) distance / 2 lower-bounds edit distance
-    lbs = np.abs(pool.base_counts - counts[None, :]).sum(axis=1) // 2
-    ub = upper if upper is not None else len(read_codes) + OLIGO_NT
+    counts = _base_counts(codes)
+    nearest = np.full(len(codes), -1, dtype=np.int64)
+    todo = np.arange(len(codes))
     rung = 2
-    while True:
-        start = min(rung, ub)
-        best_d = np.iinfo(np.int32).max
-        best_i = -1
-        # an oligo whose bound exceeds start cannot be within any band of this rung
-        for idx in np.flatnonzero(lbs <= start).tolist():
-            bound = min(start, best_d - 1) if best_i >= 0 else start
-            if lbs[idx] > bound:
-                continue
-            d = levenshtein_banded(codes_list, pool.codes_list(idx), bound)
-            if d <= bound:
-                best_d, best_i = int(d), idx
-        if best_i >= 0:
-            return best_i, best_d
-        if start >= ub:
+    while len(todo):
+        start = np.minimum(rung, upper[todo])
+        # the multiset (bag) distance halved and rounded down lower-bounds
+        # the edit distance; built in row blocks, never as one (rows, pool) array
+        rows, oligos = [], []
+        block = max(1, 1_000_000 // len(pool))
+        for lo in range(0, len(todo), block):
+            c = counts[todo[lo : lo + block]]
+            bag = sum(np.abs(c[:, b, None] - pool.base_counts[:, b]) for b in range(4))
+            r, o = np.nonzero(bag <= 2 * start[lo : lo + block, None] + 1)
+            rows.append(r + lo)
+            oligos.append(o)
+        r, o = np.concatenate(rows), np.concatenate(oligos)
+        d = np.empty(len(r), dtype=np.int16)
+        band = int(start.max())
+        for lo in range(0, len(r), _PAIR_BLOCK):
+            part = slice(lo, lo + _PAIR_BLOCK)
+            d[part] = _edit_distance(codes[todo[r[part]]], pool.codes[o[part]], band)
+        hit = d <= start[r]
+        r, o, d = r[hit], o[hit], d[hit]
+        # per row: the smallest distance, then the lowest oligo index
+        order = np.lexsort((o, d, r))
+        found, first = np.unique(r[order], return_index=True)
+        nearest[todo[found]] = o[order[first]]
+        left = np.ones(len(todo), dtype=bool)
+        left[found] = False
+        if (start[left] >= upper[todo[left]]).any():
             raise AssertionError("exact scan found no oligo within the upper bound")
+        todo = todo[left]
         rung *= 4
+    return nearest
 
 
 def align_reads(codes: np.ndarray, pool: PoolIndex) -> tuple[np.ndarray, np.ndarray, int]:
@@ -201,25 +190,26 @@ def align_reads(codes: np.ndarray, pool: PoolIndex) -> tuple[np.ndarray, np.ndar
     rows = np.flatnonzero(have)
     hams[rows] = (codes[rows] != pool.codes[cand[rows]]).sum(axis=1)
     miss = np.flatnonzero(~have)
-    # no seed hit: take the hamming-nearest oligo as the candidate,
-    # in blocks sized to keep the comparison tensor small
-    block = max(1, 6_000_000 // (len(pool) * OLIGO_NT))
-    for lo in range(0, len(miss), block):
-        rows = miss[lo : lo + block]
-        hm = (codes[rows][:, None, :] != pool.codes[None, :, :]).sum(axis=2)
-        cand[rows] = hm.argmin(axis=1)
-        hams[rows] = hm.min(axis=1)
-    if pool.dmin is not None:
-        certified = 2 * hams < pool.dmin[cand]
-    else:
-        # without dmin only exact matches are certified without a scan
+    if pool.dmin is None:
+        # without dmin only exact matches are certified without a scan, and
+        # a read with no seed hit matches no oligo: 152 bounds its distance
+        hams[miss] = OLIGO_NT
         certified = hams == 0
-    slow_rows = np.flatnonzero(~certified)
-    for r in slow_rows:
-        idx, _ = _exact_scan(codes[r], pool, int(hams[r]))
-        cand[r] = idx
-        hams[r] = (codes[r] != pool.codes[idx]).sum()
-    return cand, hams, len(slow_rows)
+    else:
+        # no seed hit: take the hamming-nearest oligo as the candidate,
+        # in blocks sized to keep the comparison tensor small
+        block = max(1, 6_000_000 // (len(pool) * OLIGO_NT))
+        for lo in range(0, len(miss), block):
+            rows = miss[lo : lo + block]
+            hm = (codes[rows][:, None, :] != pool.codes[None, :, :]).sum(axis=2)
+            cand[rows] = hm.argmin(axis=1)
+            hams[rows] = hm.min(axis=1)
+        certified = 2 * hams < pool.dmin[cand]
+    slow = np.flatnonzero(~certified)
+    if len(slow):
+        cand[slow] = _exact_scan(codes[slow], pool, hams[slow])
+        hams[slow] = (codes[slow] != pool.codes[cand[slow]]).sum(axis=1)
+    return cand, hams, len(slow)
 
 
 @dataclass
@@ -274,7 +264,9 @@ class TransitionTable:
         """Read a table written by save_tsv.
 
         Every position 1..152 must give each off-diagonal (from, to) pair
-        exactly once; anything else raises ValueError.
+        exactly once, with a probability in [0, 1] and a fallback flag of 0
+        or 1, and each (position, observed base) row of probabilities must
+        sum to 1; anything else raises ValueError.
         """
         seen = np.zeros((OLIGO_NT, 4, 4), dtype=bool)
         probs = np.zeros((OLIGO_NT, 4, 4))
@@ -294,13 +286,19 @@ class TransitionTable:
                 x, y = (sequence_to_indices(b).item() for b in parts[1:3])
                 if not 0 <= i < OLIGO_NT or x == y or seen[i, x, y]:
                     raise ValueError(f"out-of-range or repeated table row: {line!r}")
+                p = float(parts[5])
+                if not 0.0 <= p <= 1.0 or parts[6] not in ("0", "1"):
+                    raise ValueError(f"probability or fallback flag out of range: {line!r}")
                 seen[i, x, y] = True
                 counts[i, x, y] = int(parts[3])
                 denoms[i, x] = int(parts[4])
-                probs[i, y, x] = float(parts[5])
-                fallback[i, y] = bool(int(parts[6]))
+                probs[i, y, x] = p
+                fallback[i, y] = parts[6] == "1"
         if seen.sum() != OLIGO_NT * 12:
             raise ValueError(f"table has {seen.sum()} of the {OLIGO_NT * 12} rows")
+        off = np.abs(probs.sum(axis=2) - 1.0) > 1e-9
+        if off.any():
+            raise ValueError(f"{off.sum()} (position, observed base) rows do not sum to 1")
         return cls(probs=probs, counts=counts, denoms=denoms, fallback=fallback,
                    meta={"source": str(path)})
 

@@ -229,6 +229,8 @@ def cmd_decode(args, cfg: dict) -> int:
 
 
 def cmd_experiment(args, cfg: dict) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     params = soliton_from(cfg)
     coded_count = int(cfg["code"]["coded_count"])
     with user_input("experiment config"):

@@ -154,17 +154,12 @@ def load_config(
     path: str | Path | None = None,
     overrides: list[str] | None = None,
 ) -> dict:
-    """Resolve profile -> file -> overrides into one effective config dict."""
-    if profile is None and path is None:
-        profile = "desk-scale"
-    if profile is not None:
-        if profile not in PROFILES:
-            raise ConfigError(
-                f"unknown profile {profile!r}; available: {sorted(PROFILES)}"
-            )
-        cfg = copy.deepcopy(PROFILES[profile])
-    else:
-        cfg = {}
+    """Resolve profile -> file -> overrides into one effective config dict.
+
+    A file's `profile:` key names the profile it merges over; it must be a
+    built-in profile and agree with `profile` when both are given.
+    """
+    loaded: dict = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -175,10 +170,20 @@ def load_config(
             loaded = {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a mapping")
-        base_profile = loaded.get("profile", profile)
-        if base_profile in PROFILES and not cfg:
-            cfg = copy.deepcopy(PROFILES[base_profile])
-        cfg = _deep_merge(cfg, loaded)
+        named = loaded.get("profile")
+        if profile is not None and named is not None and named != profile:
+            raise ConfigError(f"config file names profile {named!r} but the run uses {profile!r}")
+        profile = profile if profile is not None else named
+    elif profile is None:
+        profile = "desk-scale"
+    cfg: dict = {}
+    if profile is not None:
+        if not isinstance(profile, str) or profile not in PROFILES:
+            raise ConfigError(
+                f"unknown profile {profile!r}; available: {sorted(PROFILES)}"
+            )
+        cfg = copy.deepcopy(PROFILES[profile])
+    cfg = _deep_merge(cfg, loaded)
     for spec in overrides or []:
         _apply_override(cfg, spec)
     return cfg

@@ -7,6 +7,11 @@ code matrix, `_exact_scan` visiting every oligo per band rung, and
 `TransitionEstimator` with its inner chunk loop and one-hot `denoms`
 tensor. The tests require the code-array version to give the same
 alignments, slow-path count, conditioned reads and transition table.
+
+`levenshtein` (full DP) and `levenshtein_banded` (pure-Python Ukkonen
+band, one pair per call) are the module's edit-distance routines from
+before the batched kernel replaced both; they serve here as the
+reference alignment and as the brute-force oracle of the tests.
 """
 
 from __future__ import annotations
@@ -15,9 +20,69 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from oligolab.channel_stats import TransitionTable, levenshtein, levenshtein_banded
-from oligolab.dna_codec import OLIGO_NT, SEED_NT, encode_base_matrix
+from oligolab.channel_stats import TransitionTable
+from oligolab.dna_codec import OLIGO_NT, SEED_NT, encode_base_matrix, encode_bases
 from oligolab.fastq_io import ReadRecord
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Exact edit distance, row-vectorized DP."""
+    ca = encode_bases(a).astype(np.int32)
+    cb = encode_bases(b).astype(np.int32)
+    m = len(cb)
+    prev = np.arange(m + 1, dtype=np.int32)
+    idx = np.arange(m + 1, dtype=np.int32)
+    cur = np.empty(m + 1, dtype=np.int32)
+    for i, ch in enumerate(ca):
+        cur[0] = i + 1
+        np.minimum(prev[:-1] + (cb != ch), prev[1:] + 1, out=cur[1:])
+        # settle the left-to-right insertion chain in one accumulate pass
+        chain = np.minimum.accumulate(cur - idx) + idx
+        np.minimum(cur, chain, out=cur)
+        prev, cur = cur, prev
+    return int(prev[m])
+
+
+def levenshtein_banded(a_codes, b_codes, cutoff: int) -> int:
+    """Edit distance if <= cutoff, else cutoff + 1 (Ukkonen band)."""
+    n = len(a_codes)
+    m = len(b_codes)
+    if abs(n - m) > cutoff:
+        return cutoff + 1
+    if isinstance(a_codes, np.ndarray):
+        a_codes = a_codes.tolist()
+    if isinstance(b_codes, np.ndarray):
+        b_codes = b_codes.tolist()
+    big = cutoff + 1
+    # prev[d] holds row value at column i - 1 + (d - cutoff) for row i - 1
+    width = 2 * cutoff + 1
+    prev = [big] * width
+    for j in range(cutoff + 1):
+        if j <= m:
+            prev[cutoff + j] = j
+    for i in range(1, n + 1):
+        cur = [big] * width
+        lo = max(1, i - cutoff)
+        hi = min(m, i + cutoff)
+        if i - cutoff <= 0:
+            cur[cutoff - i] = i
+        ai = a_codes[i - 1]
+        best = big
+        for j in range(lo, hi + 1):
+            d = j - i + cutoff
+            sub = prev[d] + (ai != b_codes[j - 1])
+            dele = prev[d + 1] + 1 if d + 1 < width else big
+            ins = cur[d - 1] + 1 if d - 1 >= 0 else big
+            v = sub if sub < dele else dele
+            if ins < v:
+                v = ins
+            cur[d] = v
+            if v < best:
+                best = v
+        if best > cutoff and (i - cutoff > 0 or cur[cutoff - i] > cutoff):
+            return big
+        prev = cur
+    return min(prev[m - n + cutoff], big)
 
 
 class PoolIndex:

@@ -9,10 +9,9 @@ from oligolab.channel_stats import (
     PoolIndex,
     TransitionEstimator,
     TransitionTable,
+    _edit_distance,
     align_reads,
     estimate_transitions,
-    levenshtein,
-    levenshtein_banded,
     encode_base_matrix,
     encode_bases,
     quality_product,
@@ -33,7 +32,7 @@ def pool():
 
 def brute_force_align(bases, pool):
     """Lowest-index minimum-edit-distance oligo and the Hamming distance to it."""
-    dists = [levenshtein(bases, s) for s in pool.sequences]
+    dists = [ref.levenshtein(bases, s) for s in pool.sequences]
     idx = dists.index(min(dists))
     return idx, sum(a != b for a, b in zip(bases, pool.sequences[idx]))
 
@@ -49,24 +48,55 @@ def without_dmin(pool):
 
 
 def test_levenshtein_basics():
-    assert levenshtein("", "") == 0
-    assert levenshtein("ACGT", "ACGT") == 0
-    assert levenshtein("ACGT", "ACCT") == 1
-    assert levenshtein("ACGT", "CGT") == 1
-    assert levenshtein("ACGT", "ACGTT") == 1
-    assert levenshtein("AAAA", "TTTT") == 4
+    # the reference full DP is the brute-force oracle of the alignment tests
+    assert ref.levenshtein("", "") == 0
+    assert ref.levenshtein("ACGT", "ACGT") == 0
+    assert ref.levenshtein("ACGT", "ACCT") == 1
+    assert ref.levenshtein("ACGT", "CGT") == 1
+    assert ref.levenshtein("ACGT", "ACGTT") == 1
+    assert ref.levenshtein("AAAA", "TTTT") == 4
 
 
 def test_levenshtein_banded_matches_full():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        la, lb = rng.integers(0, 15, size=2)
-        a = "".join(rng.choice(list("ACGT"), size=la))
-        b = "".join(rng.choice(list("ACGT"), size=lb))
-        full = levenshtein(a, b)
+        n = int(rng.integers(0, 15))
+        a = "".join(rng.choice(list("ACGT"), size=n))
+        b = "".join(rng.choice(list("ACGT"), size=n))
+        full = ref.levenshtein(a, b)
         for cutoff in (0, 1, 3, 20):
-            got = levenshtein_banded(encode_bases(a), encode_bases(b), cutoff)
-            assert got == (full if full <= cutoff else cutoff + 1)
+            got = _edit_distance(encode_bases(a)[None], encode_bases(b)[None], cutoff)
+            assert got.tolist() == [full if full <= cutoff else cutoff + 1]
+
+
+def _pair_partner(codes: np.ndarray, kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A random, substituted or length-preserving-indel partner of codes."""
+    n = len(codes)
+    if kind == "random":
+        return rng.integers(0, 4, n).astype(np.uint8)
+    out = codes.tolist()
+    for _ in range(int(rng.integers(1, 6))):
+        if kind == "sub":
+            out[int(rng.integers(n))] = int(rng.integers(4))
+        else:
+            out.insert(int(rng.integers(n + 1)), int(rng.integers(4)))
+            del out[int(rng.integers(n + 1))]
+    return np.array(out, dtype=np.uint8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    n=st.sampled_from([1, 5, 152]),
+    band=st.integers(0, 152),
+    kinds=st.lists(st.sampled_from(["random", "sub", "indel"]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edit_distance_kernel_matches_reference_banded(n, band, kinds, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 4, (len(kinds), n)).astype(np.uint8)
+    b = np.stack([_pair_partner(row, kind, rng) for row, kind in zip(a, kinds)])
+    want = [ref.levenshtein_banded(x.tolist(), y.tolist(), band) for x, y in zip(a, b)]
+    assert _edit_distance(a, b, band).tolist() == want
 
 
 def test_align_exact_read(pool):
@@ -96,7 +126,7 @@ def test_align_length_preserving_indel_burst(pool):
     src = pool.sequences[2]
     read = src[:30] + "A" + src[30:140] + src[141:]
     assert len(read) == 152
-    assert levenshtein(read, src) <= 3
+    assert ref.levenshtein(read, src) <= 3
     expected = brute_force_align(read, pool)
     assert expected[0] == 2
     assert expected[1] > 3
@@ -326,6 +356,14 @@ def test_table_tsv_roundtrip(tmp_path, pool):
     assert np.array_equal(loaded.denoms, table.denoms)
     assert np.array_equal(loaded.fallback, table.fallback)
     assert np.allclose(loaded.probs, table.probs, atol=1e-11)
+
+
+def test_uniform_table_roundtrip(tmp_path):
+    path = tmp_path / "uniform.tsv"
+    TransitionTable.uniform().save_tsv(path)
+    loaded = TransitionTable.load_tsv(path)
+    assert loaded.fallback.all()
+    assert np.allclose(loaded.probs, TransitionTable.uniform().probs, atol=1e-11)
 
 
 def test_table_version_rejected(tmp_path):

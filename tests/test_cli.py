@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 import oligolab
-from oligolab.channel_stats import PoolIndex, TransitionTable, levenshtein, quality_product
+from align_reference import levenshtein
+from oligolab.channel_stats import PoolIndex, TransitionTable, quality_product
 from oligolab import pipeline
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oligolab.config import ConfigError, PROFILES, load_config, pipeline_params_from, soliton_from
@@ -67,6 +68,24 @@ def test_bad_override_rejected():
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
         load_config("galactic-scale")
+
+
+def test_config_file_naming_an_unknown_profile_rejected(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("profile: no-such\n")
+    with pytest.raises(ConfigError, match="unknown profile"):
+        load_config(path=path)
+
+
+def test_config_file_profile_must_agree_with_the_flag(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("profile: desk-scale\n")
+    assert load_config("desk-scale", path)["code"]["k"] == 1000
+    with pytest.raises(ConfigError, match="names profile 'desk-scale'"):
+        load_config("paper-scale", path)
+    assert run(["encode", "--input", path, "--outdir", tmp_path / "enc",
+                "--profile", "paper-scale", "--config", path]) == EXIT_USAGE
+    assert not (tmp_path / "enc").exists()
 
 
 def test_chandak_crossover_derived_from_channel():
@@ -405,7 +424,32 @@ def _truncated(rows):
     return rows[:-12]
 
 
-@pytest.mark.parametrize("edit", [_position_zero, _position_153, _truncated])
+def _set_first_row(rows, column, value):
+    parts = rows[0].split("\t")
+    parts[column] = value
+    return ["\t".join(parts), *rows[1:]]
+
+
+def _nan_probability(rows):
+    return _set_first_row(rows, 5, "nan")
+
+
+def _negative_probability(rows):
+    return _set_first_row(rows, 5, "-5")
+
+
+def _row_sum_not_one(rows):
+    return _set_first_row(rows, 5, "0.5")
+
+
+def _fallback_flag_two(rows):
+    return _set_first_row(rows, 6, "2")
+
+
+@pytest.mark.parametrize("edit", [
+    _position_zero, _position_153, _truncated,
+    _nan_probability, _negative_probability, _row_sum_not_one, _fallback_flag_two,
+])
 def test_malformed_transition_table_is_a_config_error(simulated, tmp_path, capsys, edit):
     src, enc, sim = simulated
     good = tmp_path / "good.tsv"
@@ -426,6 +470,13 @@ def test_simulate_zero_reads_is_a_config_error(encoded, tmp_path):
     assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", outdir,
                 "--reads", 0, "--profile", "desk-scale"]) == EXIT_USAGE
     assert not (outdir / "reads.fastq").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_experiment_jobs_below_one_is_a_config_error(tmp_path, jobs):
+    assert run(["experiment", "--outdir", tmp_path / "exp", "--profile", "desk-scale", *TINY,
+                "--jobs", jobs]) == EXIT_USAGE
+    assert not (tmp_path / "exp" / "reads.fastq").exists()
 
 
 def test_experiment_sampling_point_beyond_total_reads_is_a_config_error(tmp_path):

@@ -187,7 +187,7 @@ def cmd_decode(args, cfg: dict) -> int:
             if args.transition
             else TransitionTable.uniform()
         )
-    clusters, discard = cluster_by_seed(parse_fastq(args.fastq), schedule)
+    clusters, discard = cluster_by_seed(args.fastq, schedule)
     params = pipeline_params_from(cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,11 @@
 
 A cluster is the set of length-152, ACGT-only reads whose 16-nt prefix
 decodes to one of the pre-determined seed values; reads with any other
-prefix are discarded and counted. Clustering keeps no read records: the
-retained reads become one seed-sorted (reads, 152) uint8 matrix of base
-codes and one of Q-scores, and each cluster holds its row slice of both.
+prefix are discarded and counted. Clustering keeps no read records: given
+a FASTQ path it codes the reader's joined letters and Phred values
+directly, and the retained reads become one seed-sorted (reads, 152)
+uint8 matrix of base codes and one of Q-scores; each cluster holds its
+row slice of both.
 For each cluster the per-read basecall probability vectors combine the
 Q-score (probability the call is right) with the estimated transition
 table (how the remaining probability splits across the other three bases).
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,9 +37,10 @@ from .dna_codec import (
     base_indices_to_bit_array,
     base_indices_to_seeds,
     encode_base_matrix,
+    encode_bases,
     seeds_to_base_indices,
 )
-from .fastq_io import ReadRecord, phred_to_prob
+from .fastq_io import ReadRecord, fastq_chunks, phred_to_prob
 from .fountain import SeedSchedule
 
 _TINY = 1e-300
@@ -101,37 +105,39 @@ def _read_rows(reads: Sequence[ReadRecord]) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def cluster_by_seed(
-    reads: Iterable[ReadRecord],
+    reads: Iterable[ReadRecord] | str | Path,
     seed_table: SeedSchedule | Sequence[int],
 ) -> tuple[dict[int, Cluster], DiscardReport]:
-    """Group reads by exact seed-region match against the seed table.
+    """Group reads, ReadRecords or a FASTQ file's, by exact seed-region
+    match against the seed table.
 
     A read is retained when it is 152 nt long, all its bases are A, C, G or
     T, and its 16-nt prefix is a table seed's. The others count as
-    n_wrong_length, n_with_n (any other letter: N is the only one
-    `parse_fastq` lets through, but a hand-built record's lowercase or other
+    n_wrong_length, n_with_n (any other letter: N is the only one the FASTQ
+    reader lets through, but a hand-built record's lowercase or other
     letter is discarded here too) or n_seed_mismatch, in that order.
 
-    Reads are coded _CHUNK_READS at a time and only retained rows are kept.
-    One stable sort by seed then moves them into a (retained, 152) uint8
-    matrix of base codes and one of Q-scores; each cluster holds its row
-    slice of both, members in input order. Clusters are keyed in the order
-    of their first read.
+    A FASTQ path is read chunk by chunk (`fastq_io.fastq_chunks`), its
+    letters coded and its Phred values taken as they are, with no
+    ReadRecord built; records are coded _CHUNK_READS at a time. Only
+    retained rows are kept. One stable sort by seed then moves them into a
+    (retained, 152) uint8 matrix of base codes and one of Q-scores; each
+    cluster holds its row slice of both, members in input order. Clusters
+    are keyed in the order of their first read.
     """
     seeds = seed_table.seeds if isinstance(seed_table, SeedSchedule) else seed_table
     table = np.unique(base_indices_to_seeds(seeds_to_base_indices(seeds)))
     report = DiscardReport()
     # per chunk, for the retained reads: table index, base codes, Q-scores
     found, code_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []
-    reads = iter(reads)
-    while chunk := list(islice(reads, _CHUNK_READS)):
-        full, codes, qscores = _read_rows(chunk)
+    chunks = _fastq_rows(reads) if isinstance(reads, (str, Path)) else _record_rows(reads)
+    for n_reads, codes, qscores in chunks:
         acgt = (codes <= 3).all(axis=1)
         values = base_indices_to_seeds(codes[:, :SEED_NT])
         at = np.searchsorted(table, values)
         keep = acgt & (np.searchsorted(table, values, side="right") > at)
-        report.n_input += len(chunk)
-        report.n_wrong_length += len(chunk) - len(codes)
+        report.n_input += n_reads
+        report.n_wrong_length += n_reads - len(codes)
         report.n_with_n += int((~acgt).sum())
         report.n_seed_mismatch += int((acgt & ~keep).sum())
         found.append(at[keep])
@@ -153,6 +159,23 @@ def cluster_by_seed(
         a, b = bounds[c], bounds[c + 1]
         clusters[seeds_at[c]] = Cluster(seeds_at[c], codes=codes[a:b], qscores=qscores[a:b])
     return clusters, report
+
+
+def _record_rows(reads: Iterable[ReadRecord]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per chunk of records: its size and its 152-nt reads' codes and Q-scores."""
+    reads = iter(reads)
+    while chunk := list(islice(reads, _CHUNK_READS)):
+        _, codes, qscores = _read_rows(chunk)
+        yield len(chunk), codes, qscores
+
+
+def _fastq_rows(path: str | Path) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per chunk of a FASTQ file: its size and its 152-nt reads' codes and
+    Q-scores."""
+    for chunk in fastq_chunks(path):
+        full = np.repeat(chunk.lengths == OLIGO_NT, chunk.lengths)
+        codes = encode_bases(chunk.bases)[full].reshape(-1, OLIGO_NT)
+        yield len(chunk.lengths), codes, chunk.phred[full].reshape(-1, OLIGO_NT)
 
 
 def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray) -> np.ndarray:

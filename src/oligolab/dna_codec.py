@@ -45,12 +45,13 @@ _CODE_LUT[_BASE_BYTES] = np.arange(len(BASES))
 _CODE_TABLE = _CODE_LUT.tobytes()  # the same map for bytes.translate
 
 
-def encode_bases(seq: str) -> np.ndarray:
-    """ACGT string -> uint8 codes 0..3 (255 marks anything else)."""
-    # "replace" keeps one byte per character, so positions stay aligned;
+def encode_bases(seq: str | bytes) -> np.ndarray:
+    """ACGT string or letter bytes -> uint8 codes 0..3 (255 marks anything else)."""
+    if isinstance(seq, str):
+        # "replace" keeps one byte per character, so positions stay aligned
+        seq = seq.encode("ascii", "replace")
     # the bytearray copy makes the array writable
-    codes = bytearray(seq.encode("ascii", "replace").translate(_CODE_TABLE))
-    return np.frombuffer(codes, dtype=np.uint8)
+    return np.frombuffer(bytearray(seq.translate(_CODE_TABLE)), dtype=np.uint8)
 
 
 def encode_base_matrix(seqs: Sequence[str], length: int) -> np.ndarray:
@@ -94,15 +95,20 @@ def base_indices_to_bit_array(indices: np.ndarray) -> np.ndarray:
     return bits
 
 
-def base_indices_to_symbols(indices: np.ndarray) -> list:
-    """(..., 4n) base codes -> (..., n) 8-bit RS symbols as (nested) lists of ints.
+def base_indices_to_symbol_array(indices: np.ndarray) -> np.ndarray:
+    """(..., 4n) base codes -> (..., n) uint8 RS symbols.
 
     A symbol is the 8 bits of its 4 bases, MSB-first.
     """
     indices = np.asarray(indices, dtype=np.uint8)
     if indices.ndim == 0 or indices.shape[-1] % 4 != 0:
         raise ValueError("base count must be a multiple of 4")
-    return np.packbits(base_indices_to_bit_array(indices), axis=-1).tolist()
+    return np.packbits(base_indices_to_bit_array(indices), axis=-1)
+
+
+def base_indices_to_symbols(indices: np.ndarray) -> list:
+    """base_indices_to_symbol_array as (nested) lists of ints."""
+    return base_indices_to_symbol_array(indices).tolist()
 
 
 def symbols_to_base_indices(symbols: Sequence[int]) -> np.ndarray:

@@ -1,19 +1,23 @@
 """Streaming FASTQ reader/writer with Phred+33 qualities.
 
-The parser reads 4-line records a chunk at a time and keeps one chunk in
-memory, so multi-million-read files stream in constant memory. A chunk is
-checked and converted in bulk; one that fails a check is re-parsed record
-by record, which yields the records before the fault and raises with its
-line number. Gzipped input is handled transparently by filename suffix.
-Only the Phred+33 offset is supported.
+The reader takes binary lines CHUNK_RECORDS records at a time and keeps
+one chunk in memory, so multi-million-read files stream in constant
+memory. Line ends are read as in text mode: "\r\n" and a lone "\r" end a
+line like "\n". A chunk of whole 4-line records is checked in bulk and
+returned as a FastqChunk: the read lengths, the joined letters and the
+joined Phred values. A chunk that fails a check is walked record by
+record to find its first fault; the records before it are returned, and
+the fault is raised with its line number. `parse_fastq` builds
+ReadRecords from these chunks; `clustering_llr.cluster_by_seed` reads
+them as arrays. Gzipped input is handled transparently by filename
+suffix. Only the Phred+33 offset is supported.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -22,7 +26,7 @@ import numpy as np
 PHRED_OFFSET = 33
 PROB_EPS = 1e-12
 VALID_BASES = frozenset("ACGTN")
-CHUNK_RECORDS = 1024
+CHUNK_RECORDS = 4096
 
 
 class FastqFormatError(ValueError):
@@ -49,93 +53,166 @@ class ReadRecord:
         )
 
 
-def _open_text(path: str | Path) -> IO[str]:
-    path = Path(path)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"))
-    return open(path)
+@dataclass(slots=True)
+class FastqChunk:
+    """Consecutive well-formed records, joined.
+
+    Every header is UTF-8 text, every letter one of ACGTN and every
+    quality character ASCII from '!' on.
+    """
+
+    headers: list[bytes]  # the header lines as read, '@' and line end included
+    lengths: np.ndarray  # (n,) read lengths
+    bases: bytes  # the n reads' letters, joined
+    phred: np.ndarray  # (len(bases),) uint8 Phred values, joined
+
+    def records(self) -> list[ReadRecord]:
+        ids = b"".join(self.headers).decode().split("\n")
+        text = self.bases.decode("ascii")
+        ends = np.cumsum(self.lengths).tolist()
+        return [
+            ReadRecord(id=h[1:], bases=text[end - n : end], qscores=self.phred[end - n : end])
+            for h, n, end in zip(ids, self.lengths.tolist(), ends)
+        ]
 
 
 def parse_fastq(source: str | Path | IO[str]) -> Iterator[ReadRecord]:
     """Yield ReadRecords from a path or open text handle."""
+    for chunk in fastq_chunks(source):
+        yield from chunk.records()
+
+
+def fastq_chunks(source: str | Path | IO[str]) -> Iterator[FastqChunk]:
+    """Yield the records of a path or open text handle as FastqChunks.
+
+    A malformed record raises FastqFormatError after the chunk of the
+    well-formed records before it.
+    """
     if isinstance(source, (str, Path)):
-        with _open_text(source) as fh:
-            yield from _parse_handle(fh)
+        path = Path(source)
+        with gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb") as fh:
+            yield from _chunks(fh)
     else:
-        yield from _parse_handle(source)
+        yield from _chunks(map(str.encode, source))
 
 
-def _parse_handle(fh: IO[str]) -> Iterator[ReadRecord]:
-    lineno = 0
-    while lines := list(islice(fh, 4 * CHUNK_RECORDS)):
-        records = _parse_chunk(lines)
-        yield from _parse_records(iter(lines), lineno) if records is None else records
-        lineno += len(lines)
+def _chunks(lines: Iterator[bytes], lineno: int = 0) -> Iterator[FastqChunk]:
+    """Chunks of lines that start at line lineno + 1."""
+    while chunk_lines := list(islice(lines, 4 * CHUNK_RECORDS)):
+        chunk = _bulk_chunk(chunk_lines)
+        if chunk is None:
+            if any(b"\r" in line for line in chunk_lines):
+                # from here on, read with text-mode line ends
+                yield from _chunks(_text_line_ends(chain(chunk_lines, lines)), lineno)
+                return
+            fault = _first_fault(chunk_lines, lineno)
+            whole = 4 * ((fault.line_number - lineno - 1) // 4)
+            if whole:
+                yield _bulk_chunk(chunk_lines[:whole])
+            raise fault
+        lineno += len(chunk_lines)
+        del chunk_lines  # not held while the caller works on the chunk
+        yield chunk
 
 
-def _parse_chunk(lines: list[str]) -> list[ReadRecord] | None:
-    """Whole well-formed 4-line records, converted in bulk; None if any check fails."""
-    seqs = [s.rstrip("\n") for s in lines[1::4]]
-    quals = [q.rstrip("\n") for q in lines[3::4]]
-    lengths = [len(s) for s in seqs]
-    bases, qual_text = "".join(seqs), "".join(quals)
+def _text_line_ends(lines: Iterable[bytes]) -> Iterator[bytes]:
+    """The lines split as text mode splits them: "\r\n" and a lone "\r"
+    end a line like "\n" and are read as "\n"."""
+    for line in lines:
+        if b"\r" in line:
+            yield from line.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(True)
+        else:
+            yield line
+
+
+def _bulk_chunk(lines: list[bytes]) -> FastqChunk | None:
+    """The records of whole well-formed 4-line records; None if any check
+    fails or a line holds a "\r"."""
+    if len(lines) % 4:
+        return None
+    # every line but the file's last ends in its one newline, so a joined
+    # group of lines has one line start after each newline but the last
+    headers, plus = b"".join(lines[0::4]), b"".join(lines[2::4])
+    n = len(lines) // 4
     if (
-        len(lines) % 4
-        or not all(h.startswith("@") for h in lines[0::4])
-        or not all(p.startswith("+") for p in lines[2::4])
-        or lengths != [len(q) for q in quals]
-        or not (bases.isascii() and qual_text.isascii())
-        or bases.encode("ascii").translate(None, b"ACGTN")
+        not (headers.startswith(b"@") and headers.count(b"\n@") == n - 1)
+        or not (plus.startswith(b"+") and plus.count(b"\n+") == n - 1)
+        or b"\r" in headers
+        or b"\r" in plus
+        or not _is_utf8(headers)
     ):
         return None
-    q = np.frombuffer(qual_text.encode("ascii"), dtype=np.uint8)
-    if (q < PHRED_OFFSET).any():
+    seq, qual = b"".join(lines[1::4]), b"".join(lines[3::4])
+    if not qual.endswith(b"\n"):
+        qual += b"\n"
+    # equal read lengths are equal newline positions
+    seq_nl = np.frombuffer(seq, dtype=np.uint8) == ord("\n")
+    if len(seq) != len(qual) or not np.array_equal(
+        seq_nl, np.frombuffer(qual, dtype=np.uint8) == ord("\n")
+    ):
         return None
-    q = q - PHRED_OFFSET
-    ends = np.cumsum(lengths).tolist()
-    return [
-        ReadRecord(id=h[1:].rstrip("\n"), bases=s, qscores=q[end - len(s) : end])
-        for h, s, end in zip(lines[0::4], seqs, ends)
-    ]
+    bases = seq.replace(b"\n", b"")
+    if bases.translate(None, b"ACGTN"):
+        return None
+    # a character below '!' wraps around, so one bound checks both ends
+    phred = np.frombuffer(qual.replace(b"\n", b""), dtype=np.uint8) - PHRED_OFFSET
+    if (phred > 127 - PHRED_OFFSET).any():
+        return None
+    lengths = np.diff(np.flatnonzero(seq_nl), prepend=-1) - 1
+    return FastqChunk(headers=lines[0::4], lengths=lengths, bases=bases, phred=phred)
 
 
-def _parse_records(lines: Iterator[str], lineno: int) -> Iterator[ReadRecord]:
-    """Record-by-record parse of lines that start at line lineno + 1."""
-    while True:
-        header = next(lines, "")
-        if not header:
-            return
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _text(line: bytes) -> str:
+    return line.decode(errors="replace")
+
+
+def _first_fault(lines: list[bytes], lineno: int) -> FastqFormatError:
+    """The first fault of lines that start at line lineno + 1 and failed the
+    bulk check, walking them record by record."""
+    it = iter(lines)
+    while header := next(it, b""):
         lineno += 1
-        header = header.rstrip("\n")
+        if not _is_utf8(header):
+            return FastqFormatError("header is not UTF-8 text", lineno)
+        header = header.decode().rstrip("\n")
         if not header.startswith("@"):
-            raise FastqFormatError(f"expected '@' header, got {header[:20]!r}", lineno)
-        seq = next(lines, "")
+            return FastqFormatError(f"expected '@' header, got {header[:20]!r}", lineno)
+        seq = next(it, b"")
         if not seq:
-            raise FastqFormatError("truncated record: missing sequence line", lineno + 1)
+            return FastqFormatError("truncated record: missing sequence line", lineno + 1)
         lineno += 1
-        seq = seq.rstrip("\n")
+        seq = _text(seq).rstrip("\n")
         bad = set(seq) - VALID_BASES
         if bad:
-            raise FastqFormatError(f"invalid base(s) {sorted(bad)}", lineno)
-        plus = next(lines, "")
+            return FastqFormatError(f"invalid base(s) {sorted(bad)}", lineno)
+        plus = next(it, b"")
         if not plus:
-            raise FastqFormatError("truncated record: missing '+' line", lineno + 1)
+            return FastqFormatError("truncated record: missing '+' line", lineno + 1)
         lineno += 1
-        if not plus.startswith("+"):
-            raise FastqFormatError(f"expected '+' separator, got {plus[:20]!r}", lineno)
-        qual = next(lines, "")
+        if not plus.startswith(b"+"):
+            return FastqFormatError(f"expected '+' separator, got {_text(plus)[:20]!r}", lineno)
+        qual = next(it, b"")
         if not qual:
-            raise FastqFormatError("truncated record: missing quality line", lineno + 1)
+            return FastqFormatError("truncated record: missing quality line", lineno + 1)
         lineno += 1
-        qual = qual.rstrip("\n")
+        qual = _text(qual).rstrip("\n")
         if len(qual) != len(seq):
-            raise FastqFormatError(
+            return FastqFormatError(
                 f"quality length {len(qual)} != sequence length {len(seq)}", lineno
             )
-        q = np.frombuffer(qual.encode("ascii"), dtype=np.uint8).astype(np.uint8)
-        if (q < PHRED_OFFSET).any():
-            raise FastqFormatError("quality character below Phred+33 range", lineno)
-        yield ReadRecord(id=header[1:], bases=seq, qscores=q - PHRED_OFFSET)
+        if not qual.isascii():
+            return FastqFormatError("quality character outside ASCII", lineno)
+        if qual and min(qual) < chr(PHRED_OFFSET):
+            return FastqFormatError("quality character below Phred+33 range", lineno)
+    raise AssertionError("a chunk that failed the bulk check has no faulty record")
 
 
 def write_fastq(records: Iterable[ReadRecord], dest: str | Path | IO[str]) -> int:

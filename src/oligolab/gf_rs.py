@@ -4,13 +4,16 @@ The field uses the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D)
 with generator element 2, the common convention for byte-oriented RS codes.
 The code has two parity symbols (minimum distance 3), so the decoder
 corrects any single-symbol error and detects double-symbol errors.
-Symbols are plain ints in [0, 255]; addition is XOR.
+Symbols are ints in [0, 255]; addition is XOR. `rs_syndromes` checks a
+whole (n, 38) array of words at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 GF_PRIM = 0x11D
 GF_GENERATOR = 2
@@ -47,18 +50,6 @@ def gf_mul(a: int, b: int) -> int:
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("zero has no inverse in GF(2^8)")
-    return _EXP[255 - _LOG[a]]
-
-
-def gf_pow(a: int, n: int) -> int:
-    if a == 0:
-        return 0 if n else 1
-    return _EXP[(_LOG[a] * n) % 255]
-
-
 # Generator polynomial g(x) = (x - a^0)(x - a^1), roots a^0 and a^1.
 # Coefficients highest degree first: x^2 + g1*x + g2.
 _G1 = 1 ^ GF_GENERATOR                 # a^0 + a^1
@@ -85,14 +76,22 @@ def rs_encode(message: Sequence[int]) -> list[int]:
     return list(message) + [r0, r1]
 
 
-def _syndromes(word: Sequence[int]) -> tuple[int, int]:
-    # S_t = word(a^t) with word[0] the highest-degree coefficient.
-    s0 = 0
-    s1 = 0
-    for w in word:
-        s0 ^= w
-        s1 = gf_mul(s1, GF_GENERATOR) ^ w
-    return s0, s1
+_EXP_TABLE = np.array(_EXP, dtype=np.uint8)
+_LOG_TABLE = np.array(_LOG, dtype=np.int16)
+# the degree of each symbol's term, word[0] the highest
+_DEGREES = np.arange(N_SYMBOLS - 1, -1, -1, dtype=np.int16)
+
+
+def rs_syndromes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 38) uint8 words -> their syndromes S0 and S1, each (n,) uint8.
+
+    S_t = word(a^t) with word[0] the highest-degree coefficient; a word is
+    a codeword exactly when both are zero.
+    """
+    symbols = np.asarray(symbols, dtype=np.uint8)
+    s0 = np.bitwise_xor.reduce(symbols, axis=1)
+    terms = np.where(symbols != 0, _EXP_TABLE[_LOG_TABLE[symbols] + _DEGREES], 0)
+    return s0, np.bitwise_xor.reduce(terms, axis=1)
 
 
 STATUS_CLEAN = "clean"
@@ -119,7 +118,7 @@ def rs_decode(word: Sequence[int]) -> RsDecodeOutcome:
     """
     if len(word) != N_SYMBOLS:
         raise ValueError(f"word must have {N_SYMBOLS} symbols, got {len(word)}")
-    s0, s1 = _syndromes(word)
+    s0, s1 = (int(s[0]) for s in rs_syndromes([word]))
     if s0 == 0 and s1 == 0:
         return RsDecodeOutcome(STATUS_CLEAN, [], list(word))
     if s0 == 0 or s1 == 0:

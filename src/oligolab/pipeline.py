@@ -37,7 +37,7 @@ from .dna_codec import (
     PAYLOAD_SYMBOLS,
     SEED_SYMBOLS,
     base_indices_to_bit_array,
-    base_indices_to_symbols,
+    base_indices_to_symbol_array,
     bit_array_to_base_indices,
     seeds_to_base_indices,
     symbols_to_base_indices,
@@ -245,16 +245,21 @@ def lt_erasure_solve(
 
 
 def _rs_check(codes: np.ndarray, coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RS-decode every row of an (n, 152) base-code matrix, one word per row.
+    """RS-check every row of an (n, 152) base-code matrix, one word per row.
 
-    A correction in the payload symbols is written into that row of
-    `coded`, the (n, 256) coded bits. Returns the rows RS detected as
-    uncorrectable and the rows whose correction touched a seed symbol.
+    The syndromes of all rows are computed at once; only rows with a
+    nonzero syndrome go through `gf_rs.rs_decode`, since a zero syndrome
+    is a clean codeword. A correction in the payload symbols is written
+    into that row of `coded`, the (n, 256) coded bits. Returns the rows RS
+    detected as uncorrectable and the rows whose correction touched a seed
+    symbol.
     """
+    symbols = base_indices_to_symbol_array(codes)
     detected = np.zeros(len(codes), dtype=bool)
     seed_corrected = np.zeros(len(codes), dtype=bool)
-    for r, word in enumerate(base_indices_to_symbols(codes)):
-        outcome = gf_rs.rs_decode(word)
+    s0, s1 = gf_rs.rs_syndromes(symbols)
+    for r in np.flatnonzero(s0 | s1).tolist():
+        outcome = gf_rs.rs_decode(symbols[r].tolist())
         if outcome.status == gf_rs.STATUS_DETECTED:
             detected[r] = True
         elif outcome.status == gf_rs.STATUS_CORRECTED:

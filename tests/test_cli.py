@@ -363,6 +363,22 @@ def test_malformed_fastq_is_an_io_error(simulated, tmp_path):
                 "--profile", "desk-scale", *TINY]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["stats", "decode"])
+def test_non_utf8_fastq_header_is_an_io_error(simulated, tmp_path, capsys, command):
+    src, enc, sim = simulated
+    lines = (sim / "reads.fastq").read_bytes().splitlines(keepends=True)
+    lines[4 * 10] = b"@read\xff\n"
+    bad = tmp_path / "bad.fastq"
+    bad.write_bytes(b"".join(lines))
+    inputs = (["--pool", enc / "pool.fasta"] if command == "stats"
+              else ["--seeds", enc / "seeds.txt", "--manifest", enc / "manifest.json", *TINY])
+    assert run([command, "--fastq", bad, "--outdir", tmp_path / "out",
+                "--profile", "desk-scale", *inputs]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "line 41: header is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def decode_argv(enc, sim, outdir, *extra):
     return ["decode", "--fastq", sim / "reads.fastq", "--seeds", enc / "seeds.txt",
             "--manifest", enc / "manifest.json", "--outdir", outdir,

@@ -1,9 +1,17 @@
 import gzip
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fastq_reference as ref
+from oligolab import fastq_io
+from oligolab.clustering_llr import cluster_by_seed
+from oligolab.dna_codec import indices_to_sequence, seed_to_bases
 from oligolab.fastq_io import (
     CHUNK_RECORDS,
     FastqFormatError,
@@ -12,6 +20,7 @@ from oligolab.fastq_io import (
     phred_to_prob,
     write_fastq,
 )
+from oligolab.fountain import SeedSchedule
 
 
 def make_fastq_text(n, seq="ACGT", qual="II+!"):
@@ -152,3 +161,123 @@ def test_record_equality():
     c = ReadRecord("x", "ACGT", np.array([1, 2, 3, 5], dtype=np.uint8))
     assert a == b
     assert a != c
+
+
+def test_non_utf8_header_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.fastq"
+    path.write_bytes(make_fastq_text(5).encode() + b"@r\xff\nACGT\n+\nIIII\n")
+    gen = parse_fastq(path)
+    assert [next(gen).id for _ in range(5)] == [f"r{i}" for i in range(5)]
+    with pytest.raises(FastqFormatError, match="UTF-8") as exc:
+        next(gen)
+    assert exc.value.line_number == 21
+    with pytest.raises(FastqFormatError, match="UTF-8") as exc:
+        cluster_by_seed(path, [0])
+    assert exc.value.line_number == 21
+
+
+def test_utf8_header_kept(tmp_path):
+    path = tmp_path / "utf8.fastq"
+    path.write_bytes("@r\u00e9 \u4e2d\nACGT\n+\nIIII\n".encode())
+    (rec,) = parse_fastq(path)
+    assert rec.id == "r\u00e9 \u4e2d"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+def test_non_ascii_quality_is_a_format_error(tmp_path, encoding):
+    # the text-mode parser raised UnicodeEncodeError or UnicodeDecodeError here
+    path = tmp_path / "q.fastq"
+    path.write_bytes("@r\nACG\n+\nII\u00e9\n".encode(encoding))
+    with pytest.raises(FastqFormatError, match="line 4: quality character outside ASCII"):
+        list(parse_fastq(path))
+
+
+# seeds for the reads' prefixes; random prefixes almost never hit one
+FQ_SEEDS = SeedSchedule.first_n(5).seeds
+FAULTS = [
+    "header", "plus", "length", "lowercase", "letter", "non_ascii_base", "low_quality",
+    "truncate_seq", "truncate_plus", "truncate_qual", "blank_line", "lone_cr",
+]
+
+
+@st.composite
+def fastq_files(draw):
+    """FASTQ text: reads of several lengths with N, quality lines that
+    start with '@' or '+', at most one fault, LF or CRLF line ends, and a
+    final line end or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for i in range(int(rng.integers(0, 15))):
+        seed = int(rng.choice(FQ_SEEDS)) if rng.random() < 0.8 else int(rng.integers(2**32))
+        length = int(rng.choice([152, 152, 152, 152, 0, 20, 151, 153]))
+        seq = list((seed_to_bases(seed) + indices_to_sequence(rng.integers(0, 4, size=136))) * 2)
+        seq = seq[:length]
+        if length and rng.random() < 0.2:
+            seq[rng.integers(length)] = "N"
+        qual = "".join(map(chr, rng.integers(33, 128, size=length)))
+        if length and rng.random() < 0.3:
+            qual = str(rng.choice(["@", "+"])) + qual[1:]
+        header = f"@r{i}" + str(rng.choice(["", " x=1", " \u00e9"]))
+        plus = "+" + (header[1:] if rng.random() < 0.3 else "")
+        lines += [header, "".join(seq), plus, qual]
+    fault = draw(st.sampled_from([None, None, None, *FAULTS]))
+    if fault and lines:
+        r = 4 * int(rng.integers(len(lines) // 4))
+        seq = lines[r + 1]
+        at = int(rng.integers(len(seq))) if seq else 0
+        if fault == "header":
+            lines[r] = lines[r][1:]
+        elif fault == "plus":
+            lines[r + 2] = "-"
+        elif fault == "length":
+            lines[r + 3] += "I"
+        elif fault in ("lowercase", "letter", "non_ascii_base") and seq:
+            letter = {"lowercase": seq[at].lower(), "letter": "X"}.get(fault, "\u00e9")
+            lines[r + 1] = seq[:at] + letter + seq[at + 1 :]
+        elif fault == "low_quality" and seq:
+            lines[r + 3] = lines[r + 3][:at] + " " + lines[r + 3][at + 1 :]
+        elif fault.startswith("truncate"):
+            keep = {"truncate_seq": 1, "truncate_plus": 2, "truncate_qual": 3}[fault]
+            lines = lines[: len(lines) - 4 + keep]
+        elif fault == "blank_line":
+            lines.insert(r + 4, "")
+        elif fault == "lone_cr":
+            lines[r] += "\rx"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return text.encode(), draw(st.booleans())
+
+
+def parse_until_fault(parse, path):
+    records = []
+    try:
+        for rec in parse(path):
+            records.append(rec)
+    except FastqFormatError as exc:
+        return records, str(exc)
+    return records, None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(fastq_files(), st.sampled_from([1, 2, 3, CHUNK_RECORDS]))
+def test_chunked_reader_matches_reference(drawn, chunk_records):
+    data, gz = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("reads.fastq.gz" if gz else "reads.fastq")
+        path.write_bytes(gzip.compress(data) if gz else data)
+        want, want_error = parse_until_fault(ref.parse_fastq, path)
+        with mock.patch.object(fastq_io, "CHUNK_RECORDS", chunk_records):
+            got, got_error = parse_until_fault(fastq_io.parse_fastq, path)
+            assert (got, got_error) == (want, want_error)
+            if want_error is not None:
+                with pytest.raises(FastqFormatError) as exc:
+                    cluster_by_seed(path, FQ_SEEDS)
+                assert str(exc.value) == want_error
+                return
+            clusters, report = cluster_by_seed(path, FQ_SEEDS)
+    want_clusters, want_report = cluster_by_seed(want, FQ_SEEDS)
+    assert report == want_report
+    assert list(clusters) == list(want_clusters)
+    for seed, w in want_clusters.items():
+        assert np.array_equal(clusters[seed].codes, w.codes)
+        assert np.array_equal(clusters[seed].qscores, w.qscores)

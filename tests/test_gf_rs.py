@@ -15,16 +15,28 @@ from oligolab.gf_rs import (
 elements = st.integers(min_value=0, max_value=255)
 
 
-def syndrome_is_zero(word):
+def gf_pow(a, n):
+    # a^n by repeated multiplication, not through the field's log table
+    out = 1
+    for _ in range(n):
+        out = gf_mul(out, a)
+    return out
+
+
+def syndromes(word):
     # independent syndrome oracle: evaluate at a^0 and a^1 by direct powers
     s0 = 0
     s1 = 0
     n = len(word)
     for i, w in enumerate(word):
         deg = n - 1 - i
-        s0 ^= gf_mul(w, gf_rs.gf_pow(gf_rs.GF_GENERATOR, 0 * deg))
-        s1 ^= gf_mul(w, gf_rs.gf_pow(gf_rs.GF_GENERATOR, deg))
-    return s0 == 0 and s1 == 0
+        s0 ^= gf_mul(w, gf_pow(gf_rs.GF_GENERATOR, 0 * deg))
+        s1 ^= gf_mul(w, gf_pow(gf_rs.GF_GENERATOR, deg))
+    return s0, s1
+
+
+def syndrome_is_zero(word):
+    return syndromes(word) == (0, 0)
 
 
 def test_gf_mul_zero_annihilates():
@@ -59,8 +71,9 @@ def test_gf_mul_distributive_over_xor(a, b, c):
 
 
 def test_every_nonzero_element_has_inverse():
+    # x^254 is the inverse of x, since the multiplicative group has order 255
     for x in range(1, 256):
-        assert gf_mul(x, gf_rs.gf_inv(x)) == 1
+        assert gf_mul(x, gf_pow(x, 254)) == 1
 
 
 def test_encode_rejects_wrong_length():
@@ -150,3 +163,15 @@ def test_double_error_never_clean():
             n_detected += 1
     # detection should be the dominant outcome
     assert n_detected > 1500
+
+
+def test_rs_syndromes_match_brute_force_oracle():
+    rng = np.random.default_rng(23)
+    words = rng.integers(0, 256, size=(300, 38), dtype=np.uint8)
+    words[:100] = [rs_encode(m) for m in rng.integers(0, 256, size=(100, 36)).tolist()]
+    words[100:110] = 0
+    words[110:120, :] = rng.integers(1, 256, size=(10, 1))
+    s0, s1 = gf_rs.rs_syndromes(words)
+    assert s0.dtype == s1.dtype == np.uint8
+    assert list(zip(s0.tolist(), s1.tolist())) == [syndromes(w) for w in words.tolist()]
+    assert not (s0[:110] | s1[:110]).any()

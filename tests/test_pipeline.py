@@ -31,6 +31,7 @@ from oligolab.pipeline import (
     iterative_soft_decode,
     lt_erasure_solve,
 )
+import rs_reference
 from solve_reference import lt_erasure_solve as reference_solve
 
 DESK = SolitonParams(k=60, c=0.05, delta=0.1)
@@ -355,6 +356,16 @@ def test_soft_decode_applies_rs_payload_correction_after_removal(encoded_world, 
     reads += [poison_cluster_reads(seqs, poisoned), substituted_read(seqs[corrected], 60, "sub")]
     clusters, _ = cluster_by_seed(reads, sched)
     outcomes = record_rs_outcomes(monkeypatch)
+    # only words with a nonzero syndrome reach rs_decode, so mark where each
+    # round's RS check starts in the recorded outcomes
+    round_starts = []
+    check = pipeline._rs_check
+
+    def marking(codes, coded):
+        round_starts.append(len(outcomes))
+        return check(codes, coded)
+
+    monkeypatch.setattr(pipeline, "_rs_check", marking)
     # one BP iteration leaves every coded bit at its channel sign, so the
     # substituted base reaches RS instead of being repaired by BP
     rep = iterative_soft_decode(
@@ -362,8 +373,8 @@ def test_soft_decode_applies_rs_payload_correction_after_removal(encoded_world, 
         PipelineParams(soliton=DESK, bp_max_iter=1), expected_payload=source,
     )
     assert rep.removed_seeds_per_round == [[sched.seeds[poisoned]]]
-    assert rep.iterations_performed == 2
-    assert payload_corrections(outcomes[-rep.active_clusters :]) == 1
+    assert rep.iterations_performed == len(round_starts) == 2
+    assert payload_corrections(outcomes[round_starts[-1] :]) == 1
     assert rep.success
     assert np.array_equal(rep.recovered_payload, source)
 
@@ -575,3 +586,36 @@ def test_sweep_report_serialization(noisy_world):
     assert "wall_seconds" not in d2
     rows = rep.plot_rows()
     assert rows[0][0] == 500 and rows[0][1] == "x"
+
+
+@st.composite
+def damaged_words(draw):
+    """(n, 38) RS codewords, each with 0-3 symbol errors spread over the
+    seed, payload and parity symbols."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 60))
+    messages = rng.integers(0, 256, size=(n, 36)).tolist()
+    words = np.array([gf_rs.rs_encode(m) for m in messages], dtype=np.uint8).reshape(n, 38)
+    regions = [range(0, SEED_SYMBOLS), range(SEED_SYMBOLS, 36), range(36, 38)]
+    for r in range(n):
+        n_errors = int(rng.choice(4, p=[0.3, 0.3, 0.25, 0.15]))
+        spots = {int(rng.choice(regions[rng.integers(3)])) for _ in range(n_errors)}
+        for pos in spots:
+            words[r, pos] ^= rng.integers(1, 256, dtype=np.uint8)
+    return words, rng.integers(0, 2, size=(n, 256), dtype=np.uint8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(damaged_words())
+def test_rs_check_matches_reference(drawn):
+    """The syndrome screen gives the per-word loop's masks and coded bits,
+    and rs_decode the copied decoder's outcome on every word."""
+    words, coded = drawn
+    codes = symbols_to_base_indices(words).astype(np.uint8)
+    got_coded, want_coded = coded.copy(), coded.copy()
+    got = pipeline._rs_check(codes, got_coded)
+    want = rs_reference._rs_check(codes, want_coded)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got_coded, want_coded)
+    for word in words.tolist():
+        assert gf_rs.rs_decode(word) == rs_reference.rs_decode(word)

@@ -68,11 +68,6 @@ class ChannelConfig:
                 raise ValueError(f"transition_bias must be (152, 4, 4), got {bias.shape}")
 
     @classmethod
-    def profile_data_a(cls, **kwargs) -> "ChannelConfig":
-        """Data-A error profile: 9.858e-4 substitutions, 1.237e-5 indels per base."""
-        return cls(sub_rate=9.858e-4, ins_rate=1.237e-5 / 2, del_rate=1.237e-5 / 2, **kwargs)
-
-    @classmethod
     def profile_data_b(cls, **kwargs) -> "ChannelConfig":
         """Data-B error profile: 8.352e-4 substitutions, 1.744e-5 indels per base."""
         return cls(sub_rate=8.352e-4, ins_rate=1.744e-5 / 2, del_rate=1.744e-5 / 2, **kwargs)

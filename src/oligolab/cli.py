@@ -244,6 +244,13 @@ def cmd_experiment(args, cfg: dict) -> int:
             f"0..total_reads, got total_reads={total_reads}, trials={trials}, "
             f"sampling_points={points}"
         )
+    variants = {
+        "proposed+redecode": pipeline_params_from(cfg, "proposed", True),
+        "proposed-noredecode": pipeline_params_from(cfg, "proposed", False),
+        "chandak+redecode": pipeline_params_from(cfg, "chandak", True),
+        "chandak-noredecode": pipeline_params_from(cfg, "chandak", False),
+        "hard": pipeline_params_from(cfg, decoder="hard"),
+    }
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -260,14 +267,6 @@ def cmd_experiment(args, cfg: dict) -> int:
     pool = PoolIndex(seqs)
     table = estimate_transitions(reads, pool)
     table.save_tsv(outdir / "transition.tsv")
-
-    variants = {
-        "proposed+redecode": pipeline_params_from(cfg, "proposed", True),
-        "proposed-noredecode": pipeline_params_from(cfg, "proposed", False),
-        "chandak+redecode": pipeline_params_from(cfg, "chandak", True),
-        "chandak-noredecode": pipeline_params_from(cfg, "chandak", False),
-        "hard": pipeline_params_from(cfg, decoder="hard"),
-    }
     sweep = experiment_sweep(
         reads,
         schedule,

@@ -7,14 +7,18 @@ a FASTQ path it codes the reader's joined letters and Phred values
 directly, and the retained reads become one seed-sorted (reads, 152)
 uint8 matrix of base codes and one of Q-scores; each cluster holds its
 row slice of both.
-For each cluster the per-read basecall probability vectors combine the
-Q-score (probability the call is right) with the estimated transition
-table (how the remaining probability splits across the other three bases).
-Payload positions become per-bit LLRs summed over members; RS parity
-positions get a hard decision from the per-base probability products. A
-basecall-count LLR rule with a fixed crossover probability is provided as
-the comparison baseline, and a per-position majority vote feeds the hard
-decoder.
+
+Soft inputs are built per call for a batch of clusters, in runs of whole
+clusters of about _CHUNK_READS reads. A read's basecall probability vector
+combines its Q-score (probability the call is right) with the estimated
+transition table (how the rest splits across the other three bases), so
+its terms depend only on (position, called base, Q-score): they are looked
+up in one table per call and added over each cluster's members in input
+order, giving per-bit LLRs at payload positions and a hard decision from
+the per-base probability products at RS parity positions. The base counts
+of one counting kernel give both the basecall-count LLR rule with a fixed
+crossover probability (the comparison baseline) and the majority vote that
+feeds the hard decoder.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .dna_codec import (
     OLIGO_NT,
     PARITY_NT,
     PARITY_SLICE,
+    PAYLOAD_BITS,
     PAYLOAD_SLICE,
     SEED_NT,
     base_indices_to_bit_array,
@@ -44,7 +49,8 @@ from .fastq_io import ReadRecord, fastq_chunks, phred_to_prob
 from .fountain import SeedSchedule
 
 _TINY = 1e-300
-_CHUNK_READS = 4096  # reads per code matrix of a clustering step or a vote chunk
+_CHUNK_READS = 1024  # reads per code matrix of a clustering step or a run of clusters
+_BASE_BITS = base_indices_to_bit_array(np.arange(4)[:, None]).astype(np.int64)  # (4, 2) per base
 
 
 class Cluster:
@@ -90,8 +96,9 @@ class DiscardReport:
 
 @dataclass
 class ClusterLlr:
-    payload_llrs: np.ndarray  # (256,) interleaved (y1, y2) per payload position
-    rs_parity_hard: np.ndarray  # (8,) uint8 base codes of the RS parity
+    # one row per cluster of a batch; a single Cluster's are 1-D
+    payload_llrs: np.ndarray  # (n, 256) interleaved (y1, y2) per payload position
+    rs_parity_hard: np.ndarray  # (n, 8) uint8 base codes of the RS parity
 
 
 def _read_rows(reads: Sequence[ReadRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,16 +209,14 @@ def read_prob_vectors(codes: np.ndarray, qs: np.ndarray, table: TransitionTable)
     according to the transition row for (position, called base). Vectors
     sum to 1 by construction.
     """
-    m, n = codes.shape
     pcall = phred_to_prob(qs)
-    pos = np.broadcast_to(np.arange(n), (m, n))
-    vec = table.probs[pos, codes] * (1.0 - pcall)[:, :, None]
+    vec = table.probs[np.arange(codes.shape[1]), codes] * (1.0 - pcall)[:, :, None]
     np.put_along_axis(vec, codes[:, :, None].astype(np.int64), pcall[:, :, None], axis=2)
     return vec
 
 
-def llr_proposed(cluster: Cluster, table: TransitionTable) -> ClusterLlr:
-    """Q-score + transition-table LLRs, summed over cluster members.
+def llr_proposed(clusters: Cluster | Sequence[Cluster], table: TransitionTable) -> ClusterLlr:
+    """Q-score + transition-table LLRs, summed over each cluster's members.
 
     Per read and payload position: LLR(y1) = log[(P(A)+P(C)) / (P(G)+P(T))]
     and LLR(y2) = log[(P(A)+P(G)) / (P(C)+P(T))], natural log. The RS parity
@@ -219,24 +224,48 @@ def llr_proposed(cluster: Cluster, table: TransitionTable) -> ClusterLlr:
     computed in log space; exact ties resolve to the first maximum, which is
     lexicographic A < C < G < T.
     """
-    full = read_prob_vectors(cluster.codes, cluster.qscores, table)
-    vec = full[:, PAYLOAD_SLICE]
-    y1 = np.log(np.maximum(vec[..., 0] + vec[..., 1], _TINY)) - np.log(
-        np.maximum(vec[..., 2] + vec[..., 3], _TINY)
+    batch = [clusters] if isinstance(clusters, Cluster) else clusters
+    # every (called base, Q-score) pair's terms at every position, in tables
+    # with one row per (pair, position): row pair * 152 + position
+    q_axis = 1 + max((int(c.qscores.max()) for c in batch), default=0)
+    pairs = np.repeat(np.arange(4 * q_axis)[:, None], OLIGO_NT, axis=1)  # base * q_axis + Q
+    vec = read_prob_vectors(pairs // q_axis, pairs % q_axis, table)
+    bit_llrs = np.log(np.maximum(vec @ (1 - _BASE_BITS), _TINY)) - np.log(
+        np.maximum(vec @ _BASE_BITS, _TINY)
     )
-    y2 = np.log(np.maximum(vec[..., 0] + vec[..., 2], _TINY)) - np.log(
-        np.maximum(vec[..., 1] + vec[..., 3], _TINY)
-    )
-    llrs = np.empty(2 * y1.shape[1])
-    llrs[0::2] = y1.sum(axis=0)
-    llrs[1::2] = y2.sum(axis=0)
-    llrs = np.clip(llrs, -LLR_MAX, LLR_MAX)
-    return ClusterLlr(payload_llrs=llrs, rs_parity_hard=_parity_hard(full[:, PARITY_SLICE]))
+    bit_llrs = bit_llrs.reshape(-1, 2)  # LLR(y1), LLR(y2)
+    base_logs = np.log(np.maximum(vec, _TINY)).reshape(-1, 4)
+
+    llrs = np.empty((len(batch), PAYLOAD_BITS))
+    parity = np.empty((len(batch), PARITY_NT), dtype=np.uint8)
+    for run, sizes, codes in _runs(batch):
+        pair = codes.astype(np.int32) * q_axis + np.concatenate([c.qscores for c in batch[run]])
+        at = pair * OLIGO_NT + np.arange(OLIGO_NT, dtype=np.int32)
+        terms = np.concatenate(
+            [
+                bit_llrs.take(at[:, PAYLOAD_SLICE], axis=0).reshape(len(at), -1),
+                base_logs.take(at[:, PARITY_SLICE], axis=0).reshape(len(at), -1),
+            ],
+            axis=1,
+        )
+        sums = np.zeros((len(sizes), terms.shape[1]))
+        starts = np.cumsum(sizes) - sizes
+        for rank in range(int(sizes.max())):  # member by member, in input order
+            live = np.flatnonzero(sizes > rank)
+            sums[live] += terms[starts[live] + rank]
+        llrs[run] = sums[:, :PAYLOAD_BITS]
+        parity[run] = sums[:, PAYLOAD_BITS:].reshape(-1, PARITY_NT, 4).argmax(axis=2)
+    return _soft_inputs(clusters, llrs, parity)
 
 
-def _parity_hard(vec: np.ndarray) -> np.ndarray:
-    scores = np.log(np.maximum(vec, _TINY)).sum(axis=0)  # (8, 4)
-    return np.argmax(scores, axis=1).astype(np.uint8)
+def _soft_inputs(
+    clusters: Cluster | Sequence[Cluster], llrs: np.ndarray, parity: np.ndarray
+) -> ClusterLlr:
+    """The batch's clipped LLRs and parity; a single Cluster gets 1-D arrays."""
+    np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
+    if isinstance(clusters, Cluster):
+        return ClusterLlr(payload_llrs=llrs[0], rs_parity_hard=parity[0])
+    return ClusterLlr(payload_llrs=llrs, rs_parity_hard=parity)
 
 
 def derive_crossover(sub_rate: float) -> float:
@@ -248,7 +277,7 @@ def derive_crossover(sub_rate: float) -> float:
     return sub_rate * 2.0 / 3.0
 
 
-def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
+def llr_chandak(clusters: Cluster | Sequence[Cluster], crossover_p: float) -> ClusterLlr:
     """Basecall-count LLRs: (n0 - n1) * log((1-p)/p) per payload bit.
 
     The RS parity hard decision is a per-position majority vote with
@@ -256,47 +285,51 @@ def llr_chandak(cluster: Cluster, crossover_p: float) -> ClusterLlr:
     """
     if not 0.0 < crossover_p < 0.5:
         raise ValueError(f"crossover_p must be in (0, 0.5), got {crossover_p}")
-    codes = cluster.codes
-    m = len(codes)
-    ones = base_indices_to_bit_array(codes[:, PAYLOAD_SLICE]).sum(axis=0, dtype=np.int64)
+    batch = [clusters] if isinstance(clusters, Cluster) else clusters
     scale = np.log((1.0 - crossover_p) / crossover_p)
-    llrs = np.clip((m - 2.0 * ones) * scale, -LLR_MAX, LLR_MAX)  # n0 - n1 = m - 2*n1
-
-    counts = np.zeros((PARITY_NT, 4), dtype=np.int64)
-    np.add.at(counts, (np.tile(np.arange(PARITY_NT), m), codes[:, PARITY_SLICE].ravel()), 1)
-    return ClusterLlr(payload_llrs=llrs, rs_parity_hard=np.argmax(counts, axis=1).astype(np.uint8))
-
-
-# The vote counts the four bases of a position in the four bytes of one
-# little-endian uint32, so a count segment holds at most 255 members; larger
-# clusters are split into several segments whose counts are added in
-# full-width integers.
-_SEGMENT_MAX = 255
+    llrs = np.empty((len(batch), PAYLOAD_BITS))
+    parity = np.empty((len(batch), PARITY_NT), dtype=np.uint8)
+    for run, sizes, codes in _runs(batch):
+        counts = _base_counts(codes, sizes)
+        ones = (counts[:, PAYLOAD_SLICE] @ _BASE_BITS).reshape(len(sizes), PAYLOAD_BITS)
+        llrs[run] = (sizes[:, None] - 2.0 * ones) * scale  # n0 - n1 = m - 2*n1
+        parity[run] = counts[:, PARITY_SLICE].argmax(axis=2)
+    return _soft_inputs(clusters, llrs, parity)
 
 
 def majority_vote(clusters: Sequence[Cluster]) -> np.ndarray:
     """Per-position majority basecall of each cluster, ties lexicographic.
 
     Returns a (len(clusters), 152) uint8 matrix of base indices (A=0 .. T=3)
-    in the order given. Clusters are counted in chunks of about
-    _CHUNK_READS members: one code matrix per chunk and one segmented
-    sum per cluster.
+    in the order given.
     """
-    sizes = np.array([c.size for c in clusters], dtype=np.int64)
     votes = np.empty((len(clusters), OLIGO_NT), dtype=np.uint8)
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < len(clusters):
-        # at least one cluster, then whole clusters up to the chunk size
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_READS, side="right")))
-        codes = np.concatenate([c.codes for c in clusters[lo:hi]])
-        votes[lo:hi] = _vote_chunk(codes, sizes[lo:hi])
-        lo = hi
+    for run, sizes, codes in _runs(clusters):
+        votes[run] = _base_counts(codes, sizes).argmax(axis=2)
     return votes
 
 
-def _vote_chunk(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _runs(clusters: Sequence[Cluster]) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Runs of whole clusters of about _CHUNK_READS reads, at least one
+    cluster each: the run's slice of `clusters`, its cluster sizes and its
+    members' stacked base codes."""
+    sizes = np.array([c.size for c in clusters], dtype=np.int64)
+    block = (np.cumsum(sizes) - sizes) // _CHUNK_READS  # where each cluster's first read falls
+    bounds = [*np.flatnonzero(np.diff(block, prepend=-1)).tolist(), len(clusters)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield slice(lo, hi), sizes[lo:hi], np.concatenate([c.codes for c in clusters[lo:hi]])
+
+
+# The counts of the four bases of a position sit in the four bytes of one
+# little-endian uint32, so a count segment holds at most 255 members; larger
+# clusters are split into several segments whose counts are added in
+# full-width integers.
+_SEGMENT_MAX = 255
+
+
+def _base_counts(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(clusters, 152, 4) counts of each base per position, for the clusters
+    of `sizes` whose members are the consecutive rows of `codes`."""
     # segments of at most _SEGMENT_MAX members, each cluster's in order
     pieces = -(-sizes // _SEGMENT_MAX)
     first_piece = np.cumsum(pieces) - pieces
@@ -311,4 +344,4 @@ def _vote_chunk(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     counts = packed.view(np.uint8).reshape(len(starts), OLIGO_NT, 4)
     if len(owner) > len(sizes):
         counts = np.add.reduceat(counts, first_piece, axis=0, dtype=np.int64)
-    return counts.argmax(axis=2)
+    return counts

@@ -31,8 +31,6 @@ from .clustering_llr import (
     majority_vote,
 )
 from .dna_codec import (
-    PARITY_NT,
-    PAYLOAD_BITS,
     PAYLOAD_SLICE,
     PAYLOAD_SYMBOLS,
     SEED_SYMBOLS,
@@ -66,6 +64,8 @@ class PipelineParams:
             raise ValueError(f"unknown llr_mode {self.llr_mode!r}")
         if self.llr_mode == "chandak" and self.crossover_p is None:
             raise ValueError("chandak llr_mode requires crossover_p")
+        if self.llr_mode == "chandak" and not 0.0 < self.crossover_p < 0.5:
+            raise ValueError(f"crossover_p must be in (0, 0.5), got {self.crossover_p}")
         if self.decoder not in ("soft", "hard"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
 
@@ -315,22 +315,17 @@ def iterative_soft_decode(
         return report
     max_redecodes = params.n_re if params.redecoding_enabled else 0
 
-    # per-cluster state in ascending seed order; `active` indexes its rows,
-    # and the reshapes keep the row shapes when there are no clusters
+    # per-cluster state in ascending seed order; `active` indexes its rows
     order = sorted(clusters)
     seeds = np.array(order, dtype=np.int64)
     rows = fountain.seed_expand(seeds, params.soliton)  # the active clusters' rows
+    batch = [clusters[s] for s in order]
     if params.llr_mode == "chandak":
-        soft = [llr_chandak(clusters[s], params.crossover_p) for s in order]
+        soft = llr_chandak(batch, params.crossover_p)
     else:
-        soft = [llr_proposed(clusters[s], table) for s in order]
-    llrs = np.array([c.payload_llrs for c in soft], dtype=np.float64).reshape(
-        len(order), PAYLOAD_BITS
-    )
+        soft = llr_proposed(batch, table)
+    llrs, parity_codes = soft.payload_llrs, soft.rs_parity_hard
     seed_codes = seeds_to_base_indices(order)
-    parity_codes = np.array([c.rs_parity_hard for c in soft], dtype=np.uint8).reshape(
-        len(order), PARITY_NT
-    )
     active = np.arange(len(seeds))
 
     round_idx = 0

@@ -40,9 +40,6 @@ def test_reference_error_profiles():
     b = ChannelConfig.profile_data_b()
     assert b.sub_rate == 8.352e-4
     assert abs(b.ins_rate + b.del_rate - 1.744e-5) < 1e-20
-    a = ChannelConfig.profile_data_a()
-    assert a.sub_rate == 9.858e-4
-    assert abs(a.ins_rate + a.del_rate - 1.237e-5) < 1e-20
 
 
 def test_abundances_sum_and_uniform():

@@ -401,10 +401,16 @@ def test_decoder_fault_is_an_internal_error(simulated, tmp_path, monkeypatch, ca
     assert "Traceback" in err
 
 
-@pytest.mark.parametrize("override", ["decode.llr_mode=oracle", "decode.decoder=psychic"])
+@pytest.mark.parametrize("override", [
+    "decode.llr_mode=oracle",
+    "decode.decoder=psychic",
+    "decode.llr_mode=chandak decode.crossover_p=0.7",
+    "decode.llr_mode=chandak decode.crossover_p=0",
+])
 def test_unknown_decoder_setting_is_a_config_error(simulated, tmp_path, capsys, override):
     src, enc, sim = simulated
-    assert run(decode_argv(enc, sim, tmp_path / "d", "--set", override)) == EXIT_USAGE
+    sets = [arg for spec in override.split() for arg in ("--set", spec)]
+    assert run(decode_argv(enc, sim, tmp_path / "d", *sets)) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
 
 
@@ -492,6 +498,17 @@ def test_simulate_zero_reads_is_a_config_error(encoded, tmp_path):
 def test_experiment_jobs_below_one_is_a_config_error(tmp_path, jobs):
     assert run(["experiment", "--outdir", tmp_path / "exp", "--profile", "desk-scale", *TINY,
                 "--jobs", jobs]) == EXIT_USAGE
+    assert not (tmp_path / "exp" / "reads.fastq").exists()
+
+
+@pytest.mark.parametrize("override", ["channel.sub_rate=0", "decode.crossover_p=0.6"])
+def test_experiment_crossover_outside_the_open_half_interval_is_a_config_error(
+    tmp_path, capsys, override
+):
+    # chandak variants need 0 < crossover_p < 0.5; sub_rate=0 derives crossover 0
+    assert run(["experiment", "--outdir", tmp_path / "exp", "--profile", "desk-scale", *TINY,
+                "--set", override]) == EXIT_USAGE
+    assert "crossover_p must be in (0, 0.5)" in capsys.readouterr().err
     assert not (tmp_path / "exp" / "reads.fastq").exists()
 
 

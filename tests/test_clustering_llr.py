@@ -343,7 +343,7 @@ def read_lists(draw):
             for pos in rng.choice(max(length, 1), size=int(rng.integers(1, 3))):
                 if pos < length:
                     bases[pos] = "N"
-        q = rng.integers(0, 42, size=length, dtype=np.uint8)
+        q = rng.integers(0, 256, size=length, dtype=np.uint8)  # every uint8 Q-score
         reads.append(ReadRecord(id=str(len(reads)), bases="".join(bases), qscores=q))
     table = TransitionTable.uniform()
     for y in range(4):
@@ -360,6 +360,8 @@ def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
     with mock.patch.object(clustering_llr, "_CHUNK_READS", chunk_reads):
         got, got_report = cluster_by_seed(iter(reads), REF_SEEDS)
         votes = majority_vote(list(got.values()))
+        batch = [got[s] for s in sorted(got)]
+        batch_soft = [llr_proposed(batch, table), llr_chandak(batch, crossover_p)]
     assert got_report == want_report
     assert list(got) == list(want)
     for seed, w in want.items():
@@ -376,6 +378,18 @@ def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
             )
             assert np.array_equal(ours.rs_parity_hard, theirs.rs_parity_hard)
     assert np.array_equal(votes, ref.majority_vote(list(want.values())))
+    # the batch forms: row i is the i-th cluster in seed order, bit for bit
+    for soft, ref_soft in zip(batch_soft, [lambda w: ref.llr_proposed(w, table),
+                                           lambda w: ref.llr_chandak(w, crossover_p)]):
+        assert soft.payload_llrs.shape == (len(want), 256)
+        assert soft.rs_parity_hard.shape == (len(want), 8)
+        assert soft.rs_parity_hard.dtype == np.uint8
+        for row, seed in enumerate(sorted(want)):
+            theirs = ref_soft(want[seed])
+            assert np.array_equal(
+                soft.payload_llrs[row].view(np.uint64), theirs.payload_llrs.view(np.uint64)
+            )
+            assert np.array_equal(soft.rs_parity_hard[row], theirs.rs_parity_hard)
 
 
 def test_cluster_by_seed_keeps_two_byte_rows_per_read():

@@ -481,6 +481,10 @@ def test_chandak_mode_requires_crossover():
     # refused when the params are built, before any decode
     with pytest.raises(ValueError, match="requires crossover_p"):
         PipelineParams(soliton=DESK, llr_mode="chandak")
+    for bad in (0.0, 0.5, 0.7, -1e-3):
+        with pytest.raises(ValueError, match=r"crossover_p must be in \(0, 0.5\)"):
+            PipelineParams(soliton=DESK, llr_mode="chandak", crossover_p=bad)
+    PipelineParams(soliton=DESK, llr_mode="proposed", crossover_p=0.7)  # unused outside chandak
 
 
 @pytest.fixture(scope="module")

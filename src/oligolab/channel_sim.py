@@ -11,28 +11,46 @@ with a small probability an erroneous call keeps a high Q-score
 
 Every read carries a ground-truth event list; replaying the events against
 the source oligo reproduces the read bases exactly.
+
+A pool is simulated in two steps. Each oligo makes all of its reads'
+random draws from its own generator, derived from (rng_seed, oligo index),
+in a fixed order (see _Draws). The draws of whole oligos are then applied
+and written in chunks of about _CHUNK_READS reads: substitution targets,
+codes, Q-scores, event counts and FASTQ/truth bytes in bulk, with only the
+rare reads that have insertions or deletions rebuilt one at a time. A
+read depends only on its own oligo's generator, so the output does not
+depend on the chunk size. `corrupt_batch` is the one-oligo form of the
+same two steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dna_codec import (
     BASES,
     OLIGO_NT,
+    base_letters,
     indices_to_sequence,
     indices_to_sequences,
     sequence_to_indices,
 )
-from .fastq_io import ReadRecord, write_fastq
+from .fastq_io import record_block
 
 # the three substitution targets for each source base, in A<C<G<T order
 _OTHERS = np.array([[b for b in range(4) if b != x] for x in range(4)], dtype=np.uint8)
+# a chunk of the apply-and-write step holds whole oligos, up to _CHUNK_READS
+# reads (or one oligo's reads, if more)
+_CHUNK_READS = 1024
+# read ids are "r" and nine digits
+_MAX_READS = 10**9
+_ID_DIGITS = 10 ** np.arange(8, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -157,9 +175,162 @@ def parse_events(text: str) -> list[Event]:
     return events
 
 
-def _draw_q(rng: np.random.Generator, mean: float, qm: QscoreModel, size=None):
-    q = np.rint(rng.normal(mean, qm.q_spread, size))
-    return np.clip(q, qm.q_min, qm.q_max).astype(np.uint8)
+def _draw_q(rng: np.random.Generator, mean: float, qm: QscoreModel) -> int:
+    return int(np.clip(np.rint(rng.normal(mean, qm.q_spread)), qm.q_min, qm.q_max))
+
+
+def _target_table(bias: np.ndarray | None) -> np.ndarray:
+    """(152, 4, 3) cumulative probabilities of each source base's three
+    substitution targets at each position."""
+    if bias is None:
+        bias = default_transition_bias()
+    bias = np.asarray(bias, dtype=np.float64)
+    probs = bias[:, np.arange(4)[:, None], _OTHERS]
+    return np.cumsum(probs / probs.sum(axis=2, keepdims=True), axis=2)
+
+
+class _Draws:
+    """The random draws of whole oligos' reads, one row per read in read order.
+
+    Each oligo draws from its own generator, in this order: the
+    substitution mask, the target choice, the correct-call and error-call
+    Q-scores, the miscalibration mask, the insertion and deletion counts
+    (all drawn whole-batch), and then, read by read for the reads with an
+    insertion or deletion, the insertion and deletion positions and the
+    base, miscalibration and Q-score of each insertion in position order.
+    """
+
+    def __init__(self, capacity: int):
+        self.oligo = np.empty(capacity, dtype=np.intp)
+        self.sub_u = np.empty((capacity, OLIGO_NT))
+        self.target_u = np.empty((capacity, OLIGO_NT))
+        self.q_ok = np.empty((capacity, OLIGO_NT))
+        self.q_err = np.empty((capacity, OLIGO_NT))
+        self.high_u = np.empty((capacity, OLIGO_NT))
+        self.n_ins = np.empty(capacity, dtype=np.int64)
+        self.n_del = np.empty(capacity, dtype=np.int64)
+        # (row, {position: (base, Q-score)} of the insertions, deleted positions)
+        self.indels: list[tuple[int, dict[int, tuple[int, int]], set[int]]] = []
+        self.rows = 0
+
+    def add(self, idx: int, n: int, config: ChannelConfig, rng: np.random.Generator) -> None:
+        """Draw the n reads of oligo idx."""
+        qm = config.qmodel
+        rows = slice(self.rows, self.rows + n)
+        self.oligo[rows] = idx
+        rng.random(out=self.sub_u[rows])
+        rng.random(out=self.target_u[rows])
+        self.q_ok[rows] = rng.normal(qm.q_correct_mean, qm.q_spread, (n, OLIGO_NT))
+        self.q_err[rows] = rng.normal(qm.q_error_mean, qm.q_spread, (n, OLIGO_NT))
+        rng.random(out=self.high_u[rows])
+        n_ins = self.n_ins[rows] = rng.binomial(OLIGO_NT, config.ins_rate, n)
+        n_del = self.n_del[rows] = rng.binomial(OLIGO_NT, config.del_rate, n)
+        for r in (n_ins + n_del).nonzero()[0].tolist():
+            ins_pos = rng.choice(OLIGO_NT, size=n_ins[r], replace=False)
+            del_pos = rng.choice(OLIGO_NT, size=n_del[r], replace=False)
+            inserted = {}
+            for i in sorted(ins_pos.tolist()):
+                b = int(rng.integers(4))
+                miscal = rng.random() < qm.p_err_high_q
+                qi = _draw_q(rng, qm.q_correct_mean if miscal else qm.q_error_mean, qm)
+                inserted[i] = (b, qi)
+            self.indels.append((self.rows + r, inserted, set(del_pos.tolist())))
+        self.rows += n
+
+    def clear(self) -> None:
+        self.rows = 0
+        self.indels = []
+
+
+@dataclass
+class _Walk:
+    """A read with insertions or deletions, rebuilt position by position."""
+
+    events: list[Event]
+    codes: np.ndarray
+    qscores: np.ndarray
+
+
+@dataclass
+class _Reads:
+    """A chunk's reads. Rows in `walks` have their own codes and Q-scores;
+    every other read is its row of `codes` and `qscores`."""
+
+    oligo: np.ndarray  # (n,) pool index of each read
+    codes: np.ndarray  # (n, 152) uint8 base codes after substitution
+    qscores: np.ndarray  # (n, 152) uint8
+    sub_rows: np.ndarray  # the substituted (row, position) pairs, row-major
+    sub_cols: np.ndarray
+    walks: dict[int, _Walk]
+    n_substitutions: int
+    n_insertions: int
+    n_deletions: int
+    n_correct_length: int
+
+    def events(self) -> dict[int, list[Event]]:
+        """The events of every read that has any, in walk order."""
+        out: dict[int, list[Event]] = {}
+        new = self.codes[self.sub_rows, self.sub_cols].tolist()
+        for r, c, b in zip(self.sub_rows.tolist(), self.sub_cols.tolist(), new):
+            out.setdefault(r, []).append(("S", c, BASES[b]))
+        out.update((r, walk.events) for r, walk in self.walks.items())
+        return out
+
+
+def _apply(draws: _Draws, src: np.ndarray, targets: np.ndarray, config: ChannelConfig) -> _Reads:
+    """Turn the draws of reads of the (pool, 152) source codes `src` into reads."""
+    qm = config.qmodel
+    n = draws.rows
+    oligo = draws.oligo[:n].copy()
+    codes = src[oligo]
+    sub = draws.sub_u[:n] < config.sub_rate
+    # replacement bases are looked up only where a substitution was drawn
+    sub_rows, sub_cols = np.nonzero(sub)
+    was = codes[sub_rows, sub_cols]
+    u = draws.target_u[sub_rows, sub_cols]
+    choice = (u[:, None] > targets[sub_cols, was]).sum(axis=1).clip(max=2)
+    codes[sub_rows, sub_cols] = _OTHERS[was, choice]
+    q = np.where(sub & ~(draws.high_u[:n] < qm.p_err_high_q), draws.q_err[:n], draws.q_ok[:n])
+    q = np.clip(np.rint(q, out=q), qm.q_min, qm.q_max).astype(np.uint8)
+
+    walks = {}
+    hidden = 0  # substitutions under a deletion
+    for r, inserted, deleted in draws.indels:
+        row_codes, row_q, row_sub = codes[r].tolist(), q[r].tolist(), sub[r].tolist()
+        events: list[Event] = []
+        out_codes: list[int] = []
+        out_q: list[int] = []
+        for i in range(OLIGO_NT):
+            if i in inserted:
+                b, qi = inserted[i]
+                events.append(("I", i, BASES[b]))
+                out_codes.append(b)
+                out_q.append(qi)
+            if i in deleted:
+                # deletion suppresses any substitution drawn at this position
+                events.append(("D", i))
+                hidden += row_sub[i]
+                continue
+            if row_sub[i]:
+                events.append(("S", i, BASES[row_codes[i]]))
+            out_codes.append(row_codes[i])
+            out_q.append(row_q[i])
+        walks[r] = _Walk(
+            events, np.array(out_codes, dtype=np.uint8), np.array(out_q, dtype=np.uint8)
+        )
+    n_ins, n_del = draws.n_ins[:n], draws.n_del[:n]
+    return _Reads(
+        oligo=oligo,
+        codes=codes,
+        qscores=q,
+        sub_rows=sub_rows,
+        sub_cols=sub_cols,
+        walks=walks,
+        n_substitutions=len(sub_rows) - hidden,
+        n_insertions=int(n_ins.sum()),
+        n_deletions=int(n_del.sum()),
+        n_correct_length=int((n_ins == n_del).sum()),
+    )
 
 
 def corrupt_batch(
@@ -170,79 +341,23 @@ def corrupt_batch(
 ) -> tuple[list[str], list[np.ndarray], list[list[Event]]]:
     """Generate n reads of one oligo. Returns (bases, qscores, events) lists.
 
-    The substitution/Q-score core is vectorized over the whole batch; the
-    rare reads that drew insertions or deletions are rebuilt individually.
+    The one-oligo form of `simulate_pool`'s draw and apply steps.
     """
     if len(oligo_seq) != OLIGO_NT:
         raise ValueError(f"oligo must be {OLIGO_NT} nt")
     if n == 0:
         return [], [], []
     src = sequence_to_indices(oligo_seq)
-    qm = config.qmodel
-    bias = config.transition_bias
-    if bias is None:
-        bias = default_transition_bias()
-    bias = np.asarray(bias, dtype=np.float64)
-    # cumulative target distribution per position for this oligo's bases
-    row = bias[np.arange(OLIGO_NT), src]  # (152, 4) over emitted bases
-    tgt_probs = row[np.arange(OLIGO_NT)[:, None], _OTHERS[src]]  # (152, 3)
-    tgt_probs = tgt_probs / tgt_probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(tgt_probs, axis=1)
-
-    sub_mask = rng.random((n, OLIGO_NT)) < config.sub_rate
-    u = rng.random((n, OLIGO_NT))
-    # replacement bases are looked up only where a substitution was drawn
-    sub_rows, sub_cols = np.nonzero(sub_mask)
-    choice = (u[sub_rows, sub_cols][:, None] > cum[sub_cols]).sum(axis=1).clip(max=2)
-    codes = np.repeat(src[None, :], n, axis=0)
-    codes[sub_rows, sub_cols] = _OTHERS[src[sub_cols], choice]
-
-    q_ok = rng.normal(qm.q_correct_mean, qm.q_spread, (n, OLIGO_NT))
-    q_err = rng.normal(qm.q_error_mean, qm.q_spread, (n, OLIGO_NT))
-    high_q = rng.random((n, OLIGO_NT)) < qm.p_err_high_q
-    q = np.where(sub_mask & ~high_q, q_err, q_ok)
-    q = np.clip(np.rint(q, out=q), qm.q_min, qm.q_max).astype(np.uint8)
-
-    n_ins = rng.binomial(OLIGO_NT, config.ins_rate, n)
-    n_del = rng.binomial(OLIGO_NT, config.del_rate, n)
-
-    bases_out = indices_to_sequences(codes)
-    q_out = list(q)
-    # (position, new base) of row r's substitutions: subs[bounds[r] : bounds[r + 1]]
-    subs = list(zip(sub_cols.tolist(), codes[sub_rows, sub_cols].tolist()))
-    bounds = np.searchsorted(sub_rows, np.arange(n + 1)).tolist()
-    events_out: list[list[Event]] = [
-        [("S", c, BASES[b]) for c, b in subs[lo:hi]] for lo, hi in zip(bounds, bounds[1:])
-    ]
-
-    # the rare reads with insertions or deletions are rebuilt one by one
-    for r in np.nonzero((n_ins > 0) | (n_del > 0))[0].tolist():
-        ins_pos = set(rng.choice(OLIGO_NT, size=n_ins[r], replace=False).tolist())
-        del_pos = set(rng.choice(OLIGO_NT, size=n_del[r], replace=False).tolist())
-        sub_at = dict(subs[bounds[r] : bounds[r + 1]])
-        walk_events: list[Event] = []
-        out_codes: list[int] = []
-        out_q: list[int] = []
-        for i in range(OLIGO_NT):
-            if i in ins_pos:
-                b = int(rng.integers(4))
-                miscal = rng.random() < qm.p_err_high_q
-                qi = int(_draw_q(rng, qm.q_correct_mean if miscal else qm.q_error_mean, qm))
-                walk_events.append(("I", i, BASES[b]))
-                out_codes.append(b)
-                out_q.append(qi)
-            if i in del_pos:
-                # deletion suppresses any substitution drawn at this position
-                walk_events.append(("D", i))
-                continue
-            if i in sub_at:
-                walk_events.append(("S", i, BASES[sub_at[i]]))
-            out_codes.append(int(codes[r, i]))
-            out_q.append(int(q[r, i]))
-        bases_out[r] = indices_to_sequence(out_codes)
-        q_out[r] = np.array(out_q, dtype=np.uint8)
-        events_out[r] = walk_events
-    return bases_out, q_out, events_out
+    draws = _Draws(n)
+    draws.add(0, n, config, rng)
+    reads = _apply(draws, src[None], _target_table(config.transition_bias), config)
+    bases = indices_to_sequences(reads.codes)
+    qscores = list(reads.qscores)
+    for r, walk in reads.walks.items():
+        bases[r] = indices_to_sequence(walk.codes)
+        qscores[r] = walk.qscores
+    events = reads.events()
+    return bases, qscores, [events.get(r, []) for r in range(n)]
 
 
 @dataclass
@@ -279,61 +394,83 @@ def simulate_pool(
 
     Deterministic for a fixed config.rng_seed: abundances and each oligo's
     read batch use generators derived from (rng_seed, oligo index), so the
-    output bytes are reproducible run to run.
+    output bytes are reproducible run to run. The draws of whole oligos are
+    applied and written a chunk of about _CHUNK_READS reads at a time.
     """
     if not seqs:
         raise ValueError("empty oligo pool")
+    if any(len(seq) != OLIGO_NT for seq in seqs):
+        raise ValueError(f"oligo must be {OLIGO_NT} nt")
+    if total_reads > _MAX_READS:
+        raise ValueError(f"at most {_MAX_READS} reads: read ids have nine digits")
+    src = sequence_to_indices("".join(seqs)).reshape(len(seqs), OLIGO_NT)
     fastq_path = Path(fastq_path)
-    if config.transition_bias is None:
-        # resolved once here rather than once per corrupt_batch call
-        config = replace(config, transition_bias=default_transition_bias())
+    targets = _target_table(config.transition_bias)
     counts = sample_abundances(len(seqs), total_reads, config)
-    stats = dict(subs=0, ins=0, dels=0, correct_len=0)
-    serial = 0
-
-    def gen_records() -> Iterator[ReadRecord]:
-        nonlocal serial
-        for idx, seq in enumerate(seqs):
-            n = int(counts[idx])
-            if n == 0:
-                continue
-            rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1, idx]))
-            bases_list, q_list, events_list = corrupt_batch(seq, n, config, rng)
-            for bases, q, events in zip(bases_list, q_list, events_list):
-                rec = ReadRecord(id=f"r{serial:09d}", bases=bases, qscores=q)
-                for ev in events:
-                    if ev[0] == "S":
-                        stats["subs"] += 1
-                    elif ev[0] == "I":
-                        stats["ins"] += 1
-                    else:
-                        stats["dels"] += 1
-                if len(bases) == OLIGO_NT:
-                    stats["correct_len"] += 1
-                if truth_fh is not None:
-                    truth_fh.write(f"{rec.id}\t{idx}\t{format_events(events)}\n")
-                serial += 1
-                yield rec
-
-    truth_fh = None
-    try:
-        if truth_path is not None:
-            truth_fh = open(truth_path, "w")
-            truth_fh.write("read_id\toligo_index\tevents\n")
-        n_written = write_fastq(gen_records(), fastq_path)
-    finally:
-        if truth_fh is not None:
-            truth_fh.close()
-    return SimulatedPool(
+    draws = _Draws(max(_CHUNK_READS, int(counts.max())))
+    pool = SimulatedPool(
         fastq_path=fastq_path,
         truth_path=Path(truth_path) if truth_path is not None else None,
-        n_reads=n_written,
-        n_bases_attempted=n_written * OLIGO_NT,
-        n_substitutions=stats["subs"],
-        n_insertions=stats["ins"],
-        n_deletions=stats["dels"],
-        n_correct_length=stats["correct_len"],
+        n_reads=int(counts.sum()),
+        n_bases_attempted=int(counts.sum()) * OLIGO_NT,
+        n_substitutions=0,
+        n_insertions=0,
+        n_deletions=0,
+        n_correct_length=0,
         abundances=counts,
+    )
+    written = 0
+
+    def flush() -> None:
+        nonlocal written
+        reads = _apply(draws, src, targets, config)
+        fq.write(_fastq_bytes(reads, written))
+        if truth is not None:
+            truth.write(_truth_lines(reads, written))
+        pool.n_substitutions += reads.n_substitutions
+        pool.n_insertions += reads.n_insertions
+        pool.n_deletions += reads.n_deletions
+        pool.n_correct_length += reads.n_correct_length
+        written += draws.rows
+        draws.clear()
+
+    with ExitStack() as stack:
+        truth = None
+        if truth_path is not None:
+            truth = stack.enter_context(open(truth_path, "w"))
+            truth.write("read_id\toligo_index\tevents\n")
+        fq = stack.enter_context(open(fastq_path, "wb"))
+        for idx in np.flatnonzero(counts).tolist():
+            n = int(counts[idx])
+            if draws.rows + n > len(draws.oligo):
+                flush()
+            rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1, idx]))
+            draws.add(idx, n, config, rng)
+        flush()
+    return pool
+
+
+def _fastq_bytes(reads: _Reads, first: int) -> bytes:
+    """The FASTQ records of a chunk's reads, read ids numbered from `first`."""
+    ids = np.empty((len(reads.codes), 10), dtype=np.uint8)
+    ids[:, 0] = ord("r")
+    ids[:, 1:] = np.arange(first, first + len(ids))[:, None] // _ID_DIGITS % 10 + ord("0")
+    block = record_block(ids, base_letters(reads.codes), reads.qscores)
+    pieces, start = [], 0
+    for r, walk in reads.walks.items():
+        one = record_block(ids[r : r + 1], base_letters(walk.codes[None]), walk.qscores[None])
+        pieces += [block[start:r].tobytes(), one.tobytes()]
+        start = r + 1
+    pieces.append(block[start:].tobytes())
+    return b"".join(pieces)
+
+
+def _truth_lines(reads: _Reads, first: int) -> str:
+    """The truth sidecar lines of a chunk's reads, read ids numbered from `first`."""
+    events = reads.events()
+    return "".join(
+        f"r{first + r:09d}\t{idx}\t{format_events(events.get(r, ()))}\n"
+        for r, idx in enumerate(reads.oligo.tolist())
     )
 
 

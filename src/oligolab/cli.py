@@ -31,7 +31,15 @@ from .config import (
     soliton_from,
     user_input,
 )
-from .dna_codec import BASES, OLIGO_NT, assemble_oligo, read_fasta, write_fasta
+from .dna_codec import (
+    BASES,
+    OLIGO_NT,
+    Oligo,
+    assemble_oligo_array,
+    indices_to_sequences,
+    read_fasta,
+    write_fasta,
+)
 from .fastq_io import FastqFormatError, parse_fastq
 from .fountain import SeedSchedule, lt_encode, required_symbols
 from .pipeline import experiment_sweep, hard_decode_baseline, iterative_soft_decode
@@ -79,8 +87,8 @@ def cmd_encode(args, cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     schedule = SeedSchedule.first_n(coded_count)
     coded = lt_encode(source_bits, schedule, params)
-    oligos = [assemble_oligo(schedule.seeds[r], coded[r]) for r in range(coded_count)]
-    write_fasta(oligos, outdir / "pool.fasta", with_primers=args.with_primers)
+    sequences = indices_to_sequences(assemble_oligo_array(schedule.seeds, coded))
+    write_fasta([Oligo.split(s) for s in sequences], outdir / "pool.fasta", args.with_primers)
     schedule.save(outdir / "seeds.txt")
     _write_json(
         outdir / "manifest.json",
@@ -98,9 +106,17 @@ def cmd_encode(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _read_pool(path: str) -> list[str]:
+    """The oligo sequences of a pool FASTA; a bad or empty pool is a config error."""
+    with user_input(f"pool {path}"):
+        oligos = read_fasta(path)
+    if not oligos:
+        raise ConfigError(f"pool {path}: no oligos")
+    return [o.sequence for o in oligos]
+
+
 def cmd_simulate(args, cfg: dict) -> int:
-    with user_input(f"pool {args.pool}"):
-        oligos = read_fasta(args.pool)
+    seqs = _read_pool(args.pool)
     channel = channel_from(cfg)
     with user_input("experiment config"):
         total = args.reads if args.reads is not None else int(cfg["experiment"]["total_reads"])
@@ -108,9 +124,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         raise ConfigError(f"the read count must be >= 1, got {total}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sim = simulate_pool(
-        [o.sequence for o in oligos], total, channel, outdir / "reads.fastq", outdir / "truth.tsv"
-    )
+    sim = simulate_pool(seqs, total, channel, outdir / "reads.fastq", outdir / "truth.tsv")
     report = {
         "n_reads": sim.n_reads,
         "n_correct_length": sim.n_correct_length,
@@ -129,9 +143,7 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_stats(args, cfg: dict) -> int:
-    with user_input(f"pool {args.pool}"):
-        oligos = read_fasta(args.pool)
-    pool = PoolIndex([o.sequence for o in oligos])
+    pool = PoolIndex(_read_pool(args.pool))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "quality_vs_errors.tsv", "w") as fh:
@@ -258,8 +270,7 @@ def cmd_experiment(args, cfg: dict) -> int:
     source_bits = payload_rng.integers(0, 2, size=(params.k, 256), dtype=np.uint8)
     schedule = SeedSchedule.first_n(coded_count)
     coded = lt_encode(source_bits, schedule, params)
-    oligos = [assemble_oligo(schedule.seeds[r], coded[r]) for r in range(coded_count)]
-    seqs = [o.sequence for o in oligos]
+    seqs = indices_to_sequences(assemble_oligo_array(schedule.seeds, coded))
 
     channel = channel_from(cfg)
     sim = simulate_pool(seqs, total_reads, channel, outdir / "reads.fastq", outdir / "truth.tsv")

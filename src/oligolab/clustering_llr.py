@@ -254,7 +254,7 @@ def llr_proposed(clusters: Cluster | Sequence[Cluster], table: TransitionTable) 
             live = np.flatnonzero(sizes > rank)
             sums[live] += terms[starts[live] + rank]
         llrs[run] = sums[:, :PAYLOAD_BITS]
-        parity[run] = sums[:, PAYLOAD_BITS:].reshape(-1, PARITY_NT, 4).argmax(axis=2)
+        parity[run] = _lane_argmax(sums[:, PAYLOAD_BITS:].reshape(-1, PARITY_NT, 4))
     return _soft_inputs(clusters, llrs, parity)
 
 
@@ -293,7 +293,7 @@ def llr_chandak(clusters: Cluster | Sequence[Cluster], crossover_p: float) -> Cl
         counts = _base_counts(codes, sizes)
         ones = (counts[:, PAYLOAD_SLICE] @ _BASE_BITS).reshape(len(sizes), PAYLOAD_BITS)
         llrs[run] = (sizes[:, None] - 2.0 * ones) * scale  # n0 - n1 = m - 2*n1
-        parity[run] = counts[:, PARITY_SLICE].argmax(axis=2)
+        parity[run] = _lane_argmax(counts[:, PARITY_SLICE])
     return _soft_inputs(clusters, llrs, parity)
 
 
@@ -305,7 +305,7 @@ def majority_vote(clusters: Sequence[Cluster]) -> np.ndarray:
     """
     votes = np.empty((len(clusters), OLIGO_NT), dtype=np.uint8)
     for run, sizes, codes in _runs(clusters):
-        votes[run] = _base_counts(codes, sizes).argmax(axis=2)
+        votes[run] = _lane_argmax(_base_counts(codes, sizes))
     return votes
 
 
@@ -325,6 +325,15 @@ def _runs(clusters: Sequence[Cluster]) -> Iterator[tuple[slice, np.ndarray, np.n
 # clusters are split into several segments whose counts are added in
 # full-width integers.
 _SEGMENT_MAX = 255
+
+
+def _lane_argmax(values: np.ndarray) -> np.ndarray:
+    """uint8 index of the largest of the four base lanes on the last axis,
+    ties to the lower base as in argmax: the winners of (A, C) and (G, T),
+    then the larger of their maxima."""
+    a, c, g, t = (values[..., lane] for lane in range(4))
+    upper = np.maximum(g, t) > np.maximum(a, c)
+    return np.where(upper, (t > g).view(np.uint8) + 2, (c > a).view(np.uint8))
 
 
 def _base_counts(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,8 +67,13 @@ def sequence_to_indices(seq: str) -> np.ndarray:
     return codes
 
 
+def base_letters(codes: np.ndarray) -> np.ndarray:
+    """Base codes -> their ASCII letters, as a uint8 array of the same shape."""
+    return _BASE_BYTES[np.asarray(codes, dtype=np.intp)]
+
+
 def indices_to_sequence(indices: Sequence[int] | np.ndarray) -> str:
-    return _BASE_BYTES[np.asarray(indices, dtype=np.intp)].tobytes().decode("ascii")
+    return base_letters(indices).tobytes().decode("ascii")
 
 
 def indices_to_sequences(codes: np.ndarray) -> list[str]:
@@ -164,17 +169,29 @@ def seed_to_bases(seed: int) -> str:
     return indices_to_sequence(seeds_to_base_indices([seed])[0])
 
 
+def assemble_oligo_array(seeds: Sequence[int], payload_bits: np.ndarray) -> np.ndarray:
+    """(n,) seeds and (n, 256) payload bits -> (n, 152) base codes of the
+    full oligos: RS parity is computed over each seed+payload's symbols."""
+    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
+    if payload_bits.shape != (len(seeds), PAYLOAD_BITS):
+        raise ValueError(
+            f"payload must be {len(seeds)} x {PAYLOAD_BITS} bits, got {payload_bits.shape}"
+        )
+    message = np.concatenate(
+        [seeds_to_base_indices(seeds), bit_array_to_base_indices(payload_bits)], axis=1
+    )
+    codewords = gf_rs.rs_encode_array(base_indices_to_symbol_array(message))
+    return np.concatenate(
+        [message, symbols_to_base_indices(codewords[:, gf_rs.N_MESSAGE :])], axis=1
+    )
+
+
 def assemble_oligo(seed: int, payload_bits: np.ndarray) -> Oligo:
     """Build the full oligo: RS parity is computed over seed+payload symbols."""
     payload_bits = np.asarray(payload_bits, dtype=np.uint8)
     if payload_bits.shape != (PAYLOAD_BITS,):
         raise ValueError(f"payload must be {PAYLOAD_BITS} bits, got {payload_bits.shape}")
-    message = np.concatenate(
-        [seeds_to_base_indices([seed])[0], bit_array_to_base_indices(payload_bits)]
-    )
-    codeword = gf_rs.rs_encode(base_indices_to_symbols(message))
-    parity = symbols_to_base_indices(codeword[gf_rs.N_MESSAGE :])
-    return Oligo.split(indices_to_sequence(np.concatenate([message, parity])))
+    return Oligo.split(indices_to_sequence(assemble_oligo_array([seed], payload_bits[None])[0]))
 
 
 def parse_oligo(sequence: str) -> tuple[int, np.ndarray, Oligo]:
@@ -187,18 +204,17 @@ def parse_oligo(sequence: str) -> tuple[int, np.ndarray, Oligo]:
 
 
 def write_fasta(
-    oligos: Iterable[Oligo], path: str | Path, with_primers: bool = False
+    oligos: Sequence[Oligo], path: str | Path, with_primers: bool = False
 ) -> int:
     """One record per oligo, id = 8-hex-digit seed. Returns the record count."""
-    n = 0
+    seeds = base_indices_to_seeds(encode_base_matrix([o.seed_nt for o in oligos], SEED_NT))
+    flank5, flank3 = (PRIMER_5, PRIMER_3) if with_primers else ("", "")
     with open(path, "w") as fh:
-        for oligo in oligos:
-            seq = oligo.sequence
-            if with_primers:
-                seq = PRIMER_5 + seq + PRIMER_3
-            fh.write(f">{oligo.seed_value:08x}\n{seq}\n")
-            n += 1
-    return n
+        fh.writelines(
+            f">{seed:08x}\n{flank5}{oligo.sequence}{flank3}\n"
+            for seed, oligo in zip(seeds.tolist(), oligos)
+        )
+    return len(oligos)
 
 
 def read_fasta(path: str | Path) -> list[Oligo]:

@@ -10,7 +10,9 @@ record to find its first fault; the records before it are returned, and
 the fault is raised with its line number. `parse_fastq` builds
 ReadRecords from these chunks; `clustering_llr.cluster_by_seed` reads
 them as arrays. Gzipped input is handled transparently by filename
-suffix. Only the Phred+33 offset is supported.
+suffix. Only the Phred+33 offset is supported. `write_fastq` writes
+records one by one; `record_block` lays out equal-length records in the
+same form as one byte matrix.
 """
 
 from __future__ import annotations
@@ -230,6 +232,26 @@ def _write_handle(records: Iterable[ReadRecord], fh: IO[str]) -> int:
         fh.write(f"@{rec.id}\n{rec.bases}\n+\n{qual}\n")
         n += 1
     return n
+
+
+def record_block(headers: np.ndarray, letters: np.ndarray, qscores: np.ndarray) -> np.ndarray:
+    """Equal-size records in the normalized 4-line form of write_fastq, one
+    row of bytes per record.
+
+    headers is (n, h) ASCII bytes without the '@', letters (n, L) ASCII
+    bytes and qscores (n, L) uint8 Phred values.
+    """
+    n, h = headers.shape
+    length = letters.shape[1]
+    out = np.empty((n, h + 2 * length + 6), dtype=np.uint8)
+    out[:, 0] = ord("@")
+    out[:, 1 : h + 1] = headers
+    out[:, h + 1] = ord("\n")
+    out[:, h + 2 : h + 2 + length] = letters
+    out[:, h + 2 + length : h + 5 + length] = np.frombuffer(b"\n+\n", dtype=np.uint8)
+    out[:, h + 5 + length : -1] = qscores + PHRED_OFFSET
+    out[:, -1] = ord("\n")
+    return out
 
 
 def phred_to_prob(q):

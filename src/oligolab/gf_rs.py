@@ -4,8 +4,9 @@ The field uses the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D)
 with generator element 2, the common convention for byte-oriented RS codes.
 The code has two parity symbols (minimum distance 3), so the decoder
 corrects any single-symbol error and detects double-symbol errors.
-Symbols are ints in [0, 255]; addition is XOR. `rs_syndromes` checks a
-whole (n, 38) array of words at once.
+Symbols are ints in [0, 255]; addition is XOR. `rs_encode_array` encodes
+a whole (n, 36) array of messages and `rs_syndromes` checks a whole
+(n, 38) array of words at once.
 """
 
 from __future__ import annotations
@@ -50,36 +51,54 @@ def gf_mul(a: int, b: int) -> int:
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-# Generator polynomial g(x) = (x - a^0)(x - a^1), roots a^0 and a^1.
-# Coefficients highest degree first: x^2 + g1*x + g2.
-_G1 = 1 ^ GF_GENERATOR                 # a^0 + a^1
-_G2 = gf_mul(1, GF_GENERATOR)          # a^0 * a^1
-
-
-def rs_encode(message: Sequence[int]) -> list[int]:
-    """Systematic encode of 36 symbols into a 38-symbol codeword.
-
-    The message is treated as a polynomial with the first symbol as the
-    highest-degree coefficient; the two parity symbols are the remainder
-    of message(x) * x^2 modulo the generator polynomial.
-    """
-    if len(message) != N_MESSAGE:
-        raise ValueError(f"message must have {N_MESSAGE} symbols, got {len(message)}")
-    r0 = 0
-    r1 = 0
-    for m in message:
-        if not 0 <= m <= 255:
-            raise ValueError(f"symbol out of range: {m}")
-        t = r0 ^ m
-        r0 = r1 ^ gf_mul(t, _G1)
-        r1 = gf_mul(t, _G2)
-    return list(message) + [r0, r1]
-
-
 _EXP_TABLE = np.array(_EXP, dtype=np.uint8)
 _LOG_TABLE = np.array(_LOG, dtype=np.int16)
 # the degree of each symbol's term, word[0] the highest
 _DEGREES = np.arange(N_SYMBOLS - 1, -1, -1, dtype=np.int16)
+
+
+def _parity_map() -> np.ndarray:
+    """(36, 2) parity of each message symbol's unit term: row i holds the
+    coefficients of x^1 and x^0 in x^(37 - i) mod g(x), where g(x) =
+    (x - a^0)(x - a^1) = x^2 + g1*x + g2 has roots a^0 and a^1."""
+    g1, g2 = 1 ^ GF_GENERATOR, gf_mul(1, GF_GENERATOR)
+    rows = []
+    hi, lo = 1, 0  # x^1
+    for _ in range(N_MESSAGE):
+        # x * (hi*x + lo) = hi*x^2 + lo*x, and x^2 = g1*x + g2 mod g(x)
+        hi, lo = gf_mul(hi, g1) ^ lo, gf_mul(hi, g2)
+        rows.append((hi, lo))
+    return np.array(rows[::-1], dtype=np.uint8)
+
+
+_PARITY_MAP = _parity_map()
+
+
+def rs_encode_array(messages: np.ndarray) -> np.ndarray:
+    """(n, 36) message symbols -> their (n, 38) systematic codewords, uint8.
+
+    A message is a polynomial with the first symbol as the highest-degree
+    coefficient; the two parity symbols are the remainder of
+    message(x) * x^2 modulo the generator polynomial, a fixed linear map
+    of the message: the XOR of each symbol times its row of the map.
+    """
+    messages = np.asarray(messages)
+    if messages.ndim != 2 or messages.shape[1] != N_MESSAGE:
+        raise ValueError(f"message must have {N_MESSAGE} symbols, got {messages.shape[-1]}")
+    bad = (messages < 0) | (messages > 255)
+    if bad.any():
+        raise ValueError(f"symbol out of range: {messages[bad][0]}")
+    messages = messages.astype(np.uint8)
+    # every entry of the map is nonzero, so only zero symbols need masking
+    products = _EXP_TABLE[_LOG_TABLE[messages][:, :, None] + _LOG_TABLE[_PARITY_MAP]]
+    products[messages == 0] = 0
+    parity = np.bitwise_xor.reduce(products, axis=1)
+    return np.concatenate([messages, parity], axis=1)
+
+
+def rs_encode(message: Sequence[int]) -> list[int]:
+    """Systematic encode of 36 symbols into a 38-symbol codeword."""
+    return rs_encode_array([message]).tolist()[0]
 
 
 def rs_syndromes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Reference RS check for the batched-screen property tests.
+"""Reference RS encoder and check for the batched property tests.
 
 These are `oligolab.pipeline._rs_check`, `oligolab.gf_rs.rs_decode` and
 `oligolab.gf_rs._syndromes` as they were before the syndromes of all words
@@ -7,6 +7,11 @@ included, with Horner syndromes. The code is verbatim; `gf_rs` below
 names the copies and the live module's constants, so `_rs_check` calls
 the copied `rs_decode`. The tests require the live check to return the
 same masks and coded bits, and the live `rs_decode` the same outcome.
+
+`rs_encode` (with its generator constants) is `oligolab.gf_rs.rs_encode`
+as it was before the encoder became one linear map over a whole array of
+messages: a per-symbol division by the generator polynomial. The tests
+require `gf_rs.rs_encode_array` to return the same codewords.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from oligolab.dna_codec import (
 from oligolab.gf_rs import (
     _LOG,
     GF_GENERATOR,
+    N_MESSAGE,
     N_SYMBOLS,
     STATUS_CLEAN,
     STATUS_CORRECTED,
@@ -34,6 +40,32 @@ from oligolab.gf_rs import (
     RsDecodeOutcome,
     gf_mul,
 )
+
+
+# Generator polynomial g(x) = (x - a^0)(x - a^1), roots a^0 and a^1.
+# Coefficients highest degree first: x^2 + g1*x + g2.
+_G1 = 1 ^ GF_GENERATOR                 # a^0 + a^1
+_G2 = gf_mul(1, GF_GENERATOR)          # a^0 * a^1
+
+
+def rs_encode(message: Sequence[int]) -> list[int]:
+    """Systematic encode of 36 symbols into a 38-symbol codeword.
+
+    The message is treated as a polynomial with the first symbol as the
+    highest-degree coefficient; the two parity symbols are the remainder
+    of message(x) * x^2 modulo the generator polynomial.
+    """
+    if len(message) != N_MESSAGE:
+        raise ValueError(f"message must have {N_MESSAGE} symbols, got {len(message)}")
+    r0 = 0
+    r1 = 0
+    for m in message:
+        if not 0 <= m <= 255:
+            raise ValueError(f"symbol out of range: {m}")
+        t = r0 ^ m
+        r0 = r1 ^ gf_mul(t, _G1)
+        r1 = gf_mul(t, _G2)
+    return list(message) + [r0, r1]
 
 
 def _syndromes(word: Sequence[int]) -> tuple[int, int]:

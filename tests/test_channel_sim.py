@@ -1,6 +1,13 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sim_reference
+from oligolab import channel_sim
 from oligolab.channel_sim import (
     ChannelConfig,
     QscoreModel,
@@ -174,3 +181,68 @@ def test_default_bias_rows_normalized():
     assert (bias >= 0).all()
     for b in range(4):
         assert np.allclose(bias[:, b, b], 0.0)
+
+
+@st.composite
+def channels(draw):
+    """Channel configs from clean to heavily damaged: several indels per
+    read, insertions and deletions at one position, deletions over
+    substitutions, every position substituted, custom biases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = st.sampled_from([0.0, 0.01, 0.05]) | st.floats(0.0, 0.05)
+    return ChannelConfig(
+        sub_rate=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 0.05)),
+        ins_rate=draw(rate),
+        del_rate=draw(rate),
+        abundance_sigma=draw(st.sampled_from([0.0, 0.6, 2.0])),
+        qmodel=QscoreModel(p_err_high_q=draw(st.sampled_from([0.0, 0.02, 0.5]))),
+        transition_bias=rng.random((152, 4, 4)) + 0.01 if draw(st.booleans()) else None,
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def random_pool(seed: int, n: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return ["".join("ACGT"[b] for b in rng.integers(0, 4, 152)) for _ in range(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    channels(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 3, channel_sim._CHUNK_READS]),
+    st.booleans(),
+)
+def test_simulate_pool_matches_reference(config, pool_seed, n_oligos, total, chunk, truth):
+    """Chunked simulation writes the per-oligo reference's FASTQ and truth
+    bytes and counts the same events, whatever the chunk size; pools with
+    fewer reads than oligos leave oligos without reads."""
+    seqs = random_pool(pool_seed, n_oligos)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {}
+        for side, simulate in (("live", simulate_pool), ("ref", sim_reference.simulate_pool)):
+            fq, tr = Path(tmp) / f"{side}.fastq", Path(tmp) / f"{side}.tsv"
+            saved, channel_sim._CHUNK_READS = channel_sim._CHUNK_READS, chunk
+            try:
+                pool = simulate(seqs, total, config, fq, tr if truth else None)
+            finally:
+                channel_sim._CHUNK_READS = saved
+            fields = dataclasses.asdict(pool)
+            del fields["fastq_path"], fields["truth_path"]
+            fields["abundances"] = fields["abundances"].tolist()
+            out[side] = fields, fq.read_bytes(), tr.read_bytes() if truth else None
+    assert out["live"] == out["ref"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(channels(), st.integers(0, 2**32 - 1), st.integers(0, 30))
+def test_corrupt_batch_matches_reference(config, seed, n):
+    """The one-oligo form returns the reference's bases, Q-scores and events."""
+    (seq,) = random_pool(seed, 1)
+    got = corrupt_batch(seq, n, config, np.random.default_rng(seed))
+    want = sim_reference.corrupt_batch(seq, n, config, np.random.default_rng(seed))
+    assert got[0] == want[0] and got[2] == want[2]
+    assert [q.tolist() for q in got[1]] == [q.tolist() for q in want[1]]
+    assert all(q.dtype == np.uint8 for q in got[1])

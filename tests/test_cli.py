@@ -486,6 +486,20 @@ def test_malformed_transition_table_is_a_config_error(simulated, tmp_path, capsy
     assert not (outdir / "decode_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "stats"])
+def test_empty_pool_is_a_config_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.fasta"
+    empty.write_text("")
+    outdir = tmp_path / "out"
+    inputs = ["--fastq", tmp_path / "reads.fastq"] if command == "stats" else []
+    assert run([command, "--pool", empty, "--outdir", outdir, "--profile", "desk-scale",
+                *inputs]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"pool {empty}: no oligos" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def test_simulate_zero_reads_is_a_config_error(encoded, tmp_path):
     src, enc = encoded
     outdir = tmp_path / "sim0"

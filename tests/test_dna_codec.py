@@ -8,6 +8,7 @@ from oligolab import dna_codec, gf_rs
 from oligolab.dna_codec import (
     Oligo,
     assemble_oligo,
+    assemble_oligo_array,
     base_indices_to_bit_array,
     base_indices_to_seeds,
     base_indices_to_symbols,
@@ -115,6 +116,21 @@ def test_oligo_layout_matches_reference(seed, payload):
     assert got_seed == want_seed == seed
     assert np.array_equal(got_bits, want_bits)
     assert got_oligo == got
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(SEEDS, st.binary(min_size=32, max_size=32)), max_size=12))
+def test_oligo_array_matches_single_oligos(drawn):
+    seeds = [seed for seed, _ in drawn]
+    bits = np.unpackbits(np.frombuffer(b"".join(p for _, p in drawn), dtype=np.uint8))
+    bits = bits.reshape(len(drawn), 256)
+    codes = assemble_oligo_array(seeds, bits)
+    assert codes.dtype == np.uint8 and codes.shape == (len(drawn), 152)
+    assert indices_to_sequences(codes) == [
+        assemble_oligo(seed, row).sequence for seed, row in zip(seeds, bits)
+    ]
+    with pytest.raises(ValueError):
+        assemble_oligo_array(seeds + [0], bits)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

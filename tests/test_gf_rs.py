@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import rs_reference
 
 from oligolab import gf_rs
 from oligolab.gf_rs import (
@@ -175,3 +177,24 @@ def test_rs_syndromes_match_brute_force_oracle():
     assert s0.dtype == s1.dtype == np.uint8
     assert list(zip(s0.tolist(), s1.tolist())) == [syndromes(w) for w in words.tolist()]
     assert not (s0[:110] | s1[:110]).any()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([0.0, 0.3, 0.9]))
+def test_rs_encode_array_matches_reference(seed, n, zeros):
+    """The linear-map batch encoder gives the per-symbol division's codewords;
+    zero symbols, whose log is undefined, are drawn often."""
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, 256, size=(n, 36), dtype=np.uint8)
+    messages[rng.random((n, 36)) < zeros] = 0
+    got = gf_rs.rs_encode_array(messages)
+    assert got.dtype == np.uint8 and got.shape == (n, 38)
+    want = [rs_reference.rs_encode(m) for m in messages.tolist()]
+    assert got.tolist() == want
+    assert [rs_encode(m) for m in messages.tolist()] == want
+
+
+def test_rs_encode_rejects_symbols_out_of_range():
+    for bad in (256, -1):
+        with pytest.raises(ValueError, match="symbol out of range"):
+            rs_encode([0] * 35 + [bad])

@@ -43,6 +43,8 @@ _BASE_BYTES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)  # code -> le
 _CODE_LUT = np.full(256, 255, dtype=np.uint8)  # letter -> code, 255 for anything else
 _CODE_LUT[_BASE_BYTES] = np.arange(len(BASES))
 _CODE_TABLE = _CODE_LUT.tobytes()  # the same map for bytes.translate
+# code -> letter for bytes.translate, 255 for a code above 3
+_LETTER_TABLE = _BASE_BYTES.tobytes() + bytes([255]) * (256 - len(BASES))
 
 
 def encode_bases(seq: str | bytes) -> np.ndarray:
@@ -67,13 +69,18 @@ def sequence_to_indices(seq: str) -> np.ndarray:
     return codes
 
 
+def _letter_bytes(codes: Sequence[int] | np.ndarray) -> bytes:
+    """Base codes -> their letters; a code above 3 gives a non-ASCII byte."""
+    return np.asarray(codes, dtype=np.uint8).tobytes().translate(_LETTER_TABLE)
+
+
 def base_letters(codes: np.ndarray) -> np.ndarray:
     """Base codes -> their ASCII letters, as a uint8 array of the same shape."""
-    return _BASE_BYTES[np.asarray(codes, dtype=np.intp)]
+    return np.frombuffer(_letter_bytes(codes), dtype=np.uint8).reshape(np.shape(codes))
 
 
 def indices_to_sequence(indices: Sequence[int] | np.ndarray) -> str:
-    return base_letters(indices).tobytes().decode("ascii")
+    return _letter_bytes(indices).decode("ascii")
 
 
 def indices_to_sequences(codes: np.ndarray) -> list[str]:

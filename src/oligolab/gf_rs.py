@@ -57,30 +57,37 @@ _LOG_TABLE = np.array(_LOG, dtype=np.int16)
 _DEGREES = np.arange(N_SYMBOLS - 1, -1, -1, dtype=np.int16)
 
 
-def _parity_map() -> np.ndarray:
-    """(36, 2) parity of each message symbol's unit term: row i holds the
-    coefficients of x^1 and x^0 in x^(37 - i) mod g(x), where g(x) =
-    (x - a^0)(x - a^1) = x^2 + g1*x + g2 has roots a^0 and a^1."""
+def _parity_tables() -> np.ndarray:
+    """(36, 256, 2) uint8: the two parity symbols that each value of each
+    message symbol contributes.
+
+    The parity is the remainder of message(x) * x^2 modulo the generator
+    polynomial g(x) = (x - a^0)(x - a^1) = x^2 + g1*x + g2, a linear map of
+    the message; symbol i is the coefficient of x^(37 - i) in message(x) * x^2.
+    """
     g1, g2 = 1 ^ GF_GENERATOR, gf_mul(1, GF_GENERATOR)
-    rows = []
+    # x^2, x^3, ..., x^37 mod g(x) as (x^1, x^0) coefficients: symbols 35 down to 0
+    units = []
     hi, lo = 1, 0  # x^1
     for _ in range(N_MESSAGE):
         # x * (hi*x + lo) = hi*x^2 + lo*x, and x^2 = g1*x + g2 mod g(x)
         hi, lo = gf_mul(hi, g1) ^ lo, gf_mul(hi, g2)
-        rows.append((hi, lo))
-    return np.array(rows[::-1], dtype=np.uint8)
+        units.append((hi, lo))
+    units = np.array(units[::-1])[:, None, :]
+    values = np.arange(FIELD_SIZE)[None, :, None]
+    products = _EXP_TABLE[_LOG_TABLE[values] + _LOG_TABLE[units]]
+    return np.where((values != 0) & (units != 0), products, 0).astype(np.uint8)
 
 
-_PARITY_MAP = _parity_map()
+_PARITY_TABLES = _parity_tables()
 
 
 def rs_encode_array(messages: np.ndarray) -> np.ndarray:
     """(n, 36) message symbols -> their (n, 38) systematic codewords, uint8.
 
     A message is a polynomial with the first symbol as the highest-degree
-    coefficient; the two parity symbols are the remainder of
-    message(x) * x^2 modulo the generator polynomial, a fixed linear map
-    of the message: the XOR of each symbol times its row of the map.
+    coefficient; the two parity symbols are the XOR of each symbol's
+    entries in _PARITY_TABLES.
     """
     messages = np.asarray(messages)
     if messages.ndim != 2 or messages.shape[1] != N_MESSAGE:
@@ -89,10 +96,9 @@ def rs_encode_array(messages: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"symbol out of range: {messages[bad][0]}")
     messages = messages.astype(np.uint8)
-    # every entry of the map is nonzero, so only zero symbols need masking
-    products = _EXP_TABLE[_LOG_TABLE[messages][:, :, None] + _LOG_TABLE[_PARITY_MAP]]
-    products[messages == 0] = 0
-    parity = np.bitwise_xor.reduce(products, axis=1)
+    parity = np.zeros((len(messages), N_PARITY), dtype=np.uint8)
+    for i, table in enumerate(_PARITY_TABLES):
+        parity ^= table[messages[:, i]]
     return np.concatenate([messages, parity], axis=1)
 
 

@@ -64,9 +64,6 @@ class SparseParityMatrix:
     def total_weight(self) -> int:
         return len(self.indices) + self.n_rows
 
-    def row_weight(self, r: int) -> int:
-        return int(self.indptr[r + 1] - self.indptr[r]) + 1
-
 
 def build_h(rows: tuple[np.ndarray, np.ndarray], params: SolitonParams) -> SparseParityMatrix:
     """One check row per CSR neighbor row (indptr, indices), in the order given."""

@@ -108,9 +108,7 @@ class PoolIndex:
             base_indices_to_seeds(self.codes[:, :SEED_NT]), return_index=True
         )
         limit = self.DMIN_POOL_LIMIT if dmin_pool_limit is None else dmin_pool_limit
-        self._dmin: np.ndarray | None = None
-        if len(sequences) <= limit:
-            self._dmin = self._pairwise_dmin()
+        self.dmin = self._pairwise_dmin() if len(sequences) <= limit else None
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -122,10 +120,6 @@ class PoolIndex:
         np.minimum.at(dmin, i, d)
         np.minimum.at(dmin, j, d)
         return dmin
-
-    @property
-    def dmin(self) -> np.ndarray | None:
-        return self._dmin
 
 
 def _exact_scan(codes: np.ndarray, pool: PoolIndex, upper: np.ndarray) -> np.ndarray:
@@ -379,7 +373,7 @@ class TransitionEstimator:
 
 def estimate_transitions(
     reads: Iterable[ReadRecord | str],
-    pool: PoolIndex | Sequence[str],
+    pool: PoolIndex,
     on_conditioned: Callable[[list[tuple[ReadRecord | str, int]]], None] | None = None,
 ) -> TransitionTable:
     """Build the transition table from reads aligned to the encoded pool.
@@ -388,8 +382,6 @@ def estimate_transitions(
     each chunk's (read, position_errors) pairs of the reads conditioned on,
     in read order, before the next chunk is read.
     """
-    if not isinstance(pool, PoolIndex):
-        pool = PoolIndex(pool)
     est = TransitionEstimator(pool)
     it = iter(reads)
     while chunk := list(islice(it, _CHUNK_READS)):

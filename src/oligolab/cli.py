@@ -34,7 +34,6 @@ from .config import (
 from .dna_codec import (
     BASES,
     OLIGO_NT,
-    Oligo,
     assemble_oligo_array,
     indices_to_sequences,
     read_fasta,
@@ -88,7 +87,7 @@ def cmd_encode(args, cfg: dict) -> int:
     schedule = SeedSchedule.first_n(coded_count)
     coded = lt_encode(source_bits, schedule, params)
     sequences = indices_to_sequences(assemble_oligo_array(schedule.seeds, coded))
-    write_fasta([Oligo.split(s) for s in sequences], outdir / "pool.fasta", args.with_primers)
+    write_fasta(sequences, outdir / "pool.fasta", args.with_primers)
     schedule.save(outdir / "seeds.txt")
     _write_json(
         outdir / "manifest.json",
@@ -109,10 +108,10 @@ def cmd_encode(args, cfg: dict) -> int:
 def _read_pool(path: str) -> list[str]:
     """The oligo sequences of a pool FASTA; a bad or empty pool is a config error."""
     with user_input(f"pool {path}"):
-        oligos = read_fasta(path)
-    if not oligos:
+        sequences = read_fasta(path)
+    if not sequences:
         raise ConfigError(f"pool {path}: no oligos")
-    return [o.sequence for o in oligos]
+    return sequences
 
 
 def cmd_simulate(args, cfg: dict) -> int:
@@ -181,16 +180,23 @@ def cmd_stats(args, cfg: dict) -> int:
 
 
 def cmd_decode(args, cfg: dict) -> int:
+    ours = soliton_from(cfg)
     with user_input(f"manifest {args.manifest}"):
         manifest = json.loads(Path(args.manifest).read_text())
         theirs = dataclasses.asdict(soliton_from(manifest["config"]))
+        differ = [f"{key} (config {value}, manifest {theirs[key]})"
+                  for key, value in dataclasses.asdict(ours).items() if value != theirs[key]]
+        if differ:
+            raise ConfigError(f"code parameters differ from the manifest: {', '.join(differ)}")
         payload_sha256 = manifest["payload_sha256"]
-        payload_bytes = int(manifest["k"]) * PACKET_BYTES - int(manifest["pad_bytes"])
-    ours = dataclasses.asdict(soliton_from(cfg))
-    differ = [f"{key} (config {ours[key]}, manifest {theirs[key]})"
-              for key in ours if ours[key] != theirs[key]]
-    if differ:
-        raise ConfigError(f"code parameters differ from the manifest: {', '.join(differ)}")
+        k, input_bytes, pad_bytes = (int(manifest[n]) for n in ("k", "input_bytes", "pad_bytes"))
+        if k != ours.k:
+            raise ValueError(f"k is {k} but the code's k is {ours.k}")
+        if min(input_bytes, pad_bytes) < 0 or input_bytes + pad_bytes != k * PACKET_BYTES:
+            raise ValueError(
+                f"input_bytes {input_bytes} and pad_bytes {pad_bytes} must be >= 0 "
+                f"and sum to k x {PACKET_BYTES} = {k * PACKET_BYTES}"
+            )
     with user_input(f"seed table {args.seeds}"):
         schedule = SeedSchedule.load(args.seeds)
     with user_input(f"transition table {args.transition}"):
@@ -199,8 +205,8 @@ def cmd_decode(args, cfg: dict) -> int:
             if args.transition
             else TransitionTable.uniform()
         )
-    clusters, discard = cluster_by_seed(args.fastq, schedule)
     params = pipeline_params_from(cfg)
+    clusters, discard = cluster_by_seed(args.fastq, schedule)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -214,7 +220,7 @@ def cmd_decode(args, cfg: dict) -> int:
         payload = np.packbits(report.recovered_payload.reshape(-1)).tobytes()
         checksum_ok = _sha256(payload) == payload_sha256
         if checksum_ok:
-            (outdir / "recovered.bin").write_bytes(payload[:payload_bytes])
+            (outdir / "recovered.bin").write_bytes(payload[:input_bytes])
         else:
             report.success = False
             report.reason = "payload_checksum_mismatch"
@@ -241,8 +247,6 @@ def cmd_decode(args, cfg: dict) -> int:
 
 
 def cmd_experiment(args, cfg: dict) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     params = soliton_from(cfg)
     coded_count = int(cfg["code"]["coded_count"])
     with user_input("experiment config"):
@@ -287,7 +291,6 @@ def cmd_experiment(args, cfg: dict) -> int:
         variants,
         rng_seed=rng_seed,
         expected_payload=source_bits,
-        jobs=args.jobs,
     )
     doc = sweep.to_dict(omit_timing=_omit_timing(cfg, args))
     doc["simulated_reads"] = sim.n_reads
@@ -356,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="end-to-end random-sampling sweep")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads across trials")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -113,7 +113,7 @@ def _read_rows(reads: Sequence[ReadRecord]) -> tuple[np.ndarray, np.ndarray, np.
 
 def cluster_by_seed(
     reads: Iterable[ReadRecord] | str | Path,
-    seed_table: SeedSchedule | Sequence[int],
+    seed_table: SeedSchedule,
 ) -> tuple[dict[int, Cluster], DiscardReport]:
     """Group reads, ReadRecords or a FASTQ file's, by exact seed-region
     match against the seed table.
@@ -132,8 +132,7 @@ def cluster_by_seed(
     cluster holds its row slice of both, members in input order. Clusters
     are keyed in the order of their first read.
     """
-    seeds = seed_table.seeds if isinstance(seed_table, SeedSchedule) else seed_table
-    table = np.unique(base_indices_to_seeds(seeds_to_base_indices(seeds)))
+    table = np.unique(base_indices_to_seeds(seeds_to_base_indices(seed_table.seeds)))
     report = DiscardReport()
     # per chunk, for the retained reads: table index, base codes, Q-scores
     found, code_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []

@@ -1,4 +1,5 @@
-"""The oligo layout: letters, base codes, bits, RS symbols and seeds; FASTA I/O.
+"""The oligo layout: letters, base codes, bits, RS symbols and seeds; FASTA
+I/O of the 152-nt sequences.
 
 This module is the only one that knows how these map onto each other.
 Bases are coded A=0, C=1, G=2, T=3, two bits per base with the high bit
@@ -166,10 +167,6 @@ class Oligo:
     def sequence(self) -> str:
         return self.seed_nt + self.payload_nt + self.parity_nt
 
-    @property
-    def seed_value(self) -> int:
-        return int(base_indices_to_seeds(sequence_to_indices(self.seed_nt)))
-
 
 def seed_to_bases(seed: int) -> str:
     """Render a 32-bit seed as its 16-nt prefix, MSB-first."""
@@ -201,36 +198,27 @@ def assemble_oligo(seed: int, payload_bits: np.ndarray) -> Oligo:
     return Oligo.split(indices_to_sequence(assemble_oligo_array([seed], payload_bits[None])[0]))
 
 
-def parse_oligo(sequence: str) -> tuple[int, np.ndarray, Oligo]:
-    """Split a 152-nt sequence back into (seed value, payload bits, Oligo)."""
-    if len(sequence) != OLIGO_NT:
-        raise ValueError(f"oligo must be {OLIGO_NT} nt, got {len(sequence)}")
-    oligo = Oligo.split(sequence)
-    payload_bits = base_indices_to_bit_array(sequence_to_indices(oligo.payload_nt))
-    return oligo.seed_value, payload_bits, oligo
-
-
 def write_fasta(
-    oligos: Sequence[Oligo], path: str | Path, with_primers: bool = False
+    sequences: Sequence[str], path: str | Path, with_primers: bool = False
 ) -> int:
-    """One record per oligo, id = 8-hex-digit seed. Returns the record count."""
-    seeds = base_indices_to_seeds(encode_base_matrix([o.seed_nt for o in oligos], SEED_NT))
+    """One record per 152-nt sequence, id = 8-hex-digit seed. Returns the record count."""
+    seeds = base_indices_to_seeds(encode_base_matrix([s[:SEED_NT] for s in sequences], SEED_NT))
     flank5, flank3 = (PRIMER_5, PRIMER_3) if with_primers else ("", "")
     with open(path, "w") as fh:
         fh.writelines(
-            f">{seed:08x}\n{flank5}{oligo.sequence}{flank3}\n"
-            for seed, oligo in zip(seeds.tolist(), oligos)
+            f">{seed:08x}\n{flank5}{seq}{flank3}\n" for seed, seq in zip(seeds.tolist(), sequences)
         )
-    return len(oligos)
+    return len(sequences)
 
 
-def read_fasta(path: str | Path) -> list[Oligo]:
-    """Read a pool written by write_fasta, with or without primers.
+def read_fasta(path: str | Path) -> list[str]:
+    """The 152-nt sequences of a pool written by write_fasta, with or without primers.
 
     A record flanked by exactly PRIMER_5 and PRIMER_3 is stripped to its
-    152-nt oligo.
+    152-nt oligo. A record of another length, or a letter other than ACGT,
+    raises ValueError.
     """
-    oligos = []
+    sequences = []
     header = None
     seq_parts: list[str] = []
 
@@ -244,8 +232,7 @@ def read_fasta(path: str | Path) -> list[Oligo]:
             raise ValueError(
                 f"record {header!r}: expected {OLIGO_NT} nt, got {len(seq)}"
             )
-        _, _, oligo = parse_oligo(seq)
-        oligos.append(oligo)
+        sequences.append(seq)
 
     with open(path) as fh:
         for line in fh:
@@ -259,4 +246,5 @@ def read_fasta(path: str | Path) -> list[Oligo]:
             else:
                 seq_parts.append(line)
         flush()
-    return oligos
+    sequence_to_indices("".join(sequences))
+    return sequences

@@ -256,7 +256,7 @@ class SeedSchedule:
 
 def lt_encode(
     source_bits: np.ndarray,
-    schedule: SeedSchedule | Sequence[int],
+    schedule: SeedSchedule,
     params: SolitonParams,
 ) -> np.ndarray:
     """XOR-combine source packets into coded packets, one per seed.
@@ -265,15 +265,14 @@ def lt_encode(
     packets are packed into 64-bit words and each coded packet is one
     XOR-reduction over its seed's row.
     """
-    seeds = schedule.seeds if isinstance(schedule, SeedSchedule) else schedule
-    if not len(seeds):
+    if not schedule.seeds:
         raise ValueError("schedule is empty")
     source = np.asarray(source_bits, dtype=np.uint8)
     if source.shape != (params.k, PACKET_BITS):
         raise ValueError(
             f"source must have shape ({params.k}, {PACKET_BITS}), got {source.shape}"
         )
-    indptr, indices = seed_expand(seeds, params)
+    indptr, indices = seed_expand(schedule.seeds, params)
     words = np.packbits(source, axis=1).view(np.uint64)
     coded = np.bitwise_xor.reduceat(words[indices], indptr[:-1], axis=0)
     return np.unpackbits(coded.view(np.uint8), axis=1)

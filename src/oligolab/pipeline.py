@@ -478,20 +478,17 @@ def experiment_sweep(
     variants: Mapping[str, PipelineParams],
     rng_seed: int = 0,
     expected_payload: np.ndarray | None = None,
-    jobs: int = 1,
 ) -> SweepReport:
     """Random-subset success-count sweep; subsets are shared across variants.
 
     For every sampling point, `trials` uniform subsets of the raw reads are
     drawn (pre-filter, so the retained count L_m per trial is smaller), and
     every decoder variant runs on the same subset for a paired comparison.
+    Trials run one after another, and each adds its counts in trial order.
     When a redecoding-off variant has a twin with equal params except
     redecoding_enabled, its outcome is derived from the twin's first round
     instead of re-running BP; the two computations are identical by
     construction.
-    jobs > 1 runs trials in a thread pool (the heavy lifting is in numpy,
-    which releases the GIL); results merge by trial index, so the report
-    does not depend on scheduling.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -518,41 +515,27 @@ def experiment_sweep(
                 derived_from[n] = twin
     run_order = [n for n in names if n not in derived_from] + list(derived_from)
 
-    def run_trial(pi: int, point: int, t: int) -> tuple[dict[str, DecodeReport], dict[str, float], int]:
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
-        idx = rng.choice(len(reads), size=point, replace=False)
-        subset = [reads[i] for i in idx]
-        clusters, disc = cluster_by_seed(subset, seed_table)
-        reports: dict[str, DecodeReport] = {}
-        walls: dict[str, float] = {}
-        for name in run_order:
-            params = variants[name]
-            t0 = time.perf_counter()
-            if name in derived_from:
-                rep = _no_redecode_outcome(reports[derived_from[name]])
-            elif params.decoder == "hard":
-                rep = hard_decode_baseline(clusters, seed_table, params, expected_payload)
-            else:
-                rep = iterative_soft_decode(clusters, seed_table, table, params, expected_payload)
-            reports[name] = rep
-            walls[name] = time.perf_counter() - t0
-        return reports, walls, disc.n_retained
-
     for pi, point in enumerate(points):
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                trial_results = list(
-                    pool.map(lambda t: run_trial(pi, point, t), range(trials))
-                )
-        else:
-            trial_results = [run_trial(pi, point, t) for t in range(trials)]
-        for reports, walls, n_retained in trial_results:
-            retained[pi] += n_retained / trials
-            for name in names:
-                rep = reports[name]
-                wall_acc[name][pi] += walls[name]
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
+            idx = rng.choice(len(reads), size=point, replace=False)
+            subset = [reads[i] for i in idx]
+            clusters, disc = cluster_by_seed(subset, seed_table)
+            retained[pi] += disc.n_retained / trials
+            reports: dict[str, DecodeReport] = {}
+            for name in run_order:
+                params = variants[name]
+                t0 = time.perf_counter()
+                if name in derived_from:
+                    rep = _no_redecode_outcome(reports[derived_from[name]])
+                elif params.decoder == "hard":
+                    rep = hard_decode_baseline(clusters, seed_table, params, expected_payload)
+                else:
+                    rep = iterative_soft_decode(
+                        clusters, seed_table, table, params, expected_payload
+                    )
+                wall_acc[name][pi] += time.perf_counter() - t0
+                reports[name] = rep
                 if rep.success:
                     successes[name][pi] += 1
                 rounds_acc[name][pi] += rep.iterations_performed / trials

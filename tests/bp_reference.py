@@ -27,7 +27,7 @@ class _Graph:
         self.edge_col = np.concatenate(cols).astype(np.int64)
         self.edge_row = np.concatenate(rows)
         self.n_edges = len(self.edge_col)
-        weights = np.array([h.row_weight(r) for r in range(h.n_rows)], dtype=np.int64)
+        weights = np.diff(h.indptr).astype(np.int64) + 1  # neighbors plus the coded bit
         self.row_starts = np.concatenate([[0], np.cumsum(weights)[:-1]])
         self.weight_groups = []  # (the rows of weight w, their (rows, w) edge indices)
         for w in np.unique(weights):

@@ -86,7 +86,7 @@ def test_build_h_row_weights():
     h = expanded_h(seeds, params)
     for r, seed in enumerate(seeds):
         indptr, _ = seed_expand([seed], params)
-        assert h.row_weight(r) == indptr[1] + 1
+        assert h.indptr[r + 1] - h.indptr[r] == indptr[1]
     assert h.n_cols == 100 + 40
 
 

@@ -308,7 +308,7 @@ def test_decode_missing_seed_table(simulated, tmp_path):
 
 def test_stats_scatter_matches_brute_force_alignment(encoded, tmp_path):
     src, enc = encoded
-    pool = [o.sequence for o in read_fasta(enc / "pool.fasta")]
+    pool = read_fasta(enc / "pool.fasta")
     # no dmin above the limit: every read with a mismatch takes the exact scan
     assert len(pool) > PoolIndex.DMIN_POOL_LIMIT
     sim = tmp_path / "simx"
@@ -349,6 +349,38 @@ def test_decode_refuses_code_parameters_differing_from_manifest(simulated, tmp_p
     assert "k (config 1000, manifest 60)" in err
     assert "c (config 0.01, manifest 0.05)" in err
     assert "delta (config 0.001, manifest 0.1)" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pad_bytes", 10**9),
+    ("pad_bytes", -1),
+    ("input_bytes", 1500 + 1),
+    ("k", 60 + 1),
+])
+def test_inconsistent_manifest_is_a_config_error(simulated, tmp_path, capsys, key, value):
+    src, enc, sim = simulated
+    manifest = json.loads((enc / "manifest.json").read_text())
+    manifest[key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    outdir = tmp_path / "dec"
+    assert run(["decode", "--fastq", sim / "reads.fastq", "--seeds", enc / "seeds.txt",
+                "--manifest", bad, "--outdir", outdir, "--profile", "desk-scale",
+                *TINY]) == EXIT_USAGE
+    assert f"manifest {bad}" in capsys.readouterr().err
+    assert not (outdir / "recovered.bin").exists()
+
+
+def test_decode_config_is_checked_before_the_fastq_is_read(simulated, tmp_path, capsys):
+    src, enc, sim = simulated
+    lines = (sim / "reads.fastq").read_text().splitlines(keepends=True)
+    truncated = tmp_path / "truncated.fastq"
+    truncated.write_text("".join(lines[:4 * 10 + 2]))  # ends after a sequence line
+    assert run(["decode", "--fastq", truncated, "--seeds", enc / "seeds.txt",
+                "--manifest", enc / "manifest.json", "--outdir", tmp_path / "d",
+                "--profile", "desk-scale", *TINY,
+                "--set", "decode.llr_mode=bogus"]) == EXIT_USAGE
+    assert "unknown llr_mode 'bogus'" in capsys.readouterr().err
 
 
 def test_malformed_fastq_is_an_io_error(simulated, tmp_path):
@@ -500,19 +532,32 @@ def test_empty_pool_is_a_config_error(tmp_path, capsys, command):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda seq: seq[:50] + "X" + seq[51:], "invalid base 'X'"),
+    (lambda seq: seq[:147] + "X" + seq[148:], "invalid base 'X'"),  # in the RS parity
+    (lambda seq: seq[:-1], "expected 152 nt, got 151"),
+])
+def test_malformed_pool_record_is_a_config_error(encoded, tmp_path, capsys, edit, message):
+    src, enc = encoded
+    lines = (enc / "pool.fasta").read_text().splitlines(keepends=True)
+    lines[3] = edit(lines[3].rstrip("\n")) + "\n"
+    pool = tmp_path / "bad.fasta"
+    pool.write_text("".join(lines))
+    outdir = tmp_path / "sim"
+    assert run(["simulate", "--pool", pool, "--outdir", outdir, "--reads", 10,
+                "--profile", "desk-scale"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def test_simulate_zero_reads_is_a_config_error(encoded, tmp_path):
     src, enc = encoded
     outdir = tmp_path / "sim0"
     assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", outdir,
                 "--reads", 0, "--profile", "desk-scale"]) == EXIT_USAGE
     assert not (outdir / "reads.fastq").exists()
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_experiment_jobs_below_one_is_a_config_error(tmp_path, jobs):
-    assert run(["experiment", "--outdir", tmp_path / "exp", "--profile", "desk-scale", *TINY,
-                "--jobs", jobs]) == EXIT_USAGE
-    assert not (tmp_path / "exp" / "reads.fastq").exists()
 
 
 @pytest.mark.parametrize("override", ["channel.sub_rate=0", "decode.crossover_p=0.6"])

@@ -310,17 +310,18 @@ def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
     # every seed's read lands in its own cluster, the 32-bit extremes included
     seeds = list(dict.fromkeys([0, 2**32 - 1, *SeedSchedule.first_n(3000).seeds]))
     reads = [make_read(seed_to_bases(s) + "A" * 136, rid=str(i)) for i, s in enumerate(seeds)]
-    clusters, report = cluster_by_seed(reads, seeds)
+    clusters, report = cluster_by_seed(reads, SeedSchedule(tuple(seeds)))
     assert report.n_retained == len(seeds)
     assert list(clusters) == seeds
     assert [indices_to_sequence(clusters[s].codes[0]) for s in seeds] == [r.bases for r in reads]
     with pytest.raises(ValueError):
-        cluster_by_seed([], [2**32])
+        cluster_by_seed([], SeedSchedule((2**32,)))
 
 
 # the 32-bit extremes and a few schedule seeds; prefixes drawn at random
 # almost never hit one of them, so they exercise the seed-mismatch path
-REF_SEEDS = [0, 2**32 - 1, *SeedSchedule.first_n(6).seeds]
+REF_SEEDS = [0, 2**32 - 1, *SeedSchedule.first_n(6).seeds]  # 0 twice: the first schedule seed
+REF_TABLE = SeedSchedule(tuple(dict.fromkeys(REF_SEEDS)))
 
 
 @st.composite
@@ -356,9 +357,9 @@ def read_lists(draw):
 @given(read_lists(), st.floats(1e-4, 0.3), st.sampled_from([1, 7, clustering_llr._CHUNK_READS]))
 def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
     reads, table = drawn
-    want, want_report = ref.cluster_by_seed(reads, REF_SEEDS)
+    want, want_report = ref.cluster_by_seed(reads, REF_TABLE)
     with mock.patch.object(clustering_llr, "_CHUNK_READS", chunk_reads):
-        got, got_report = cluster_by_seed(iter(reads), REF_SEEDS)
+        got, got_report = cluster_by_seed(iter(reads), REF_TABLE)
         votes = majority_vote(list(got.values()))
         batch = [got[s] for s in sorted(got)]
         batch_soft = [llr_proposed(batch, table), llr_chandak(batch, crossover_p)]

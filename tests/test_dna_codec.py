@@ -16,7 +16,6 @@ from oligolab.dna_codec import (
     encode_bases,
     indices_to_sequence,
     indices_to_sequences,
-    parse_oligo,
     read_fasta,
     seed_to_bases,
     seeds_to_base_indices,
@@ -86,7 +85,7 @@ def test_seed_layout_matches_reference(drawn):
     assert [seed_to_bases(s) for s in seeds] == want
     assert indices_to_sequences(seeds_to_base_indices(seeds)) == want
     assert base_indices_to_seeds(seeds_to_base_indices(seeds)).tolist() == seeds
-    assert [Oligo(w, "A" * 128, "A" * 8).seed_value for w in want] == seeds
+    assert [int(base_indices_to_seeds(sequence_to_indices(w))) for w in want] == seeds
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -112,10 +111,10 @@ def test_oligo_layout_matches_reference(seed, payload):
         want.parity_nt,
     )
     want_seed, want_bits, _ = ref.parse_oligo(want.sequence)
-    got_seed, got_bits, got_oligo = parse_oligo(want.sequence)
-    assert got_seed == want_seed == seed
-    assert np.array_equal(got_bits, want_bits)
-    assert got_oligo == got
+    codes = sequence_to_indices(want.sequence)
+    assert int(base_indices_to_seeds(codes[:16])) == want_seed == seed
+    assert np.array_equal(base_indices_to_bit_array(codes[dna_codec.PAYLOAD_SLICE]), want_bits)
+    assert Oligo.split(want.sequence) == got
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -181,10 +180,10 @@ def test_assemble_parse_roundtrip():
         payload = rng.integers(0, 2, size=256, dtype=np.uint8)
         oligo = assemble_oligo(seed, payload)
         assert len(oligo.sequence) == 152
-        got_seed, got_payload, got_oligo = parse_oligo(oligo.sequence)
-        assert got_seed == seed
-        assert np.array_equal(got_payload, payload)
-        assert got_oligo == oligo
+        codes = sequence_to_indices(oligo.sequence)
+        assert int(base_indices_to_seeds(codes[:16])) == seed
+        assert np.array_equal(base_indices_to_bit_array(codes[dna_codec.PAYLOAD_SLICE]), payload)
+        assert Oligo.split(oligo.sequence) == oligo
 
 
 def test_assembled_oligo_is_rs_clean():
@@ -218,19 +217,19 @@ def test_seed_to_bases_range():
 
 def test_fasta_roundtrip(tmp_path):
     rng = np.random.default_rng(37)
-    oligos = [
-        assemble_oligo(int(s), rng.integers(0, 2, size=256, dtype=np.uint8))
+    sequences = [
+        assemble_oligo(int(s), rng.integers(0, 2, size=256, dtype=np.uint8)).sequence
         for s in range(10)
     ]
     path = tmp_path / "pool.fasta"
-    assert write_fasta(oligos, path) == 10
-    assert read_fasta(path) == oligos
+    assert write_fasta(sequences, path) == 10
+    assert read_fasta(path) == sequences
     first = path.read_text().splitlines()[0]
     assert first == ">00000000"
 
 
 def test_fasta_with_primers(tmp_path):
-    oligo = assemble_oligo(7, np.zeros(256, dtype=np.uint8))
+    oligo = assemble_oligo(7, np.zeros(256, dtype=np.uint8)).sequence
     path = tmp_path / "pool.fasta"
     write_fasta([oligo], path, with_primers=True)
     seq = path.read_text().splitlines()[1]
@@ -238,6 +237,24 @@ def test_fasta_with_primers(tmp_path):
     assert seq.endswith(dna_codec.PRIMER_3)
     assert len(seq) == 152 + len(dna_codec.PRIMER_5) + len(dna_codec.PRIMER_3)
     assert read_fasta(path) == [oligo]
+
+
+@pytest.mark.parametrize("position", [3, 50, 147])
+def test_read_fasta_rejects_a_letter_other_than_acgt(tmp_path, position):
+    seq = assemble_oligo(7, np.zeros(256, dtype=np.uint8)).sequence
+    path = tmp_path / "pool.fasta"
+    path.write_text(f">00000007\n{seq[:position]}X{seq[position + 1:]}\n")
+    with pytest.raises(ValueError, match="invalid base 'X'"):
+        read_fasta(path)
+
+
+@pytest.mark.parametrize("length", [151, 153])
+def test_read_fasta_rejects_a_record_of_the_wrong_length(tmp_path, length):
+    seq = assemble_oligo(7, np.zeros(256, dtype=np.uint8)).sequence
+    path = tmp_path / "pool.fasta"
+    path.write_text(f">00000007\n{(seq * 2)[:length]}\n")
+    with pytest.raises(ValueError, match=f"record '00000007': expected 152 nt, got {length}"):
+        read_fasta(path)
 
 
 def test_oligo_validates_lengths():

@@ -172,7 +172,7 @@ def test_non_utf8_header_is_a_format_error(tmp_path):
         next(gen)
     assert exc.value.line_number == 21
     with pytest.raises(FastqFormatError, match="UTF-8") as exc:
-        cluster_by_seed(path, [0])
+        cluster_by_seed(path, SeedSchedule((0,)))
     assert exc.value.line_number == 21
 
 
@@ -193,7 +193,7 @@ def test_non_ascii_quality_is_a_format_error(tmp_path, encoding):
 
 
 # seeds for the reads' prefixes; random prefixes almost never hit one
-FQ_SEEDS = SeedSchedule.first_n(5).seeds
+FQ_SEEDS = SeedSchedule.first_n(5)
 FAULTS = [
     "header", "plus", "length", "lowercase", "letter", "non_ascii_base", "low_quality",
     "truncate_seq", "truncate_plus", "truncate_qual", "blank_line", "lone_cr",
@@ -208,7 +208,7 @@ def fastq_files(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = []
     for i in range(int(rng.integers(0, 15))):
-        seed = int(rng.choice(FQ_SEEDS)) if rng.random() < 0.8 else int(rng.integers(2**32))
+        seed = int(rng.choice(FQ_SEEDS.seeds)) if rng.random() < 0.8 else int(rng.integers(2**32))
         length = int(rng.choice([152, 152, 152, 152, 0, 20, 151, 153]))
         seq = list((seed_to_bases(seed) + indices_to_sequence(rng.integers(0, 4, size=136))) * 2)
         seq = seq[:length]

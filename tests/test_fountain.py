@@ -143,7 +143,7 @@ def test_lt_encode_degree_one_copies_neighbor():
     rows = expand_rows(range(1000), params)
     seed = next(s for s in range(1000) if len(rows[s]) == 1)
     nbr = rows[seed][0]
-    coded = lt_encode(source, [seed], params)
+    coded = lt_encode(source, SeedSchedule((seed,)), params)
     assert np.array_equal(coded[0], source[nbr])
 
 
@@ -152,7 +152,7 @@ def test_lt_encode_matches_bruteforce_xor():
     rng = np.random.default_rng(5)
     source = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
     seeds = list(range(12))
-    coded = lt_encode(source, seeds, params)
+    coded = lt_encode(source, SeedSchedule(tuple(seeds)), params)
     for row, nbrs in enumerate(expand_rows(seeds, params)):
         acc = np.zeros(256, dtype=np.uint8)
         for idx in nbrs:
@@ -165,7 +165,7 @@ def test_lt_encode_xor_linearity():
     rng = np.random.default_rng(9)
     a = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
     b = rng.integers(0, 2, size=(10, 256), dtype=np.uint8)
-    seeds = list(range(8))
+    seeds = SeedSchedule(tuple(range(8)))
     enc_a = lt_encode(a, seeds, params)
     enc_b = lt_encode(b, seeds, params)
     enc_ab = lt_encode(a ^ b, seeds, params)
@@ -176,7 +176,7 @@ def test_lt_encode_empty_schedule_rejected():
     params = SolitonParams(k=10, c=0.1, delta=0.5)
     source = np.zeros((10, 256), dtype=np.uint8)
     with pytest.raises(ValueError):
-        lt_encode(source, [], params)
+        lt_encode(source, SeedSchedule(()), params)
 
 
 def test_schedule_roundtrip(tmp_path):
@@ -291,14 +291,14 @@ def test_seed_expand_matches_reference_across_batches():
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     params=st.sampled_from(EXPAND_PARAMS),
-    seeds=st.lists(SEEDS, min_size=1, max_size=30),
+    seeds=st.lists(SEEDS, min_size=1, max_size=30, unique=True),
     source_seed=st.integers(0, 2**32 - 1),
 )
 def test_lt_encode_matches_reference_xor(params, seeds, source_seed):
     source = np.random.default_rng(source_seed).integers(
         0, 2, size=(params.k, 256), dtype=np.uint8
     )
-    coded = lt_encode(source, seeds, params)
+    coded = lt_encode(source, SeedSchedule(tuple(seeds)), params)
     dist = robust_soliton(params)
     assert coded.shape == (len(seeds), 256) and coded.dtype == np.uint8
     for row, seed in enumerate(seeds):

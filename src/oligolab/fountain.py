@@ -263,7 +263,8 @@ def lt_encode(
 
     source_bits: (k, 256) array of 0/1. Returns (count, 256) uint8. The
     packets are packed into 64-bit words and each coded packet is one
-    XOR-reduction over its seed's row.
+    XOR-reduction over its seed's row, `_CHUNK` rows at a time, so that the
+    gathered neighbor words stay bounded at any count.
     """
     if not schedule.seeds:
         raise ValueError("schedule is empty")
@@ -274,5 +275,9 @@ def lt_encode(
         )
     indptr, indices = seed_expand(schedule.seeds, params)
     words = np.packbits(source, axis=1).view(np.uint64)
-    coded = np.bitwise_xor.reduceat(words[indices], indptr[:-1], axis=0)
+    coded = np.empty((schedule.count, words.shape[1]), dtype=words.dtype)
+    for a in range(0, schedule.count, _CHUNK):
+        b = min(a + _CHUNK, schedule.count)
+        lo, hi = indptr[a], indptr[b]
+        coded[a:b] = np.bitwise_xor.reduceat(words[indices[lo:hi]], indptr[a:b] - lo, axis=0)
     return np.unpackbits(coded.view(np.uint8), axis=1)

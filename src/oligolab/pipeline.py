@@ -7,8 +7,9 @@ clean or corrected away from the seed symbols; otherwise the offending
 clusters are dropped, the matrix is rebuilt, and BP reruns with the
 surviving clusters' original LLRs, up to the redecoding limit. On success
 the information bits are recovered from the RS-corrected coded bits by
-erasure solving (peeling, then elimination over bit-packed GF(2) rows),
-which is also the engine behind the majority-vote hard-decoding baseline.
+erasure solving (peeling with inactivation, then Gauss-Jordan elimination
+over the inactivated symbols only), which is also the engine behind the
+majority-vote hard-decoding baseline.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .dna_codec import (
 from .fastq_io import ReadRecord
 from .fountain import SeedSchedule, SolitonParams, required_symbols
 
-_WORD = np.dtype("<u8")  # packed GF(2) rows: bit j of word w is column 64w + j
+_WORD = np.dtype("<u8")  # packed planes: bit j of word w is plane 64w + j
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,17 @@ def lt_erasure_solve(
     indices[indptr[r]:indptr[r + 1]].
 
     Returns (info (k, P) uint8, resolved (k,) bool, consistent (P,) bool).
-    Peeling resolves degree-1 rows and substitutes. A row keeps its count
-    of unknowns, the XOR of their ids (a degree-1 row's is its last
-    unknown) and its P plane values packed into one Python integer, so a
-    substitution costs one XOR per edge. The residual system, if any, goes
-    through Gauss-Jordan elimination on rows bit-packed into uint64 words:
-    the unknown columns, then the planes. Planes where a fully-reduced row
-    keeps a nonzero value are flagged inconsistent.
+    Inactivation decoding (Shokrollahi, "Raptor codes", 2006; RFC 6330
+    §5.4) over rows held as Python integers. A row keeps its count of
+    unknowns, the XOR of their ids (a degree-1 row's is its last unknown)
+    and its value: bits 0..P-1 are the planes, bit P + j is inactive
+    symbol j. Peeling resolves degree-1 rows and substitutes, one XOR per
+    edge. When it stalls, the unresolved variable with the most rows is
+    inactivated, that is set to a new symbol, and peeling carries on. A row
+    left with no unknowns is an equation over the symbols; Gauss-Jordan
+    elimination on those equations flags the planes of any that reduces to
+    0 = nonzero as inconsistent. A variable is resolved when its value
+    reduces to planes alone against the eliminated equations.
     """
     coded = np.asarray(coded_bits, dtype=np.uint8)
     if coded.ndim == 1:
@@ -146,10 +151,10 @@ def lt_erasure_solve(
     indptr, indices = rows
     if n_rows != len(indptr) - 1:
         raise ValueError("coded_bits rows do not match neighbor rows")
-    n_words = _plane_words(planes)
     row_bytes = np.packbits(coded, axis=1, bitorder="little")
     raw, width = row_bytes.tobytes(), row_bytes.shape[1]
     row_val = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    coded_val = row_val.copy()
 
     # the (variable, row) edges, a repeated neighbor once, grouped by variable
     var = np.asarray(indices, dtype=np.int64)
@@ -170,77 +175,83 @@ def lt_erasure_solve(
         for v, a, b in zip(var[firsts].tolist(), firsts, [*firsts[1:], len(row_list)])
     }
 
-    peeled_vars: list[int] = []
-    peeled_vals: list[int] = []
-    contradicted = 0  # bit p set: plane p reduced some row to 0 = 1
-    for r, n in enumerate(unknowns_left):
-        if n == 0:  # a row with no neighbors reads 0 = its coded value
-            contradicted |= row_val[r]
-
+    # a row with no neighbors reads 0 = its coded value
+    equations = [row_val[r] for r, n in enumerate(unknowns_left) if n == 0]
+    elim_vars: list[int] = []  # in the order peeled or inactivated
+    elim_rows: list[int] = []  # the row each was peeled from, -1 if inactivated
+    elim_vals: list[int] = []
+    eliminated = bytearray(k)
+    candidates = None
+    symbols = 0
     queue = [r for r, n in enumerate(unknowns_left) if n == 1]
-    while queue:
-        r = queue.pop()
-        if unknowns_left[r] != 1:
-            continue
-        v = id_xor[r]
-        value = row_val[r]
-        peeled_vars.append(v)
-        peeled_vals.append(value)
+    while True:
+        if queue:
+            r = queue.pop()
+            if unknowns_left[r] != 1:
+                continue
+            v = id_xor[r]
+            value = row_val[r]
+        else:
+            if candidates is None:  # most rows first, from the first stall on
+                candidates = iter(sorted(var_rows, key=lambda u: len(var_rows[u]), reverse=True))
+            v = next((u for u in candidates if not eliminated[u]), None)
+            if v is None:
+                break
+            r = -1
+            value = 1 << (planes + symbols)
+            symbols += 1
+        eliminated[v] = 1
+        elim_vars.append(v)
+        elim_rows.append(r)
+        elim_vals.append(value)
         for r2 in var_rows[v]:
             unknowns_left[r2] -= 1
             id_xor[r2] ^= v
             row_val[r2] ^= value
             if unknowns_left[r2] == 1:
                 queue.append(r2)
-            elif unknowns_left[r2] == 0:
-                contradicted |= row_val[r2]
+            elif unknowns_left[r2] == 0 and row_val[r2]:  # 0 = 0 says nothing
+                equations.append(row_val[r2])
 
+    # Gauss-Jordan on the equations: each basis row is keyed by its pivot,
+    # its top symbol bit when it joined, and no other row holds that bit
+    contradicted = 0  # bit p set: plane p reduced some row to 0 = 1
+    basis: dict[int, int] = {}
+    for e in equations:
+        for p, b in basis.items():
+            if e >> p & 1:
+                e ^= b
+        if e >> planes == 0:
+            contradicted |= e
+            continue
+        top = e.bit_length() - 1
+        for p, b in basis.items():
+            if b >> top & 1:
+                basis[p] = b ^ e
+        basis[top] = e
+
+    if symbols:
+        # back-substitute: replay the peel with each symbol's reduced value
+        # (its constant planes, plus any symbols the equations leave free)
+        symbol_vals = iter([basis.get(p, 0) ^ (1 << p) for p in range(planes, planes + symbols)])
+        row_val = coded_val
+        elim_vals = []
+        for v, r in zip(elim_vars, elim_rows):
+            value = row_val[r] if r >= 0 else next(symbol_vals)
+            elim_vals.append(value)
+            for r2 in var_rows[v]:
+                row_val[r2] ^= value
+
+    # a value left with a free symbol does not fix its variable
+    fixed_vars = [v for v, value in zip(elim_vars, elim_vals) if value >> planes == 0]
+    fixed_vals = [value for value in elim_vals if value >> planes == 0]
+    n_words = _plane_words(planes)
     info_words = np.zeros((k, n_words), dtype=_WORD)
     resolved = np.zeros(k, dtype=bool)
-    info_words[peeled_vars] = _ints_to_words(peeled_vals, n_words)
-    resolved[peeled_vars] = True
-    bad = _ints_to_words([contradicted], n_words)[0].copy()
-
-    residual = ~resolved[var]  # the edges into unknowns, and so the rows left
-    if residual.any():
-        residual_rows, row_of_edge = np.unique(row[residual], return_inverse=True)
-        unknowns, cols = np.unique(var[residual], return_inverse=True)
-        col_words = _plane_words(len(unknowns))
-        # one row per residual equation: unknown-column words, then plane words
-        a = np.zeros((len(residual_rows), col_words + n_words), dtype=_WORD)
-        np.bitwise_or.at(
-            a,
-            (row_of_edge, cols >> 6),
-            np.left_shift(_WORD.type(1), (cols & 63).astype(_WORD)),
-        )
-        a[:, col_words:] = _ints_to_words([row_val[r] for r in residual_rows.tolist()], n_words)
-        pivot_cols = []
-        pr = 0
-        for col in range(len(unknowns)):
-            hits = np.flatnonzero(a[:, col >> 6] & _WORD.type(1 << (col & 63)))
-            below = hits[hits >= pr]
-            if len(below) == 0:
-                continue
-            r0 = below[0]
-            others = hits[hits != r0]
-            a[others] ^= a[r0]
-            if r0 != pr:
-                a[[pr, r0]] = a[[r0, pr]]
-            pivot_cols.append(col)
-            pr += 1
-            if pr == len(residual_rows):
-                break
-        pivots = a[: len(pivot_cols)]
-        # a pivot row that still couples free columns does not fix its variable
-        unique = np.bitwise_count(pivots[:, :col_words]).sum(axis=1) == 1
-        solved = unknowns[np.array(pivot_cols, dtype=np.int64)[unique]]
-        info_words[solved] = pivots[unique, col_words:]
-        resolved[solved] = True
-        zero_rows = ~a[:, :col_words].any(axis=1)
-        bad |= np.bitwise_or.reduce(a[zero_rows, col_words:], axis=0)
-
+    info_words[fixed_vars] = _ints_to_words(fixed_vals, n_words)
+    resolved[fixed_vars] = True
     info = _words_to_bits(info_words, planes)
-    consistent = _words_to_bits(bad[None, :], planes)[0] == 0
+    consistent = _words_to_bits(_ints_to_words([contradicted], n_words), planes)[0] == 0
     return info, resolved, consistent
 
 

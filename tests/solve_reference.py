@@ -2,9 +2,9 @@
 
 This is `oligolab.pipeline.lt_erasure_solve` as it was before rows were
 bit-packed: peeling over Python sets that XORs one numpy row per edge, then
-Gauss-Jordan elimination on a dense bool matrix. The tests require the
-packed solver to return the same `resolved` and `consistent`, and the same
-`info` on every consistent plane.
+Gauss-Jordan elimination of the whole residual system on a dense bool
+matrix. The tests require the inactivation solver to return the same
+`resolved` and `consistent`, and the same `info` on every consistent plane.
 """
 
 from __future__ import annotations

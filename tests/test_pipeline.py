@@ -144,7 +144,7 @@ def test_erasure_solve_empty_row_reads_zero_equals_value(value):
 
 
 def test_erasure_solve_dense_fallback_kicks_in():
-    # no degree-1 rows: peeling stalls, elimination must solve
+    # no degree-1 rows: peeling stalls, inactivation must solve
     rows = [np.array([0, 1]), np.array([1, 2]), np.array([0, 2]), np.array([0, 1, 2])]
     info_true = np.array([[1], [0], [1]], dtype=np.uint8)
     coded = np.stack([info_true[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
@@ -214,6 +214,26 @@ def test_erasure_solve_matches_reference_on_peeling_and_elimination():
     resolved, consistent = assert_matches_reference(rows, coded, params.k)
     assert 0 < resolved.sum() <= params.k
     assert (~consistent).sum() in (1, 2)
+
+
+def test_erasure_solve_paper_geometry_subset():
+    # 16,400 of the paper profile's 18,000 oligos: peeling stalls early, so
+    # inactivation carries the solve; eliminating the whole residual densely
+    # takes about 30 s on this system
+    params = SolitonParams(k=16050, c=0.025, delta=0.001)
+    pool = SeedSchedule.first_n(18000)
+    rng = np.random.default_rng(17)
+    picked = np.sort(rng.choice(pool.count, size=16400, replace=False))
+    sched = SeedSchedule(tuple(pool.seeds[i] for i in picked))
+    truth = rng.integers(0, 2, size=(params.k, 256), dtype=np.uint8)
+    coded = lt_encode(truth, sched, params)
+    flips = rng.choice(coded.size, size=3, replace=False)
+    coded.reshape(-1)[flips] ^= 1
+    rows = seed_expand(sched.seeds, params)
+    info, resolved, consistent = lt_erasure_solve(rows, coded, params.k)
+    assert resolved.all()
+    assert set(np.flatnonzero(~consistent).tolist()) <= set((flips % 256).tolist())
+    assert np.array_equal(info[:, consistent], truth[:, consistent])
 
 
 def test_zero_noise_soft_decode_succeeds(encoded_world):

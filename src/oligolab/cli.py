@@ -62,8 +62,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@user_input("report config")
 def _omit_timing(cfg: dict, args) -> bool:
-    return bool(getattr(args, "omit_timing", False) or cfg.get("report", {}).get("omit_timing"))
+    return bool(getattr(args, "omit_timing", False) or cfg["report"]["omit_timing"])
 
 
 def cmd_encode(args, cfg: dict) -> int:
@@ -206,6 +207,7 @@ def cmd_decode(args, cfg: dict) -> int:
             else TransitionTable.uniform()
         )
     params = pipeline_params_from(cfg)
+    omit_timing = _omit_timing(cfg, args)
     clusters, discard = cluster_by_seed(args.fastq, schedule)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -225,7 +227,7 @@ def cmd_decode(args, cfg: dict) -> int:
             report.success = False
             report.reason = "payload_checksum_mismatch"
 
-    payload_doc = report.to_dict(omit_timing=_omit_timing(cfg, args))
+    payload_doc = report.to_dict(omit_timing=omit_timing)
     payload_doc.update(
         {
             "retained_reads": discard.n_retained,
@@ -253,7 +255,7 @@ def cmd_experiment(args, cfg: dict) -> int:
         exp = cfg["experiment"]
         total_reads, trials = int(exp["total_reads"]), int(exp["trials"])
         points = [int(p) for p in exp["sampling_points"]]
-        rng_seed = int(exp.get("rng_seed", 0))
+        rng_seed = int(exp["rng_seed"])
     if total_reads < 1 or trials < 1 or any(not 0 <= p <= total_reads for p in points):
         raise ConfigError(
             f"experiment needs total_reads >= 1, trials >= 1 and sampling points in "
@@ -267,6 +269,7 @@ def cmd_experiment(args, cfg: dict) -> int:
         "chandak-noredecode": pipeline_params_from(cfg, "chandak", False),
         "hard": pipeline_params_from(cfg, decoder="hard"),
     }
+    omit_timing = _omit_timing(cfg, args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -292,7 +295,7 @@ def cmd_experiment(args, cfg: dict) -> int:
         rng_seed=rng_seed,
         expected_payload=source_bits,
     )
-    doc = sweep.to_dict(omit_timing=_omit_timing(cfg, args))
+    doc = sweep.to_dict(omit_timing=omit_timing)
     doc["simulated_reads"] = sim.n_reads
     doc["config"] = cfg
     _write_json(outdir / "experiment_report.json", doc)

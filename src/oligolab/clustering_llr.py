@@ -5,11 +5,12 @@ decodes to one of the pre-determined seed values; reads with any other
 prefix are discarded and counted. Clustering keeps no read records: given
 a FASTQ path it codes the reader's joined letters and Phred values
 directly, and the retained reads become one seed-sorted (reads, 152)
-uint8 matrix of base codes and one of Q-scores; each cluster holds its
-row slice of both.
+uint8 matrix of base codes and one of Q-scores, held with the ascending
+seeds and each seed's row offsets in a ClusterTable.
 
-Soft inputs are built per call for a batch of clusters, in runs of whole
-clusters of about _CHUNK_READS reads. A read's basecall probability vector
+Soft inputs are built per call for a table of clusters, in runs of whole
+clusters of about _CHUNK_READS reads, each a row slice of the table; a
+single Cluster is a table of one. A read's basecall probability vector
 combines its Q-score (probability the call is right) with the estimated
 transition table (how the rest splits across the other three bases), so
 its terms depend only on (position, called base, Q-score): they are looked
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,16 +54,48 @@ _CHUNK_READS = 1024  # reads per code matrix of a clustering step or a run of cl
 _BASE_BITS = base_indices_to_bit_array(np.arange(4)[:, None]).astype(np.int64)  # (4, 2) per base
 
 
-class Cluster:
-    """The retained reads of one seed as row-aligned (size, 152) uint8
-    matrices of base codes and Q-scores, members in input order.
+class ClusterTable(Mapping[int, "Cluster"]):
+    """Clusters in ascending seed order, as row ranges of seed-sorted matrices.
 
-    `cluster_by_seed` passes row slices of its seed-sorted matrices as
+    Cluster i is seeds[i]'s; its members, in input order, are rows
+    offsets[i]:offsets[i + 1] of the (rows, 152) uint8 `codes` and
+    `qscores`. As a mapping, a seed gives its Cluster, a view of those rows.
+    """
+
+    def __init__(self, seeds, offsets, codes: np.ndarray, qscores: np.ndarray):
+        self.seeds = np.asarray(seeds, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.codes, self.qscores = codes, qscores
+        if (np.diff(self.seeds) <= 0).any() or (np.diff(self.offsets) <= 0).any():
+            raise ValueError("seeds must ascend and no cluster may be empty")
+
+    # compared and hashed by identity: Mapping's equality would compare the
+    # views that indexing builds, and a Cluster's view is again a Cluster
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.seeds.tolist())
+
+    def __getitem__(self, seed: int) -> Cluster:
+        i = int(np.searchsorted(self.seeds, seed))
+        if i == len(self.seeds) or self.seeds[i] != seed:
+            raise KeyError(seed)
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        return Cluster(int(seed), codes=self.codes[rows], qscores=self.qscores[rows])
+
+
+class Cluster(ClusterTable):
+    """The retained reads of one seed as row-aligned (size, 152) uint8
+    matrices of base codes and Q-scores, members in input order: a table of
+    one cluster.
+
+    `ClusterTable[seed]` passes row slices of the table's matrices as
     `codes` and `qscores`; `Cluster(seed, members=[...])` codes ReadRecords,
     which must be 152-nt ACGT reads.
     """
-
-    __slots__ = ("seed", "codes", "qscores")
 
     def __init__(
         self,
@@ -76,9 +109,8 @@ class Cluster:
             full, codes, qscores = _read_rows(members)
             if not full.all() or (codes > 3).any():
                 raise ValueError("cluster members must be 152-nt ACGT reads")
-        if len(codes) == 0:
-            raise ValueError("empty cluster")
-        self.seed, self.codes, self.qscores = seed, codes, qscores
+        super().__init__([seed], [0, len(codes)], codes, qscores)
+        self.seed = seed
 
     @property
     def size(self) -> int:
@@ -96,7 +128,7 @@ class DiscardReport:
 
 @dataclass
 class ClusterLlr:
-    # one row per cluster of a batch; a single Cluster's are 1-D
+    # one row per cluster of a table; a single Cluster's are 1-D
     payload_llrs: np.ndarray  # (n, 256) interleaved (y1, y2) per payload position
     rs_parity_hard: np.ndarray  # (n, 8) uint8 base codes of the RS parity
 
@@ -114,7 +146,7 @@ def _read_rows(reads: Sequence[ReadRecord]) -> tuple[np.ndarray, np.ndarray, np.
 def cluster_by_seed(
     reads: Iterable[ReadRecord] | str | Path,
     seed_table: SeedSchedule,
-) -> tuple[dict[int, Cluster], DiscardReport]:
+) -> tuple[ClusterTable, DiscardReport]:
     """Group reads, ReadRecords or a FASTQ file's, by exact seed-region
     match against the seed table.
 
@@ -127,10 +159,9 @@ def cluster_by_seed(
     A FASTQ path is read chunk by chunk (`fastq_io.fastq_chunks`), its
     letters coded and its Phred values taken as they are, with no
     ReadRecord built; records are coded _CHUNK_READS at a time. Only
-    retained rows are kept. One stable sort by seed then moves them into a
-    (retained, 152) uint8 matrix of base codes and one of Q-scores; each
-    cluster holds its row slice of both, members in input order. Clusters
-    are keyed in the order of their first read.
+    retained rows are kept. One stable sort by seed then moves them into
+    the ClusterTable's (retained, 152) uint8 matrices of base codes and
+    Q-scores; each cluster is a row range of both, members in input order.
     """
     table = np.unique(base_indices_to_seeds(seeds_to_base_indices(seed_table.seeds)))
     report = DiscardReport()
@@ -157,14 +188,10 @@ def cluster_by_seed(
     dest[order] = np.arange(len(order))
     codes = _sorted_rows(code_rows, dest)
     qscores = _sorted_rows(q_rows, dest)
-    starts = np.flatnonzero(np.diff(index[order], prepend=-1))
-    bounds = np.append(starts, len(order)).tolist()
-    seeds_at = table[index[order[starts]]].tolist()
-    clusters: dict[int, Cluster] = {}
-    for c in np.argsort(order[starts]).tolist():
-        a, b = bounds[c], bounds[c + 1]
-        clusters[seeds_at[c]] = Cluster(seeds_at[c], codes=codes[a:b], qscores=qscores[a:b])
-    return clusters, report
+    sorted_index = index[order]
+    starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
+    seeds = table[sorted_index[starts]]
+    return ClusterTable(seeds, np.append(starts, len(order)), codes, qscores), report
 
 
 def _record_rows(reads: Iterable[ReadRecord]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -214,7 +241,7 @@ def read_prob_vectors(codes: np.ndarray, qs: np.ndarray, table: TransitionTable)
     return vec
 
 
-def llr_proposed(clusters: Cluster | Sequence[Cluster], table: TransitionTable) -> ClusterLlr:
+def llr_proposed(clusters: ClusterTable, table: TransitionTable) -> ClusterLlr:
     """Q-score + transition-table LLRs, summed over each cluster's members.
 
     Per read and payload position: LLR(y1) = log[(P(A)+P(C)) / (P(G)+P(T))]
@@ -223,10 +250,9 @@ def llr_proposed(clusters: Cluster | Sequence[Cluster], table: TransitionTable) 
     computed in log space; exact ties resolve to the first maximum, which is
     lexicographic A < C < G < T.
     """
-    batch = [clusters] if isinstance(clusters, Cluster) else clusters
     # every (called base, Q-score) pair's terms at every position, in tables
     # with one row per (pair, position): row pair * 152 + position
-    q_axis = 1 + max((int(c.qscores.max()) for c in batch), default=0)
+    q_axis = 1 + int(clusters.qscores.max(initial=0))
     pairs = np.repeat(np.arange(4 * q_axis)[:, None], OLIGO_NT, axis=1)  # base * q_axis + Q
     vec = read_prob_vectors(pairs // q_axis, pairs % q_axis, table)
     bit_llrs = np.log(np.maximum(vec @ (1 - _BASE_BITS), _TINY)) - np.log(
@@ -235,10 +261,10 @@ def llr_proposed(clusters: Cluster | Sequence[Cluster], table: TransitionTable) 
     bit_llrs = bit_llrs.reshape(-1, 2)  # LLR(y1), LLR(y2)
     base_logs = np.log(np.maximum(vec, _TINY)).reshape(-1, 4)
 
-    llrs = np.empty((len(batch), PAYLOAD_BITS))
-    parity = np.empty((len(batch), PARITY_NT), dtype=np.uint8)
-    for run, sizes, codes in _runs(batch):
-        pair = codes.astype(np.int32) * q_axis + np.concatenate([c.qscores for c in batch[run]])
+    llrs = np.empty((len(clusters), PAYLOAD_BITS))
+    parity = np.empty((len(clusters), PARITY_NT), dtype=np.uint8)
+    for run, sizes, rows in _runs(clusters):
+        pair = clusters.codes[rows].astype(np.int32) * q_axis + clusters.qscores[rows]
         at = pair * OLIGO_NT + np.arange(OLIGO_NT, dtype=np.int32)
         terms = np.concatenate(
             [
@@ -257,10 +283,8 @@ def llr_proposed(clusters: Cluster | Sequence[Cluster], table: TransitionTable) 
     return _soft_inputs(clusters, llrs, parity)
 
 
-def _soft_inputs(
-    clusters: Cluster | Sequence[Cluster], llrs: np.ndarray, parity: np.ndarray
-) -> ClusterLlr:
-    """The batch's clipped LLRs and parity; a single Cluster gets 1-D arrays."""
+def _soft_inputs(clusters: ClusterTable, llrs: np.ndarray, parity: np.ndarray) -> ClusterLlr:
+    """The table's clipped LLRs and parity; a single Cluster gets 1-D arrays."""
     np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
     if isinstance(clusters, Cluster):
         return ClusterLlr(payload_llrs=llrs[0], rs_parity_hard=parity[0])
@@ -276,7 +300,7 @@ def derive_crossover(sub_rate: float) -> float:
     return sub_rate * 2.0 / 3.0
 
 
-def llr_chandak(clusters: Cluster | Sequence[Cluster], crossover_p: float) -> ClusterLlr:
+def llr_chandak(clusters: ClusterTable, crossover_p: float) -> ClusterLlr:
     """Basecall-count LLRs: (n0 - n1) * log((1-p)/p) per payload bit.
 
     The RS parity hard decision is a per-position majority vote with
@@ -284,39 +308,39 @@ def llr_chandak(clusters: Cluster | Sequence[Cluster], crossover_p: float) -> Cl
     """
     if not 0.0 < crossover_p < 0.5:
         raise ValueError(f"crossover_p must be in (0, 0.5), got {crossover_p}")
-    batch = [clusters] if isinstance(clusters, Cluster) else clusters
     scale = np.log((1.0 - crossover_p) / crossover_p)
-    llrs = np.empty((len(batch), PAYLOAD_BITS))
-    parity = np.empty((len(batch), PARITY_NT), dtype=np.uint8)
-    for run, sizes, codes in _runs(batch):
-        counts = _base_counts(codes, sizes)
+    llrs = np.empty((len(clusters), PAYLOAD_BITS))
+    parity = np.empty((len(clusters), PARITY_NT), dtype=np.uint8)
+    for run, sizes, rows in _runs(clusters):
+        counts = _base_counts(clusters.codes[rows], sizes)
         ones = (counts[:, PAYLOAD_SLICE] @ _BASE_BITS).reshape(len(sizes), PAYLOAD_BITS)
         llrs[run] = (sizes[:, None] - 2.0 * ones) * scale  # n0 - n1 = m - 2*n1
         parity[run] = _lane_argmax(counts[:, PARITY_SLICE])
     return _soft_inputs(clusters, llrs, parity)
 
 
-def majority_vote(clusters: Sequence[Cluster]) -> np.ndarray:
+def majority_vote(clusters: ClusterTable) -> np.ndarray:
     """Per-position majority basecall of each cluster, ties lexicographic.
 
     Returns a (len(clusters), 152) uint8 matrix of base indices (A=0 .. T=3)
-    in the order given.
+    in seed order.
     """
     votes = np.empty((len(clusters), OLIGO_NT), dtype=np.uint8)
-    for run, sizes, codes in _runs(clusters):
-        votes[run] = _lane_argmax(_base_counts(codes, sizes))
+    for run, sizes, rows in _runs(clusters):
+        votes[run] = _lane_argmax(_base_counts(clusters.codes[rows], sizes))
     return votes
 
 
-def _runs(clusters: Sequence[Cluster]) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+def _runs(clusters: ClusterTable) -> Iterator[tuple[slice, np.ndarray, slice]]:
     """Runs of whole clusters of about _CHUNK_READS reads, at least one
-    cluster each: the run's slice of `clusters`, its cluster sizes and its
-    members' stacked base codes."""
-    sizes = np.array([c.size for c in clusters], dtype=np.int64)
-    block = (np.cumsum(sizes) - sizes) // _CHUNK_READS  # where each cluster's first read falls
+    cluster each: the run's slice of the clusters, their sizes and their
+    members' slice of the table's rows."""
+    offsets = clusters.offsets
+    block = offsets[:-1] // _CHUNK_READS  # where each cluster's first read falls
     bounds = [*np.flatnonzero(np.diff(block, prepend=-1)).tolist(), len(clusters)]
+    sizes = np.diff(offsets)
     for lo, hi in zip(bounds, bounds[1:]):
-        yield slice(lo, hi), sizes[lo:hi], np.concatenate([c.codes for c in clusters[lo:hi]])
+        yield slice(lo, hi), sizes[lo:hi], slice(offsets[lo], offsets[hi])
 
 
 # The counts of the four bases of a position sit in the four bytes of one

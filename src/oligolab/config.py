@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
 import yaml
 
@@ -43,86 +43,6 @@ def user_input(source: str):
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-PROFILES: dict[str, dict] = {
-    "desk-scale": {
-        "profile": "desk-scale",
-        "code": {
-            # c is lowered from the paper-scale 0.025 so that the required
-            # symbol count stays below the coded count at k=1000
-            "k": 1000,
-            "coded_count": 1122,
-            "soliton_c": 0.01,
-            "soliton_delta": 0.001,
-        },
-        "channel": {
-            "sub_rate": 8.352e-4,
-            "ins_rate": 8.72e-6,
-            "del_rate": 8.72e-6,
-            "abundance_sigma": 0.6,
-            "rng_seed": 0,
-            "qmodel": {
-                "q_correct_mean": 37.0,
-                "q_error_mean": 15.0,
-                "q_spread": 3.0,
-                "p_err_high_q": 0.02,
-            },
-        },
-        "decode": {
-            "n_re": 3,
-            "llr_mode": "proposed",
-            "redecoding": True,
-            "crossover_p": None,
-            "bp_max_iter": 500,
-            "llr_clip": 30.0,
-        },
-        "experiment": {
-            "total_reads": 24000,
-            "sampling_points": [6600, 7200, 7800, 8400, 9000, 9600],
-            "trials": 20,
-            "rng_seed": 0,
-        },
-        "report": {"omit_timing": False},
-    },
-    "paper-scale": {
-        "profile": "paper-scale",
-        "code": {
-            "k": 16050,
-            "coded_count": 18000,
-            "soliton_c": 0.025,
-            "soliton_delta": 0.001,
-        },
-        "channel": {
-            "sub_rate": 8.352e-4,
-            "ins_rate": 8.72e-6,
-            "del_rate": 8.72e-6,
-            "abundance_sigma": 0.6,
-            "rng_seed": 0,
-            "qmodel": {
-                "q_correct_mean": 37.0,
-                "q_error_mean": 15.0,
-                "q_spread": 3.0,
-                "p_err_high_q": 0.02,
-            },
-        },
-        "decode": {
-            "n_re": 3,
-            "llr_mode": "proposed",
-            "redecoding": True,
-            "crossover_p": None,
-            "bp_max_iter": 500,
-            "llr_clip": 30.0,
-        },
-        "experiment": {
-            "total_reads": 120000,
-            "sampling_points": [72000, 76000, 80000, 84000, 88000],
-            "trials": 50,
-            "rng_seed": 0,
-        },
-        "report": {"omit_timing": False},
-    },
-}
-
-
 def _deep_merge(base: dict, extra: Mapping) -> dict:
     out = copy.deepcopy(base)
     for key, value in extra.items():
@@ -131,6 +51,61 @@ def _deep_merge(base: dict, extra: Mapping) -> dict:
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+PROFILES: dict[str, dict] = {}
+PROFILES["desk-scale"] = {
+    "profile": "desk-scale",
+    "code": {
+        # c is lowered from the paper-scale 0.025 so that the required
+        # symbol count stays below the coded count at k=1000
+        "k": 1000,
+        "coded_count": 1122,
+        "soliton_c": 0.01,
+        "soliton_delta": 0.001,
+    },
+    "channel": {
+        "sub_rate": 8.352e-4,
+        "ins_rate": 8.72e-6,
+        "del_rate": 8.72e-6,
+        "abundance_sigma": 0.6,
+        "rng_seed": 0,
+        "qmodel": {
+            "q_correct_mean": 37.0,
+            "q_error_mean": 15.0,
+            "q_spread": 3.0,
+            "p_err_high_q": 0.02,
+        },
+    },
+    "decode": {
+        "n_re": 3,
+        "llr_mode": "proposed",
+        "redecoding": True,
+        "crossover_p": None,
+        "bp_max_iter": 500,
+        "llr_clip": 30.0,
+    },
+    "experiment": {
+        "total_reads": 24000,
+        "sampling_points": [6600, 7200, 7800, 8400, 9000, 9600],
+        "trials": 20,
+        "rng_seed": 0,
+    },
+    "report": {"omit_timing": False},
+}
+
+PROFILES["paper-scale"] = _deep_merge(
+    PROFILES["desk-scale"],
+    {
+        "profile": "paper-scale",
+        "code": {"k": 16050, "coded_count": 18000, "soliton_c": 0.025},
+        "experiment": {
+            "total_reads": 120000,
+            "sampling_points": [72000, 76000, 80000, 84000, 88000],
+            "trials": 50,
+        },
+    },
+)
 
 
 def _apply_override(cfg: dict, spec: str) -> None:
@@ -156,8 +131,9 @@ def load_config(
 ) -> dict:
     """Resolve profile -> file -> overrides into one effective config dict.
 
-    A file's `profile:` key names the profile it merges over; it must be a
-    built-in profile and agree with `profile` when both are given.
+    The profile is `profile`, else the one a file's `profile:` key names,
+    else desk-scale; it must be a built-in profile, and a file's key must
+    agree with `profile` when both are given.
     """
     loaded: dict = {}
     if path is not None:
@@ -174,16 +150,11 @@ def load_config(
         if profile is not None and named is not None and named != profile:
             raise ConfigError(f"config file names profile {named!r} but the run uses {profile!r}")
         profile = profile if profile is not None else named
-    elif profile is None:
+    if profile is None:
         profile = "desk-scale"
-    cfg: dict = {}
-    if profile is not None:
-        if not isinstance(profile, str) or profile not in PROFILES:
-            raise ConfigError(
-                f"unknown profile {profile!r}; available: {sorted(PROFILES)}"
-            )
-        cfg = copy.deepcopy(PROFILES[profile])
-    cfg = _deep_merge(cfg, loaded)
+    if not isinstance(profile, str) or profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r}; available: {sorted(PROFILES)}")
+    cfg = _deep_merge(PROFILES[profile], loaded)
     for spec in overrides or []:
         _apply_override(cfg, spec)
     return cfg
@@ -202,19 +173,19 @@ def soliton_from(cfg: Mapping) -> SolitonParams:
 @user_input("channel config")
 def channel_from(cfg: Mapping) -> ChannelConfig:
     ch = cfg["channel"]
-    qm = ch.get("qmodel", {})
+    qm = ch["qmodel"]
     return ChannelConfig(
         sub_rate=float(ch["sub_rate"]),
         ins_rate=float(ch["ins_rate"]),
         del_rate=float(ch["del_rate"]),
-        abundance_sigma=float(ch.get("abundance_sigma", 0.6)),
+        abundance_sigma=float(ch["abundance_sigma"]),
         qmodel=QscoreModel(
-            q_correct_mean=float(qm.get("q_correct_mean", 37.0)),
-            q_error_mean=float(qm.get("q_error_mean", 15.0)),
-            q_spread=float(qm.get("q_spread", 3.0)),
-            p_err_high_q=float(qm.get("p_err_high_q", 0.02)),
+            q_correct_mean=float(qm["q_correct_mean"]),
+            q_error_mean=float(qm["q_error_mean"]),
+            q_spread=float(qm["q_spread"]),
+            p_err_high_q=float(qm["p_err_high_q"]),
         ),
-        rng_seed=int(ch.get("rng_seed", 0)),
+        rng_seed=int(ch["rng_seed"]),
     )
 
 
@@ -226,22 +197,19 @@ def pipeline_params_from(
     decoder: str | None = None,
 ) -> PipelineParams:
     dec = cfg["decode"]
-    if decoder is None:
-        decoder = dec.get("decoder", "soft")
-    mode = llr_mode if llr_mode is not None else dec.get("llr_mode", "proposed")
-    crossover = dec.get("crossover_p")
+    crossover = dec["crossover_p"]
+    mode = llr_mode if llr_mode is not None else dec["llr_mode"]
     if crossover is None and mode == "chandak":
         # heuristic default: per-bit crossover implied by the channel profile
         crossover = derive_crossover(float(cfg["channel"]["sub_rate"]))
     return PipelineParams(
         soliton=soliton_from(cfg),
-        n_re=int(dec.get("n_re", 3)),
+        n_re=int(dec["n_re"]),
         llr_mode=mode,
-        redecoding_enabled=(
-            redecoding if redecoding is not None else bool(dec.get("redecoding", True))
-        ),
+        redecoding_enabled=redecoding if redecoding is not None else bool(dec["redecoding"]),
         crossover_p=crossover,
-        bp_max_iter=int(dec.get("bp_max_iter", 500)),
-        llr_clip=float(dec.get("llr_clip", 30.0)),
-        decoder=decoder,
+        bp_max_iter=int(dec["bp_max_iter"]),
+        llr_clip=float(dec["llr_clip"]),
+        # the profiles name no decoder: soft unless a file or --set names one
+        decoder=decoder if decoder is not None else dec.get("decoder", "soft"),
     )

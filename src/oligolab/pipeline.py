@@ -25,7 +25,7 @@ from . import fountain, gf_rs
 from .bp_decoder import bp_decode, build_h
 from .channel_stats import TransitionTable
 from .clustering_llr import (
-    Cluster,
+    ClusterTable,
     cluster_by_seed,
     llr_chandak,
     llr_proposed,
@@ -307,7 +307,7 @@ def _solve_tail(
 
 
 def iterative_soft_decode(
-    clusters: Mapping[int, Cluster],
+    clusters: ClusterTable,
     seed_table: SeedSchedule,
     table: TransitionTable,
     params: PipelineParams,
@@ -327,16 +327,14 @@ def iterative_soft_decode(
     max_redecodes = params.n_re if params.redecoding_enabled else 0
 
     # per-cluster state in ascending seed order; `active` indexes its rows
-    order = sorted(clusters)
-    seeds = np.array(order, dtype=np.int64)
+    seeds = clusters.seeds
     rows = fountain.seed_expand(seeds, params.soliton)  # the active clusters' rows
-    batch = [clusters[s] for s in order]
     if params.llr_mode == "chandak":
-        soft = llr_chandak(batch, params.crossover_p)
+        soft = llr_chandak(clusters, params.crossover_p)
     else:
-        soft = llr_proposed(batch, table)
+        soft = llr_proposed(clusters, table)
     llrs, parity_codes = soft.payload_llrs, soft.rs_parity_hard
-    seed_codes = seeds_to_base_indices(order)
+    seed_codes = seeds_to_base_indices(seeds)
     active = np.arange(len(seeds))
 
     round_idx = 0
@@ -393,7 +391,7 @@ def iterative_soft_decode(
 
 
 def hard_decode_baseline(
-    clusters: Mapping[int, Cluster],
+    clusters: ClusterTable,
     seed_table: SeedSchedule,
     params: PipelineParams,
     expected_payload: np.ndarray | None = None,
@@ -401,14 +399,13 @@ def hard_decode_baseline(
     """Majority vote -> RS decode -> discard failures -> LT erasure recovery."""
     t_start = time.perf_counter()
     report = DecodeReport(success=False, reason="", iterations_performed=1)
-    order = sorted(clusters)
-    votes = majority_vote([clusters[s] for s in order])  # (n, 152) base indices
+    votes = majority_vote(clusters)  # (n, 152) base indices, in seed order
     coded = base_indices_to_bit_array(votes[:, PAYLOAD_SLICE])
     keep = ~_rs_check(votes, coded)[0]  # seed-corrected words are kept
     report.clusters_discarded_per_round = [int((~keep).sum())]
     report.active_clusters = int(keep.sum())
     if keep.any():
-        rows = fountain.seed_expand(np.array(order, dtype=np.int64)[keep], params.soliton)
+        rows = fountain.seed_expand(clusters.seeds[keep], params.soliton)
         _solve_tail(report, rows, coded[keep], params.soliton.k, expected_payload)
     else:
         report.reason = "no_surviving_clusters"

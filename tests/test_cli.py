@@ -60,6 +60,16 @@ def test_config_file_merges_over_profile(tmp_path):
     assert cfg["code"]["coded_count"] == 1122  # inherited
 
 
+def test_config_file_without_a_profile_merges_over_desk_scale(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("decode: {n_re: 5}\n")
+    cfg = load_config(None, path)
+    assert cfg == load_config("desk-scale", path)
+    assert cfg["decode"]["n_re"] == 5 and cfg["code"]["k"] == 1000
+    assert run(["encode", "--input", path, "--outdir", tmp_path / "enc",
+                "--config", path]) == EXIT_OK
+
+
 def test_bad_override_rejected():
     with pytest.raises(ConfigError):
         load_config("desk-scale", overrides=["nonsense"])
@@ -444,6 +454,27 @@ def test_unknown_decoder_setting_is_a_config_error(simulated, tmp_path, capsys, 
     sets = [arg for spec in override.split() for arg in ("--set", spec)]
     assert run(decode_argv(enc, sim, tmp_path / "d", *sets)) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", "channel.qmodel=null"),
+    ("decode", "decode=5"),
+    ("decode", "report=5"),
+])
+def test_config_section_that_is_no_mapping_is_a_config_error(
+    simulated, tmp_path, capsys, command, override
+):
+    src, enc, sim = simulated
+    outdir = tmp_path / "out"
+    argv = (
+        decode_argv(enc, sim, outdir, "--set", override)
+        if command == "decode"
+        else ["simulate", "--pool", enc / "pool.fasta", "--outdir", outdir, "--reads", 100,
+              "--profile", "desk-scale", "--set", override]
+    )
+    assert run(argv) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not outdir.exists()  # refused before any output
 
 
 def test_malformed_seed_table_is_a_config_error(simulated, tmp_path):

@@ -11,6 +11,7 @@ from oligolab.channel_stats import TransitionTable
 from oligolab.clustering_llr import (
     LLR_MAX,
     Cluster,
+    ClusterTable,
     cluster_by_seed,
     derive_crossover,
     llr_chandak,
@@ -38,6 +39,14 @@ def make_read(bases, q=30, rid="r0"):
 
 TABLE = SeedSchedule.first_n(10)
 SEED5 = TABLE.seeds[5]
+
+
+def stacked_table(clusters):
+    """A ClusterTable of (size, 152) base-code matrices, seeds 0, 1, ... in
+    the order given, every Q-score 30."""
+    codes = np.concatenate(clusters).astype(np.uint8)
+    offsets = np.cumsum([0] + [len(c) for c in clusters])
+    return ClusterTable(np.arange(len(clusters)), offsets, codes, np.full_like(codes, 30))
 
 
 @pytest.fixture()
@@ -217,9 +226,8 @@ def test_derive_crossover():
     assert abs(derive_crossover(8.352e-4) - 8.352e-4 * 2 / 3) < 1e-18
 
 
-def reference_vote(cluster):
+def reference_vote(codes):
     """One cluster's per-position majority by np.add.at, ties to the lowest base."""
-    codes = cluster.codes
     m, n = codes.shape
     counts = np.zeros((n, 4), dtype=np.int64)
     np.add.at(counts, (np.tile(np.arange(n), m), codes.ravel()), 1)
@@ -231,9 +239,7 @@ def test_majority_vote_ties_lexicographic(oligo_seq):
     b1 = oligo_seq[pos]
     b2 = "ACGT"[("ACGT".index(b1) + 2) % 4]
     other = oligo_seq[:pos] + b2 + oligo_seq[pos + 1 :]
-    votes = majority_vote(
-        [Cluster(seed=5, members=[make_read(oligo_seq, rid="a"), make_read(other, rid="b")])]
-    )
+    votes = majority_vote(stacked_table([np.stack([encode_bases(oligo_seq), encode_bases(other)])]))
     assert votes.shape == (1, 152)
     assert votes.dtype == np.uint8
     expected = oligo_seq[:pos] + min(b1, b2) + oligo_seq[pos + 1 :]
@@ -261,11 +267,7 @@ def vote_clusters(rng):
     big[:, 12] = [2] * 256 + [1] * 344  # 256 wraps an 8-bit lane to 0
     clusters.insert(17, rng.permutation(big))
     clusters.append(np.tile(rng.integers(0, 4, size=152), (256, 1)))  # 256 of each base
-    return [
-        Cluster(seed=i, members=[make_read(indices_to_sequence(r), rid=str(j))
-                                 for j, r in enumerate(reads)])
-        for i, reads in enumerate(clusters)
-    ]
+    return clusters
 
 
 @pytest.mark.parametrize("chunk_reads", [None, 1, 50])
@@ -273,17 +275,17 @@ def test_majority_vote_matches_per_cluster_reference(chunk_reads, monkeypatch):
     if chunk_reads is not None:
         monkeypatch.setattr(clustering_llr, "_CHUNK_READS", chunk_reads)
     clusters = vote_clusters(np.random.default_rng(57))
-    votes = majority_vote(clusters)
+    votes = majority_vote(stacked_table(clusters))
     assert votes.shape == (len(clusters), 152)
-    for row, cluster in zip(votes, clusters):
-        assert np.array_equal(row, reference_vote(cluster))
+    for row, codes in zip(votes, clusters):
+        assert np.array_equal(row, reference_vote(codes))
     big = votes[17]
     assert (big[10], big[11], big[12]) == (3, 0, 1)
 
 
 def test_majority_vote_rejects_empty_cluster(oligo_seq):
     with pytest.raises(ValueError):
-        majority_vote([Cluster(seed=5, members=[make_read(oligo_seq)]), Cluster(seed=6, members=[])])
+        majority_vote(stacked_table([encode_bases(oligo_seq)[None, :], np.empty((0, 152))]))
 
 
 def test_prob_vectors_sum_to_one(oligo_seq):
@@ -312,7 +314,7 @@ def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
     reads = [make_read(seed_to_bases(s) + "A" * 136, rid=str(i)) for i, s in enumerate(seeds)]
     clusters, report = cluster_by_seed(reads, SeedSchedule(tuple(seeds)))
     assert report.n_retained == len(seeds)
-    assert list(clusters) == seeds
+    assert list(clusters) == sorted(seeds)
     assert [indices_to_sequence(clusters[s].codes[0]) for s in seeds] == [r.bases for r in reads]
     with pytest.raises(ValueError):
         cluster_by_seed([], SeedSchedule((2**32,)))
@@ -360,11 +362,16 @@ def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
     want, want_report = ref.cluster_by_seed(reads, REF_TABLE)
     with mock.patch.object(clustering_llr, "_CHUNK_READS", chunk_reads):
         got, got_report = cluster_by_seed(iter(reads), REF_TABLE)
-        votes = majority_vote(list(got.values()))
-        batch = [got[s] for s in sorted(got)]
-        batch_soft = [llr_proposed(batch, table), llr_chandak(batch, crossover_p)]
+        votes = majority_vote(got)
+        batch_soft = [llr_proposed(got, table), llr_chandak(got, crossover_p)]
     assert got_report == want_report
-    assert list(got) == list(want)
+    assert list(got) == sorted(want)
+    assert (np.diff(got.seeds) > 0).all()
+    assert got.offsets[0] == 0 and got.offsets[-1] == got_report.n_retained
+    assert (np.diff(got.offsets) > 0).all() and len(got.offsets) == len(want) + 1
+    absent = next(s for s in range(len(want) + 1) if s not in want)
+    with pytest.raises(KeyError):
+        got[absent]
     for seed, w in want.items():
         g = got[seed]
         assert (g.seed, g.size) == (seed, w.size)
@@ -378,8 +385,8 @@ def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
                 ours.payload_llrs.view(np.uint64), theirs.payload_llrs.view(np.uint64)
             )
             assert np.array_equal(ours.rs_parity_hard, theirs.rs_parity_hard)
-    assert np.array_equal(votes, ref.majority_vote(list(want.values())))
-    # the batch forms: row i is the i-th cluster in seed order, bit for bit
+    assert np.array_equal(votes, ref.majority_vote([want[s] for s in sorted(want)]))
+    # the table forms: row i is the i-th cluster in seed order, bit for bit
     for soft, ref_soft in zip(batch_soft, [lambda w: ref.llr_proposed(w, table),
                                            lambda w: ref.llr_chandak(w, crossover_p)]):
         assert soft.payload_llrs.shape == (len(want), 256)

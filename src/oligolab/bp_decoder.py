@@ -21,12 +21,28 @@ rows cannot change a result: the tanh rule gives their zeros either sign
 the matrix's edge order, and a zero of either sign leaves such a sum as it
 is. So the output is bit-identical to updating every row.
 
+The same zeros bound where BP can act at all. Before it iterates, the
+decoder peels the plane union of the graph: the reached columns start as
+the coded bits whose channel LLR is nonzero in some plane, and a row joins
+the reach once at most one of its edges leads outside them, whereupon all
+its columns join them. A column outside the reach has a zero channel value
+and lies only in rows outside it, and each such row has at least two edges
+on such columns; so, by induction over the iterations, those columns stay
+at posterior zero and those rows send zeros on every edge in every plane.
+Flooding therefore runs on the reached rows alone, their information bits
+renumbered in order, and the result is scattered back: every message,
+posterior, fixed point and iteration count is bit-identical to running on
+all rows. Columns outside the reach keep their channel value, which an
+iteration's +0.0 column sum turns from -0.0 into +0.0.
+
 A plane counts as converged only when every check is satisfied and every
 connected variable has a nonzero posterior; with all-zero inputs the
 all-zero hard decision satisfies the checks but determines nothing, and is
-reported as such. Information bits that appear in no row (dropouts beyond
-the fountain's reach) stay at posterior 0 and are counted in
-`undetermined` without blocking convergence of the rest.
+reported as such. A row outside the reach keeps two columns at posterior
+zero, so while any row is unreached no plane converges: the syndrome stop
+is then off and `converged` is False. Information bits that appear in no
+row (dropouts beyond the fountain's reach) stay at posterior 0 and are
+counted in `undetermined` without blocking convergence of the rest.
 """
 
 from __future__ import annotations
@@ -112,8 +128,6 @@ class _Graph:
         self.edge_col = row_cols[order]
         self.edge_row = np.repeat(np.arange(h.n_rows), weights)[order]
         self.row_starts = np.flatnonzero(np.diff(self.edge_row, prepend=-1))
-        self.connected = np.zeros(h.n_cols, dtype=bool)
-        self.connected[self.edge_col] = True
         # scipy is imported here, not with the module, so that commands that
         # run no BP (encode, simulate, stats, the hard decode) never load it
         from scipy import sparse
@@ -131,13 +145,13 @@ class _Graph:
 
     def solved(self, posterior: np.ndarray) -> np.ndarray:
         """Per plane: every check's hard decisions XOR to zero and every
-        connected posterior is nonzero."""
+        posterior is nonzero (every column lies in some row)."""
         signs = _pack_planes(posterior < 0, pad=False)
         odd = np.bitwise_xor.reduceat(signs[self.edge_col], self.row_starts, axis=0)
         odd_words = np.bitwise_or.reduce(odd, axis=0)
         odd_planes = np.unpackbits(odd_words.view(np.uint8), bitorder="little")
         syndrome_ok = odd_planes[: posterior.shape[1]] == 0
-        return syndrome_ok & ~(posterior == 0.0)[self.connected].any(axis=0)
+        return syndrome_ok & (posterior != 0.0).all(axis=0)
 
 
 def _pack_planes(flags: np.ndarray, pad: bool) -> np.ndarray:
@@ -157,33 +171,46 @@ def _some_plane_below_two(zero_words: np.ndarray) -> np.ndarray:
     return (twice != ~np.uint64(0)).any(axis=1)
 
 
-def bp_decode(
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated np.arange(s, s + n) of each start s and length n."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> np.ndarray:
+    """The rows, ascending, that peeling reaches from the coded bits marked
+    in `live_coded`; each column's edges are visited once."""
+    weights = np.diff(h.indptr)
+    # per row, its edges whose column is not reached yet
+    missing = weights + ~live_coded
+    by_col = np.argsort(h.indices, kind="stable")
+    col_rows = np.repeat(np.arange(h.n_rows), weights)[by_col]
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(h.indices, minlength=h.n_info))])
+    col_reached = np.zeros(h.n_info, dtype=bool)
+    reached = np.zeros(h.n_rows, dtype=bool)
+    new_rows = np.flatnonzero(missing <= 1)
+    while len(new_rows):
+        reached[new_rows] = True
+        cols = h.indices[_ranges(h.indptr[new_rows], weights[new_rows])]
+        cols = np.unique(cols[~col_reached[cols]])
+        col_reached[cols] = True
+        hit = col_rows[_ranges(col_ptr[cols], col_ptr[cols + 1] - col_ptr[cols])]
+        rows, n_hit = np.unique(hit, return_counts=True)
+        missing[rows] -= n_hit
+        new_rows = rows[(missing[rows] <= 1) & ~reached[rows]]
+    return np.flatnonzero(reached)
+
+
+def _flood(
     h: SparseParityMatrix,
-    coded_llrs: np.ndarray,
-    max_iter: int = 500,
-    llr_clip: float = LLR_MAX,
-    early_stop_on_syndrome: bool = True,
-) -> BpResult:
-    """Sum-product decode; coded_llrs is (rows,) or (rows, planes).
-
-    Information bits get LLR 0 (punctured). Hard decisions map
-    LLR >= 0 to bit 0. A plane always leaves the working set when its
-    messages reach an exact fixed point (saturated clips make this
-    common); a fixed point cannot change on further iterations, so
-    stopping there is output-identical to exhausting max_iter. With
-    early_stop_on_syndrome a plane also exits as soon as every check is
-    satisfied and every connected posterior is nonzero; that freezes the
-    hard decisions at a valid codeword but may stop before posterior
-    values settle, so disable it when exact marginals matter.
-    """
-    coded = np.asarray(coded_llrs, dtype=np.float64)
-    squeeze = coded.ndim == 1
-    if squeeze:
-        coded = coded[:, None]
-    if coded.shape[0] != h.n_rows:
-        raise ValueError(f"coded_llrs rows {coded.shape[0]} != H rows {h.n_rows}")
+    coded: np.ndarray,
+    max_iter: int,
+    llr_clip: float,
+    early_stop_on_syndrome: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flooding BP over every row of h, coded (rows, planes) -> the
+    (cols, planes) posterior and, per plane, iterations and convergence."""
     n_planes = coded.shape[1]
-
     g = _Graph(h)
     posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
     # adding a column sum of +0.0 turns a channel -0.0 into +0.0; columns
@@ -306,15 +333,78 @@ def bp_decode(
         np.argsort(np.concatenate(stopped_planes)),
         axis=1,
     )
-    bits_all = (result_posterior < 0).astype(np.uint8)
-    undetermined = (result_posterior == 0.0).sum(axis=0).astype(np.int64)
+    return result_posterior, iters_out, converged_out
+
+
+def bp_decode(
+    h: SparseParityMatrix,
+    coded_llrs: np.ndarray,
+    max_iter: int = 500,
+    llr_clip: float = LLR_MAX,
+    early_stop_on_syndrome: bool = True,
+) -> BpResult:
+    """Sum-product decode; coded_llrs is (rows,) or (rows, planes).
+
+    Information bits get LLR 0 (punctured). Hard decisions map
+    LLR >= 0 to bit 0. A plane always leaves the working set when its
+    messages reach an exact fixed point (saturated clips make this
+    common); a fixed point cannot change on further iterations, so
+    stopping there is output-identical to exhausting max_iter. With
+    early_stop_on_syndrome a plane also exits as soon as every check is
+    satisfied and every connected posterior is nonzero; that freezes the
+    hard decisions at a valid codeword but may stop before posterior
+    values settle, so disable it when exact marginals matter.
+
+    Only the rows that peeling reaches from the nonzero channel values
+    (in any plane) are iterated; the others can only send zero messages,
+    so leaving them out changes no output bit. While some row is out of
+    reach, its zero columns keep every plane from converging, so the
+    syndrome stop cannot fire and `converged` is False.
+    """
+    coded = np.asarray(coded_llrs, dtype=np.float64)
+    squeeze = coded.ndim == 1
+    if squeeze:
+        coded = coded[:, None]
+    if coded.shape[0] != h.n_rows:
+        raise ValueError(f"coded_llrs rows {coded.shape[0]} != H rows {h.n_rows}")
+    n_planes = coded.shape[1]
+
+    rows = _reach(h, (coded != 0.0).any(axis=1))
+    every_row = len(rows) == h.n_rows
+    posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
+    if max_iter > 0:
+        # an iteration adds a column sum of +0.0 to an unreached column,
+        # which turns a channel -0.0 into +0.0
+        posterior += 0.0
+    # with no row reached, every message is zero: a fixed point at once
+    iters_out = np.full(n_planes, min(max_iter, 1), dtype=np.int64)
+    converged_out = np.zeros(n_planes, dtype=bool)
+    if len(rows):
+        weights = np.diff(h.indptr)[rows]
+        info_cols, local = np.unique(
+            h.indices[_ranges(h.indptr[rows], weights)], return_inverse=True
+        )
+        reached = SparseParityMatrix(
+            n_info=len(info_cols),
+            indptr=np.concatenate([[0], np.cumsum(weights)]),
+            indices=local,
+        )
+        cols = np.concatenate([info_cols, h.n_info + rows])
+        flooded, iters_out, converged_out = _flood(
+            reached, coded[rows], max_iter, llr_clip, early_stop_on_syndrome and every_row
+        )
+        posterior[cols] = flooded
+        converged_out &= every_row
+
+    bits_all = (posterior < 0).astype(np.uint8)
+    undetermined = (posterior == 0.0).sum(axis=0).astype(np.int64)
     info_bits = bits_all[: h.n_info]
     coded_bits = bits_all[h.n_info :]
     if squeeze:
         return BpResult(
             info_bits=info_bits[:, 0],
             coded_bits=coded_bits[:, 0],
-            posterior_llrs=result_posterior[:, 0],
+            posterior_llrs=posterior[:, 0],
             converged=bool(converged_out[0]),
             iterations_used=int(iters_out[0]),
             undetermined=int(undetermined[0]),
@@ -322,7 +412,7 @@ def bp_decode(
     return BpResult(
         info_bits=info_bits,
         coded_bits=coded_bits,
-        posterior_llrs=result_posterior,
+        posterior_llrs=posterior,
         converged=converged_out,
         iterations_used=iters_out,
         undetermined=undetermined,

@@ -200,6 +200,8 @@ def cmd_decode(args, cfg: dict) -> int:
             )
     with user_input(f"seed table {args.seeds}"):
         schedule = SeedSchedule.load(args.seeds)
+        if not schedule.seeds:
+            raise ValueError("no seeds")
     with user_input(f"transition table {args.transition}"):
         table = (
             TransitionTable.load_tsv(args.transition)

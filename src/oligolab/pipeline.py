@@ -69,6 +69,10 @@ class PipelineParams:
             raise ValueError(f"crossover_p must be in (0, 0.5), got {self.crossover_p}")
         if self.decoder not in ("soft", "hard"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if not 0.0 < self.llr_clip < np.inf:
+            raise ValueError(f"llr_clip must be finite and > 0, got {self.llr_clip}")
+        if self.bp_max_iter < 1:
+            raise ValueError(f"bp_max_iter must be >= 1, got {self.bp_max_iter}")
 
 
 @dataclass

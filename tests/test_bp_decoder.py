@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bp_reference import bp_decode as reference_bp_decode
+from oligolab import bp_decoder
 from oligolab.bp_decoder import SparseParityMatrix, bp_decode, build_h
 from oligolab.fountain import SeedSchedule, SolitonParams, seed_expand
 
@@ -314,3 +315,82 @@ def test_bp_matches_reference_kernel_on_bp_active_graph():
         kwargs = dict(max_iter=40, early_stop_on_syndrome=early_stop)
         out = bp_decode(h, llrs, **kwargs)
         assert_bit_identical(out, reference_bp_decode(h, llrs, **kwargs))
+
+
+def reach_graph():
+    """60 rows over 40 information bits, each row with at least one of them
+    and a fifth with exactly one."""
+    rng = np.random.default_rng(80)
+    degrees = np.where(rng.random(60) < 0.2, 1, rng.integers(2, 6, size=60))
+    return make_h(40, [np.sort(rng.choice(40, size=d, replace=False)) for d in degrees])
+
+
+def signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+
+
+def reach_case_llrs(case, n_rows):
+    rng = np.random.default_rng(81)
+    if case == "no-row":
+        return signed_zeros(rng, (n_rows, 3))
+    planes = {"flat": 1, "wide": 130}.get(case, 3)
+    llrs = edge_case_llrs(rng, (n_rows, planes), 30.0)
+    if case == "plane-union":
+        # each plane zeroes its own rows, and row 0 is zero in all of them
+        zero = rng.random(llrs.shape) < 0.5
+        llrs[zero] = signed_zeros(rng, zero.sum())
+        llrs[0] = signed_zeros(rng, planes)
+    else:
+        dead = rng.random(n_rows) < 0.6
+        llrs[dead] = signed_zeros(rng, (dead.sum(), planes))
+    return llrs[:, 0] if case == "flat" else llrs
+
+
+@pytest.mark.parametrize("case", ["partial", "no-row", "plane-union", "flat", "wide"])
+@pytest.mark.parametrize("max_iter", [0, 1, 40])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_bp_matches_reference_kernel_on_reach_cases(case, max_iter, early_stop):
+    h = reach_graph()
+    llrs = reach_case_llrs(case, h.n_rows)
+    live = llrs.reshape(h.n_rows, -1) != 0.0
+    n_reached = len(bp_decoder._reach(h, live.any(axis=1)))
+    if case == "no-row":
+        assert n_reached == 0
+    elif case == "plane-union":
+        # the union over planes starts from more rows than any one plane
+        assert not live[0].any()
+        assert all(live.any(axis=1).sum() > plane.sum() for plane in live.T)
+    else:
+        assert 0 < n_reached < h.n_rows
+    kwargs = dict(max_iter=max_iter, early_stop_on_syndrome=early_stop)
+    out = bp_decode(h, llrs, **kwargs)
+    assert_bit_identical(out, reference_bp_decode(h, llrs, **kwargs))
+    if n_reached < h.n_rows:
+        assert not np.any(out.converged)
+
+
+def naive_reach(h, live_coded):
+    """The peeling rule applied row by row until nothing changes."""
+    reached_cols = set(h.n_info + np.flatnonzero(live_coded))
+    rows = [list(r) + [h.n_info + i] for i, r in enumerate(row_list(h))]
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for i, cols in enumerate(rows):
+            if i not in reached and sum(c not in reached_cols for c in cols) <= 1:
+                reached.add(i)
+                reached_cols.update(cols)
+                grew = True
+    return sorted(reached)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 30), n_rows=st.integers(1, 50),
+       live_share=st.floats(0.0, 1.0))
+def test_reach_is_the_peeling_closure(seed, k, n_rows, live_share):
+    rng = np.random.default_rng(seed)
+    rows = [rng.choice(k, size=min(int(d), k), replace=False) for d in rng.integers(0, 7, n_rows)]
+    h = make_h(k, rows)
+    live = rng.random(n_rows) < live_share
+    assert bp_decoder._reach(h, live).tolist() == naive_reach(h, live)

@@ -456,6 +456,20 @@ def test_unknown_decoder_setting_is_a_config_error(simulated, tmp_path, capsys, 
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    ("decode.llr_clip=-1", "llr_clip must be finite and > 0"),
+    ("decode.llr_clip=0", "llr_clip must be finite and > 0"),
+    ("decode.llr_clip=inf", "llr_clip must be finite and > 0"),
+    ("decode.bp_max_iter=0", "bp_max_iter must be >= 1"),
+])
+def test_bp_setting_out_of_range_is_a_config_error(simulated, tmp_path, capsys, override, message):
+    src, enc, sim = simulated
+    outdir = tmp_path / "d"
+    assert run(decode_argv(enc, sim, outdir, "--set", override)) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()  # refused before any output
+
+
 @pytest.mark.parametrize("command, override", [
     ("simulate", "channel.qmodel=null"),
     ("decode", "decode=5"),
@@ -484,6 +498,19 @@ def test_malformed_seed_table_is_a_config_error(simulated, tmp_path):
     argv = decode_argv(enc, sim, tmp_path / "d")
     argv[argv.index(enc / "seeds.txt")] = seeds
     assert run(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_empty_seed_table_is_a_config_error(simulated, tmp_path, capsys, text):
+    src, enc, sim = simulated
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(text)
+    outdir = tmp_path / "d"
+    argv = decode_argv(enc, sim, outdir)
+    argv[argv.index(enc / "seeds.txt")] = seeds
+    assert run(argv) == EXIT_USAGE
+    assert f"seed table {seeds}: no seeds" in capsys.readouterr().err
+    assert not (outdir / "recovered.bin").exists()
 
 
 @pytest.mark.parametrize("line", ["1ffffffff", "-5"])

@@ -8,32 +8,28 @@ sum-product algorithm in the log domain with the tanh rule; the 256
 payload bit-planes share one matrix, so messages are vectorized across
 planes and planes drop out of the working set as they converge.
 
-Punctured bits make most messages exactly zero. A check row with two or
-more zero incoming messages in a plane sends zeros on every edge there, so
-only live rows, those with at most one zero input in some plane, are
-updated, and the work of an iteration scales with them. A row that sends
-zeros sees its columns' totals, so whether it wakes up is read from one
-bit per column and plane; the syndrome is likewise the XOR of packed sign
-bits. Live rows are updated with the same arithmetic as a full update,
-weight class by weight class with the same reductions. Skipping the other
-rows cannot change a result: the tanh rule gives their zeros either sign
+Punctured bits make most messages exactly zero, and a check row with two
+zero inputs in a plane sends zeros on every edge there. Before it
+iterates, the decoder peels the plane union of the graph: the reached
+columns start as the coded bits whose channel LLR is nonzero in some
+plane, and a row joins the reach in round r once at most one of its edges
+leads outside the columns reached before round r, whereupon all its
+columns join them. By induction over the iterations, after iteration t
+only the columns reached before round t can have a nonzero posterior, so
+a row that joins in round r keeps two zero inputs, and sends zeros, up to
+iteration r; a row outside the reach does so on every iteration. Flooding
+therefore runs on the reached rows alone, their information bits
+renumbered in order, and iteration t updates the rows that joined before
+round t (once they hold half the edges, every row), weight class by
+weight class with the same arithmetic as a full update. That is a
+superset of the rows that can send a nonzero message, and updating a
+superset is exact: the tanh rule gives a silent row's zeros either sign
 (0.0 / t takes t's sign), but a column sum starts from +0.0 and runs in
-the matrix's edge order, and a zero of either sign leaves such a sum as it
-is. So the output is bit-identical to updating every row.
-
-The same zeros bound where BP can act at all. Before it iterates, the
-decoder peels the plane union of the graph: the reached columns start as
-the coded bits whose channel LLR is nonzero in some plane, and a row joins
-the reach once at most one of its edges leads outside them, whereupon all
-its columns join them. A column outside the reach has a zero channel value
-and lies only in rows outside it, and each such row has at least two edges
-on such columns; so, by induction over the iterations, those columns stay
-at posterior zero and those rows send zeros on every edge in every plane.
-Flooding therefore runs on the reached rows alone, their information bits
-renumbered in order, and the result is scattered back: every message,
-posterior, fixed point and iteration count is bit-identical to running on
-all rows. Columns outside the reach keep their channel value, which an
-iteration's +0.0 column sum turns from -0.0 into +0.0.
+the matrix's edge order, and a zero of either sign leaves such a sum as
+it is. So every message, posterior, fixed point and iteration count is
+bit-identical to updating every row of H. Columns outside the reach keep
+their channel value, which an iteration's +0.0 column sum turns from -0.0
+into +0.0; the syndrome is the XOR of packed sign bits.
 
 A plane counts as converged only when every check is satisfied and every
 connected variable has a nonzero posterior; with all-zero inputs the
@@ -115,14 +111,12 @@ class _Graph:
         row_cols = np.empty(h.total_weight, dtype=np.int64)
         row_cols[is_info] = h.indices
         row_cols[coded_at] = h.n_info + np.arange(h.n_rows)
-        self.groups = []  # (the rows of weight w, their edges' slice, w)
+        self.groups = []  # (the rows of weight w, w)
         order = []  # the H-order index of each stored edge
-        at = 0
         for w in np.unique(weights):
             rows = np.nonzero(weights == w)[0]
-            self.groups.append((rows, slice(at, at + len(rows) * w), int(w)))
+            self.groups.append((rows, int(w)))
             order.append((row_first[rows][:, None] + np.arange(w)).ravel())
-            at += len(rows) * w
         order = np.concatenate(order)
         self.n_edges = len(order)
         self.edge_col = row_cols[order]
@@ -146,7 +140,7 @@ class _Graph:
     def solved(self, posterior: np.ndarray) -> np.ndarray:
         """Per plane: every check's hard decisions XOR to zero and every
         posterior is nonzero (every column lies in some row)."""
-        signs = _pack_planes(posterior < 0, pad=False)
+        signs = _pack_planes(posterior < 0)
         odd = np.bitwise_xor.reduceat(signs[self.edge_col], self.row_starts, axis=0)
         odd_words = np.bitwise_or.reduce(odd, axis=0)
         odd_planes = np.unpackbits(odd_words.view(np.uint8), bitorder="little")
@@ -154,21 +148,13 @@ class _Graph:
         return syndrome_ok & (posterior != 0.0).all(axis=0)
 
 
-def _pack_planes(flags: np.ndarray, pad: bool) -> np.ndarray:
+def _pack_planes(flags: np.ndarray) -> np.ndarray:
     """(n, P) bool -> (n, ceil(P / 64)) uint64, plane p at bit p % 64 of word
-    p // 64; the padding planes past P read `pad`."""
+    p // 64; the padding planes past P read False."""
     n, p = flags.shape
-    wide = np.full((n, -(-p // 64) * 64), pad)
+    wide = np.zeros((n, -(-p // 64) * 64), dtype=bool)
     wide[:, :p] = flags
     return np.packbits(wide, axis=1, bitorder="little").view(np.uint64)
-
-
-def _some_plane_below_two(zero_words: np.ndarray) -> np.ndarray:
-    """(rows, w, W) packed zero flags of each row's edges -> (rows,) bool:
-    True where some plane has fewer than two zero edges."""
-    seen = np.bitwise_or.accumulate(zero_words, axis=1)
-    twice = np.bitwise_or.reduce(zero_words[:, 1:] & seen[:, :-1], axis=1)
-    return (twice != ~np.uint64(0)).any(axis=1)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -177,9 +163,11 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> np.ndarray:
+def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows, ascending, that peeling reaches from the coded bits marked
-    in `live_coded`; each column's edges are visited once."""
+    in `live_coded`, and the round in which each joins (0 for the rows with
+    at most one unreached edge at the start); each column's edges are
+    visited once."""
     weights = np.diff(h.indptr)
     # per row, its edges whose column is not reached yet
     missing = weights + ~live_coded
@@ -187,34 +175,39 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> np.ndarray:
     col_rows = np.repeat(np.arange(h.n_rows), weights)[by_col]
     col_ptr = np.concatenate([[0], np.cumsum(np.bincount(h.indices, minlength=h.n_info))])
     col_reached = np.zeros(h.n_info, dtype=bool)
-    reached = np.zeros(h.n_rows, dtype=bool)
+    joined = np.full(h.n_rows, -1)
     new_rows = np.flatnonzero(missing <= 1)
+    rnd = 0
     while len(new_rows):
-        reached[new_rows] = True
+        joined[new_rows] = rnd
+        rnd += 1
         cols = h.indices[_ranges(h.indptr[new_rows], weights[new_rows])]
         cols = np.unique(cols[~col_reached[cols]])
         col_reached[cols] = True
         hit = col_rows[_ranges(col_ptr[cols], col_ptr[cols + 1] - col_ptr[cols])]
         rows, n_hit = np.unique(hit, return_counts=True)
         missing[rows] -= n_hit
-        new_rows = rows[(missing[rows] <= 1) & ~reached[rows]]
-    return np.flatnonzero(reached)
+        new_rows = rows[(missing[rows] <= 1) & (joined[rows] < 0)]
+    reached = np.flatnonzero(joined >= 0)
+    return reached, joined[reached]
 
 
 def _flood(
     h: SparseParityMatrix,
     coded: np.ndarray,
+    rounds: np.ndarray,
     max_iter: int,
     llr_clip: float,
     early_stop_on_syndrome: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flooding BP over every row of h, coded (rows, planes) -> the
-    (cols, planes) posterior and, per plane, iterations and convergence."""
+    """Flooding BP over the rows of h, coded (rows, planes) -> the (cols,
+    planes) posterior and, per plane, iterations and convergence; a row is
+    updated from the iteration after its peel round in `rounds` on."""
     n_planes = coded.shape[1]
     g = _Graph(h)
     posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
     # adding a column sum of +0.0 turns a channel -0.0 into +0.0; columns
-    # that no live row reaches copy `ch`, so it is normalized once here
+    # that no updated row reaches copy `ch`, so it is normalized once here
     ch = posterior + 0.0
     tanh_cap = np.tanh(llr_clip / 2.0)
 
@@ -225,39 +218,23 @@ def _flood(
     converged_out = np.zeros(n_planes, dtype=bool)
 
     active = np.arange(n_planes)
-    # check-to-variable messages; only the edges of `live` rows can be
-    # nonzero, and the pages of the others are never touched
+    # check-to-variable messages; only the edges of rows already updated can
+    # be nonzero, and the pages of the others are never touched
     m_cv = np.zeros((g.n_edges, n_planes))
-    live = np.zeros(h.n_rows, dtype=bool)
+    edge_round = rounds[g.edge_row]
 
     for it in range(1, max_iter + 1):
         p = len(active)
-        # a row that is not live sends zeros and so sees its column totals;
-        # with two zero totals in every plane it sends zeros again (tanh(y)
-        # is zero only at y == 0)
-        zero_words = _pack_planes(0.5 * posterior == 0.0, pad=True)
-        wake = []  # per weight class: which rows to update
-        for rows, span, w in g.groups:
-            sel = live[rows]
-            quiet = ~sel
-            if quiet.any():
-                cols = g.edge_col[span].reshape(-1, w)[quiet]
-                sel[quiet] = _some_plane_below_two(zero_words[cols])
-            wake.append(sel)
-        n_wake = sum(int(sel.sum()) * w for sel, (_, _, w) in zip(wake, g.groups))
-        # from half the edges on, gathering the waking rows costs more than
-        # also updating the rest, which send zeros again
-        every = 2 * n_wake >= g.n_edges
+        pos = np.flatnonzero(edge_round < it)
+        # from half the edges on, gathering the awake rows costs more than
+        # also updating the rest, which send zeros
+        every = 2 * len(pos) >= g.n_edges
         runs = []  # (rows, weight) of the rows to update, in edge order
-        edges = [np.zeros(0, dtype=np.int64)]
-        for sel, (rows, span, w) in zip(wake, g.groups):
-            if every:
+        for rows, w in g.groups:
+            if not every:
+                rows = rows[rounds[rows] < it]
+            if len(rows):
                 runs.append((rows, w))
-            elif sel.any():
-                runs.append((rows[sel], w))
-                first = span.start + np.flatnonzero(sel) * w
-                edges.append((first[:, None] + np.arange(w)).ravel())
-        pos = np.concatenate(edges)
 
         old = m_cv if every else m_cv[pos]
         m_vc = posterior[g.edge_col if every else g.edge_col[pos]] - old
@@ -282,11 +259,9 @@ def _flood(
                 seen_by_rest = np.where(row_zeros == 0, row_prod, 0.0)
                 np.divide(seen_by_rest[:, None], t_blk, out=ext_blk)
                 np.copyto(ext_blk, seen_by_zero[:, None], where=zero_blk)
-                live[rows] = (row_zeros <= 1).any(axis=1)
             else:
                 # no zero messages: the excluded-edge product is a plain quotient
                 np.divide(row_prod[:, None], t_blk, out=ext_blk)
-                live[rows] = True
         np.clip(ext, -tanh_cap, tanh_cap, out=ext)
         m_new = 2.0 * np.arctanh(ext)
         fixed_point = (m_new == old).all(axis=0)
@@ -296,13 +271,12 @@ def _flood(
             m_cv[pos] = m_new
 
         # zero messages, of either sign, leave a column sum as it is
-        live_pos = np.flatnonzero(live[g.edge_row])
         if every:
             posterior = ch + (g.col_sum @ m_cv)
         else:
-            hit = np.unique(g.edge_col[live_pos])
+            hit = np.unique(g.edge_col[pos])
             posterior = ch.copy()
-            posterior[hit] = ch[hit] + (g.col_sum[hit][:, live_pos] @ m_cv[live_pos])
+            posterior[hit] = ch[hit] + (g.col_sum[hit][:, pos] @ m_cv[pos])
         done = g.solved(posterior)
         stop = (done | fixed_point) if early_stop_on_syndrome else fixed_point
         if stop.any():
@@ -318,7 +292,7 @@ def _flood(
             active = active[keep]
             ch = ch[:, keep]
             kept = np.zeros((g.n_edges, len(keep)))
-            kept[live_pos] = m_cv[np.ix_(live_pos, keep)]
+            kept[pos] = m_cv[np.ix_(pos, keep)]
             m_cv = kept
             posterior = posterior[:, keep]
 
@@ -369,7 +343,7 @@ def bp_decode(
         raise ValueError(f"coded_llrs rows {coded.shape[0]} != H rows {h.n_rows}")
     n_planes = coded.shape[1]
 
-    rows = _reach(h, (coded != 0.0).any(axis=1))
+    rows, rounds = _reach(h, (coded != 0.0).any(axis=1))
     every_row = len(rows) == h.n_rows
     posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
     if max_iter > 0:
@@ -391,7 +365,7 @@ def bp_decode(
         )
         cols = np.concatenate([info_cols, h.n_info + rows])
         flooded, iters_out, converged_out = _flood(
-            reached, coded[rows], max_iter, llr_clip, early_stop_on_syndrome and every_row
+            reached, coded[rows], rounds, max_iter, llr_clip, early_stop_on_syndrome and every_row
         )
         posterior[cols] = flooded
         converged_out &= every_row

@@ -49,7 +49,7 @@ _OTHERS = np.array([[b for b in range(4) if b != x] for x in range(4)], dtype=np
 # reads (or one oligo's reads, if more)
 _CHUNK_READS = 1024
 # read ids are "r" and nine digits
-_MAX_READS = 10**9
+MAX_READS = 10**9
 _ID_DIGITS = 10 ** np.arange(8, -1, -1)
 
 
@@ -401,8 +401,8 @@ def simulate_pool(
         raise ValueError("empty oligo pool")
     if any(len(seq) != OLIGO_NT for seq in seqs):
         raise ValueError(f"oligo must be {OLIGO_NT} nt")
-    if total_reads > _MAX_READS:
-        raise ValueError(f"at most {_MAX_READS} reads: read ids have nine digits")
+    if total_reads > MAX_READS:
+        raise ValueError(f"at most {MAX_READS} reads: read ids have nine digits")
     src = sequence_to_indices("".join(seqs)).reshape(len(seqs), OLIGO_NT)
     fastq_path = Path(fastq_path)
     targets = _target_table(config.transition_bias)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channel_stats import PoolIndex, TransitionTable, estimate_transitions, quality_product
-from .channel_sim import simulate_pool
+from .channel_sim import MAX_READS, simulate_pool
 from .clustering_llr import cluster_by_seed
 from .config import (
     ConfigError,
@@ -120,8 +120,8 @@ def cmd_simulate(args, cfg: dict) -> int:
     channel = channel_from(cfg)
     with user_input("experiment config"):
         total = args.reads if args.reads is not None else int(cfg["experiment"]["total_reads"])
-    if total < 1:
-        raise ConfigError(f"the read count must be >= 1, got {total}")
+    if not 1 <= total <= MAX_READS:
+        raise ConfigError(f"the read count must be in 1..{MAX_READS}, got {total}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sim = simulate_pool(seqs, total, channel, outdir / "reads.fastq", outdir / "truth.tsv")
@@ -258,9 +258,13 @@ def cmd_experiment(args, cfg: dict) -> int:
         total_reads, trials = int(exp["total_reads"]), int(exp["trials"])
         points = [int(p) for p in exp["sampling_points"]]
         rng_seed = int(exp["rng_seed"])
-    if total_reads < 1 or trials < 1 or any(not 0 <= p <= total_reads for p in points):
+    if (
+        not 1 <= total_reads <= MAX_READS
+        or trials < 1
+        or any(not 0 <= p <= total_reads for p in points)
+    ):
         raise ConfigError(
-            f"experiment needs total_reads >= 1, trials >= 1 and sampling points in "
+            f"experiment needs total_reads in 1..{MAX_READS}, trials >= 1 and sampling points in "
             f"0..total_reads, got total_reads={total_reads}, trials={trials}, "
             f"sampling_points={points}"
         )

@@ -108,6 +108,20 @@ PROFILES["paper-scale"] = _deep_merge(
 )
 
 
+def _unknown_key(cfg: Mapping, known: Mapping, prefix: str = "") -> str | None:
+    """The first key path of cfg that the tree `known` lacks, if any."""
+    for key, value in cfg.items():
+        path = f"{prefix}{key}"
+        if key not in known:
+            return path
+        if isinstance(value, Mapping):
+            below = known[key] if isinstance(known[key], Mapping) else {}
+            found = _unknown_key(value, below, path + ".")
+            if found is not None:
+                return found
+    return None
+
+
 def _apply_override(cfg: dict, spec: str) -> None:
     if "=" not in spec:
         raise ConfigError(f"override must look like key.path=value, got {spec!r}")
@@ -133,7 +147,8 @@ def load_config(
 
     The profile is `profile`, else the one a file's `profile:` key names,
     else desk-scale; it must be a built-in profile, and a file's key must
-    agree with `profile` when both are given.
+    agree with `profile` when both are given. Every key path must be one of
+    the profile's, or `decode.decoder`, which no profile names.
     """
     loaded: dict = {}
     if path is not None:
@@ -157,6 +172,9 @@ def load_config(
     cfg = _deep_merge(PROFILES[profile], loaded)
     for spec in overrides or []:
         _apply_override(cfg, spec)
+    unknown = _unknown_key(cfg, _deep_merge(PROFILES[profile], {"decode": {"decoder": None}}))
+    if unknown is not None:
+        raise ConfigError(f"unknown key {unknown!r}")
     return cfg
 
 

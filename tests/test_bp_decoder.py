@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -353,7 +354,7 @@ def test_bp_matches_reference_kernel_on_reach_cases(case, max_iter, early_stop):
     h = reach_graph()
     llrs = reach_case_llrs(case, h.n_rows)
     live = llrs.reshape(h.n_rows, -1) != 0.0
-    n_reached = len(bp_decoder._reach(h, live.any(axis=1)))
+    n_reached = len(bp_decoder._reach(h, live.any(axis=1))[0])
     if case == "no-row":
         assert n_reached == 0
     elif case == "plane-union":
@@ -370,19 +371,22 @@ def test_bp_matches_reference_kernel_on_reach_cases(case, max_iter, early_stop):
 
 
 def naive_reach(h, live_coded):
-    """The peeling rule applied row by row until nothing changes."""
+    """The peeling rule applied round by round until nothing changes: the
+    rows that join in round r are those with at most one column outside
+    the columns reached before round r. -> (rows, their rounds), ascending."""
     reached_cols = set(h.n_info + np.flatnonzero(live_coded))
     rows = [list(r) + [h.n_info + i] for i, r in enumerate(row_list(h))]
-    reached = set()
-    grew = True
-    while grew:
-        grew = False
-        for i, cols in enumerate(rows):
-            if i not in reached and sum(c not in reached_cols for c in cols) <= 1:
-                reached.add(i)
-                reached_cols.update(cols)
-                grew = True
-    return sorted(reached)
+    joined = {}
+    for rnd in itertools.count():
+        new = [i for i, cols in enumerate(rows)
+               if i not in joined and sum(c not in reached_cols for c in cols) <= 1]
+        if not new:
+            break
+        for i in new:
+            joined[i] = rnd
+            reached_cols.update(rows[i])
+    order = sorted(joined)
+    return order, [joined[i] for i in order]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -393,4 +397,5 @@ def test_reach_is_the_peeling_closure(seed, k, n_rows, live_share):
     rows = [rng.choice(k, size=min(int(d), k), replace=False) for d in rng.integers(0, 7, n_rows)]
     h = make_h(k, rows)
     live = rng.random(n_rows) < live_share
-    assert bp_decoder._reach(h, live).tolist() == naive_reach(h, live)
+    reached, rounds = bp_decoder._reach(h, live)
+    assert (reached.tolist(), rounds.tolist()) == naive_reach(h, live)

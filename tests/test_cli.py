@@ -448,12 +448,26 @@ def test_decoder_fault_is_an_internal_error(simulated, tmp_path, monkeypatch, ca
     "decode.decoder=psychic",
     "decode.llr_mode=chandak decode.crossover_p=0.7",
     "decode.llr_mode=chandak decode.crossover_p=0",
+    "decode.redecodeing=false",
+    "decod.decoder=hard",
 ])
 def test_unknown_decoder_setting_is_a_config_error(simulated, tmp_path, capsys, override):
     src, enc, sim = simulated
     sets = [arg for spec in override.split() for arg in ("--set", spec)]
     assert run(decode_argv(enc, sim, tmp_path / "d", *sets)) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()  # refused before any output
+
+
+def test_misspelt_key_in_a_config_file_is_a_config_error(simulated, tmp_path, capsys):
+    src, enc, sim = simulated
+    path = tmp_path / "run.yaml"
+    path.write_text("decode:\n  redecodeing: false\n")
+    with pytest.raises(ConfigError, match="unknown key 'decode.redecodeing'"):
+        load_config(None, path)
+    assert run(decode_argv(enc, sim, tmp_path / "d", "--config", path)) == EXIT_USAGE
+    assert "unknown key 'decode.redecodeing'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("override, message", [
@@ -612,10 +626,18 @@ def test_malformed_pool_record_is_a_config_error(encoded, tmp_path, capsys, edit
 
 def test_simulate_zero_reads_is_a_config_error(encoded, tmp_path):
     src, enc = encoded
-    outdir = tmp_path / "sim0"
-    assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", outdir,
-                "--reads", 0, "--profile", "desk-scale"]) == EXIT_USAGE
-    assert not (outdir / "reads.fastq").exists()
+    # read ids have nine digits, so at most 10**9 reads
+    for reads in (0, 10**9 + 1):
+        outdir = tmp_path / f"sim{reads}"
+        assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", outdir,
+                    "--reads", reads, "--profile", "desk-scale"]) == EXIT_USAGE
+        assert not outdir.exists()
+
+
+def test_experiment_reads_above_the_bound_is_a_config_error(tmp_path):
+    assert run(["experiment", "--outdir", tmp_path / "exp", "--profile", "desk-scale", *TINY,
+                "--set", "experiment.total_reads=1000000001"]) == EXIT_USAGE
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.mark.parametrize("override", ["channel.sub_rate=0", "decode.crossover_p=0.6"])

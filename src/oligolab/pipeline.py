@@ -7,9 +7,10 @@ clean or corrected away from the seed symbols; otherwise the offending
 clusters are dropped, the matrix is rebuilt, and BP reruns with the
 surviving clusters' original LLRs, up to the redecoding limit. On success
 the information bits are recovered from the RS-corrected coded bits by
-erasure solving (peeling with inactivation, then Gauss-Jordan elimination
-over the inactivated symbols only), which is also the engine behind the
-majority-vote hard-decoding baseline.
+erasure solving, also the engine of the majority-vote hard baseline: a
+level-by-level array peel that inactivates a batch of variables at each
+stall, then Gauss-Jordan elimination over those symbols only. A plane on
+which the rows disagree fails the decode, so only consistent planes are read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fountain, gf_rs
-from .bp_decoder import bp_decode, build_h
+from .bp_decoder import _ranges, bp_decode, build_h
 from .channel_stats import TransitionTable
 from .clustering_llr import (
     ClusterTable,
@@ -45,6 +46,7 @@ from .fastq_io import ReadRecord
 from .fountain import SeedSchedule, SolitonParams, required_symbols
 
 _WORD = np.dtype("<u8")  # packed planes: bit j of word w is plane 64w + j
+_INACTIVATE = 16  # variables inactivated per stall of the peel
 
 
 @dataclass(frozen=True)
@@ -100,20 +102,31 @@ class DecodeReport:
         }
 
 
-def _plane_words(planes: int) -> int:
-    return -(-planes // 64)
-
-
-def _ints_to_words(values: Sequence[int], n_words: int) -> np.ndarray:
-    """Python ints (bit p = plane p) -> (len, n_words) little-endian uint64 rows."""
-    raw = b"".join(v.to_bytes(8 * n_words, "little") for v in values)
-    return np.frombuffer(raw, dtype=_WORD).reshape(len(values), n_words)
-
-
 def _words_to_bits(words: np.ndarray, planes: int) -> np.ndarray:
     """(n, n_words) uint64 rows -> (n, planes) uint8 bits."""
     as_bytes = np.ascontiguousarray(words, dtype=_WORD).view(np.uint8)
     return np.unpackbits(as_bytes, axis=1, count=planes, bitorder="little")
+
+
+def _xor_runs(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The XOR of each run of `lengths` consecutive rows of `values` (0 if empty)."""
+    out = np.zeros((len(lengths), *values.shape[1:]), dtype=values.dtype)
+    full = lengths > 0
+    out[full] = np.bitwise_xor.reduceat(values, (np.cumsum(lengths) - lengths)[full], axis=0)
+    return out
+
+
+def _edge_groups(indptr: np.ndarray, var: np.ndarray, k: int) -> list[np.ndarray]:
+    """The (variable, row) edges of CSR rows, a repeated neighbor once, as
+    [var_ptr, var_row, row_ptr, row_var]: CSR by variable, then by row."""
+    n_rows = len(indptr) - 1
+    row = np.repeat(np.arange(n_rows), np.diff(indptr))
+    groups = []
+    for major, minor, n_major, n_minor in ((var, row, k, n_rows), (row, var, n_rows, k)):
+        keys = np.sort(major * n_minor + minor)  # np.unique may hash, and slower
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])[: len(keys)]]
+        groups += [np.searchsorted(keys, np.arange(n_major + 1) * n_minor), keys % max(n_minor, 1)]
+    return groups
 
 
 def _keep_rows(
@@ -133,20 +146,24 @@ def lt_erasure_solve(
     """Solve info bits from coded-bit rows: XOR(info[nbrs]) = coded[row].
 
     rows: CSR rows (indptr, indices); row r's neighbors are
-    indices[indptr[r]:indptr[r + 1]].
+    indices[indptr[r]:indptr[r + 1]], each in 0..k-1. A repeated neighbor
+    counts once; a row with none reads 0 = its coded value.
 
     Returns (info (k, P) uint8, resolved (k,) bool, consistent (P,) bool).
     Inactivation decoding (Shokrollahi, "Raptor codes", 2006; RFC 6330
-    §5.4) over rows held as Python integers. A row keeps its count of
-    unknowns, the XOR of their ids (a degree-1 row's is its last unknown)
-    and its value: bits 0..P-1 are the planes, bit P + j is inactive
-    symbol j. Peeling resolves degree-1 rows and substitutes, one XOR per
-    edge. When it stalls, the unresolved variable with the most rows is
-    inactivated, that is set to a new symbol, and peeling carries on. A row
-    left with no unknowns is an equation over the symbols; Gauss-Jordan
-    elimination on those equations flags the planes of any that reduces to
-    0 = nonzero as inconsistent. A variable is resolved when its value
-    reduces to planes alone against the eliminated equations.
+    §5.4), peeled level by level in arrays. Each row keeps its count of
+    unknowns and the XOR of their ids, which names the last one. A level
+    resolves, from one pivot row each, the variables that rows hold as
+    their last unknown, then updates the rows those touch: only these can
+    join the next level. At a stall the next `_INACTIVATE` variables with
+    the most rows become symbols. Values are uint64 words, plane words then
+    symbol words: a pivot's coded value XOR its other neighbors' values.
+    The other rows are equations over the symbols. Gauss-Jordan flags the
+    planes of any that reduces to 0 = nonzero as inconsistent, and the
+    value pass is replayed with the reduced symbols; a variable whose value
+    keeps a free symbol is unresolved. Resolved bits and consistent planes
+    belong to the system, not to the peel order; on an inconsistent plane
+    the rows disagree, so only the consistent planes of `info` are fixed.
     """
     coded = np.asarray(coded_bits, dtype=np.uint8)
     if coded.ndim == 1:
@@ -155,107 +172,89 @@ def lt_erasure_solve(
     indptr, indices = rows
     if n_rows != len(indptr) - 1:
         raise ValueError("coded_bits rows do not match neighbor rows")
-    row_bytes = np.packbits(coded, axis=1, bitorder="little")
-    raw, width = row_bytes.tobytes(), row_bytes.shape[1]
-    row_val = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    coded_val = row_val.copy()
-
-    # the (variable, row) edges, a repeated neighbor once, grouped by variable
     var = np.asarray(indices, dtype=np.int64)
-    row = np.repeat(np.arange(n_rows), np.diff(indptr))
-    order = np.lexsort((row, var))
-    var, row = var[order], row[order]
-    new_edge = np.ones(len(var), dtype=bool)
-    new_edge[1:] = (var[1:] != var[:-1]) | (row[1:] != row[:-1])
-    var, row = var[new_edge], row[new_edge]
-    unknowns_left = np.bincount(row, minlength=n_rows).tolist()
-    id_xor = np.zeros(n_rows, dtype=np.int64)
-    np.bitwise_xor.at(id_xor, row, var)
-    id_xor = id_xor.tolist()
-    firsts = np.flatnonzero(np.r_[True, var[1:] != var[:-1]]).tolist()
-    row_list = row.tolist()
-    var_rows = {
-        v: row_list[a:b]
-        for v, a, b in zip(var[firsts].tolist(), firsts, [*firsts[1:], len(row_list)])
-    }
+    if len(var) and not 0 <= var.min() <= var.max() < k:
+        raise ValueError(f"neighbor indices must lie in 0..{k - 1}")
 
-    # a row with no neighbors reads 0 = its coded value
-    equations = [row_val[r] for r, n in enumerate(unknowns_left) if n == 0]
-    elim_vars: list[int] = []  # in the order peeled or inactivated
-    elim_rows: list[int] = []  # the row each was peeled from, -1 if inactivated
-    elim_vals: list[int] = []
-    eliminated = bytearray(k)
-    candidates = None
-    symbols = 0
-    queue = [r for r, n in enumerate(unknowns_left) if n == 1]
+    var_ptr, var_row, row_ptr, row_var = _edge_groups(indptr, var, k)
+    row_len, degree = np.diff(row_ptr), np.diff(var_ptr)
+    candidates = np.argsort(-degree, kind="stable")[: np.count_nonzero(degree)]
+
+    unknowns = row_len.copy()
+    id_xor = _xor_runs(row_var, row_len)
+    eliminated = np.zeros(k, dtype=bool)
+    is_pivot = np.zeros(n_rows, dtype=bool)
+    levels = []  # variables, then pivot rows, their neighbors and run starts
+    n_symbols = 0
+    ripple = np.flatnonzero(unknowns == 1)
     while True:
-        if queue:
-            r = queue.pop()
-            if unknowns_left[r] != 1:
-                continue
-            v = id_xor[r]
-            value = row_val[r]
-        else:
-            if candidates is None:  # most rows first, from the first stall on
-                candidates = iter(sorted(var_rows, key=lambda u: len(var_rows[u]), reverse=True))
-            v = next((u for u in candidates if not eliminated[u]), None)
-            if v is None:
+        ripple = ripple[unknowns[ripple] == 1]
+        if len(ripple):
+            v, first = np.unique(id_xor[ripple], return_index=True)
+            pivots = ripple[first]
+            is_pivot[pivots] = True
+            n = row_len[pivots]
+            levels.append((v, pivots, row_var[_ranges(row_ptr[pivots], n)], np.cumsum(n) - n))
+        else:  # a stall: inactivate, most rows first
+            candidates = candidates[~eliminated[candidates]]
+            v, candidates = candidates[:_INACTIVATE], candidates[_INACTIVATE:]
+            if not len(v):
                 break
-            r = -1
-            value = 1 << (planes + symbols)
-            symbols += 1
-        eliminated[v] = 1
-        elim_vars.append(v)
-        elim_rows.append(r)
-        elim_vals.append(value)
-        for r2 in var_rows[v]:
-            unknowns_left[r2] -= 1
-            id_xor[r2] ^= v
-            row_val[r2] ^= value
-            if unknowns_left[r2] == 1:
-                queue.append(r2)
-            elif unknowns_left[r2] == 0 and row_val[r2]:  # 0 = 0 says nothing
-                equations.append(row_val[r2])
+            levels.append((v, None, None, n_symbols))
+            n_symbols += len(v)
+        eliminated[v] = True
+        n = degree[v]
+        touched = var_row[_ranges(var_ptr[v], n)]
+        order = np.argsort(touched)
+        touched = touched[order]
+        starts = np.flatnonzero(np.diff(touched, prepend=-1))
+        ripple = touched[starts]
+        unknowns[ripple] -= np.diff(np.append(starts, len(touched)))
+        id_xor[ripple] ^= np.bitwise_xor.reduceat(np.repeat(v, n)[order], starts)
 
-    # Gauss-Jordan on the equations: each basis row is keyed by its pivot,
-    # its top symbol bit when it joined, and no other row holds that bit
-    contradicted = 0  # bit p set: plane p reduced some row to 0 = 1
-    basis: dict[int, int] = {}
-    for e in equations:
-        for p, b in basis.items():
-            if e >> p & 1:
-                e ^= b
-        if e >> planes == 0:
-            contradicted |= e
-            continue
-        top = e.bit_length() - 1
-        for p, b in basis.items():
-            if b >> top & 1:
-                basis[p] = b ^ e
-        basis[top] = e
+    n_words = -(-planes // 64)
+    width = n_words + -(-n_symbols // 64)
+    coded_words = np.zeros((n_rows, width), dtype=_WORD)
+    packed = np.packbits(coded, axis=1, bitorder="little")
+    coded_words.view(np.uint8)[:, : packed.shape[1]] = packed
+    eye = np.eye(n_symbols, 64 * width, 64 * n_words, dtype=bool)  # symbol j is bit j of the tail
+    symbols = np.packbits(eye, axis=1, bitorder="little").view(_WORD)
 
-    if symbols:
-        # back-substitute: replay the peel with each symbol's reduced value
-        # (its constant planes, plus any symbols the equations leave free)
-        symbol_vals = iter([basis.get(p, 0) ^ (1 << p) for p in range(planes, planes + symbols)])
-        row_val = coded_val
-        elim_vals = []
-        for v, r in zip(elim_vars, elim_rows):
-            value = row_val[r] if r >= 0 else next(symbol_vals)
-            elim_vals.append(value)
-            for r2 in var_rows[v]:
-                row_val[r2] ^= value
+    def substitute(symbol_values: np.ndarray) -> np.ndarray:
+        values = np.zeros((k, width), dtype=_WORD)
+        for v, pivots, nbrs, starts in levels:
+            if pivots is None:  # inactivated as symbols starts, starts + 1, ...
+                values[v] = symbol_values[starts : starts + len(v)]
+            else:  # a pivot's own variable still reads 0 here
+                values[v] = coded_words[pivots] ^ np.bitwise_xor.reduceat(values[nbrs], starts)
+        return values
 
-    # a value left with a free symbol does not fix its variable
-    fixed_vars = [v for v, value in zip(elim_vars, elim_vals) if value >> planes == 0]
-    fixed_vals = [value for value in elim_vals if value >> planes == 0]
-    n_words = _plane_words(planes)
-    info_words = np.zeros((k, n_words), dtype=_WORD)
-    resolved = np.zeros(k, dtype=bool)
-    info_words[fixed_vars] = _ints_to_words(fixed_vals, n_words)
-    resolved[fixed_vars] = True
-    info = _words_to_bits(info_words, planes)
-    consistent = _words_to_bits(_ints_to_words([contradicted], n_words), planes)[0] == 0
+    values = substitute(symbols)
+    others = np.flatnonzero(~is_pivot)
+    n = row_len[others]
+    equations = coded_words[others] ^ _xor_runs(values[row_var[_ranges(row_ptr[others], n)]], n)
+    equations = equations[equations.any(axis=1)]  # 0 = 0 says nothing
+
+    # Gauss-Jordan: a symbol's basis row is the only one that holds it
+    basis = np.full(n_symbols, -1)
+    spare = np.ones(len(equations), dtype=bool)
+    for s in range(n_symbols):
+        has = (equations[:, n_words + s // 64] >> np.uint64(s % 64) & np.uint64(1)).astype(bool)
+        pivot = np.flatnonzero(has & spare)[:1]
+        if len(pivot):
+            spare[pivot] = has[pivot] = False
+            equations[has] ^= equations[pivot]
+            basis[s] = pivot[0]
+    # the rows left spare hold planes alone: 0 = nonzero contradicts
+    consistent = ~_words_to_bits(equations[spare, :n_words], planes).any(axis=0)
+
+    if n_symbols:
+        # back-substitute: replay with each symbol's planes and free symbols
+        solved = basis >= 0
+        symbols[solved] ^= equations[basis[solved]]
+        values = substitute(symbols)
+    resolved = eliminated & ~values[:, n_words:].any(axis=1)
+    info = _words_to_bits(values[:, :n_words] * resolved[:, None], planes)
     return info, resolved, consistent
 
 

@@ -216,14 +216,11 @@ def test_erasure_solve_matches_reference_on_peeling_and_elimination():
     assert (~consistent).sum() in (1, 2)
 
 
-def test_erasure_solve_paper_geometry_subset():
-    # 16,400 of the paper profile's 18,000 oligos: peeling stalls early, so
-    # inactivation carries the solve; eliminating the whole residual densely
-    # takes about 30 s on this system
+def assert_paper_geometry_solves(n_picked, seed):
     params = SolitonParams(k=16050, c=0.025, delta=0.001)
     pool = SeedSchedule.first_n(18000)
-    rng = np.random.default_rng(17)
-    picked = np.sort(rng.choice(pool.count, size=16400, replace=False))
+    rng = np.random.default_rng(seed)
+    picked = np.sort(rng.choice(pool.count, size=n_picked, replace=False))
     sched = SeedSchedule(tuple(pool.seeds[i] for i in picked))
     truth = rng.integers(0, 2, size=(params.k, 256), dtype=np.uint8)
     coded = lt_encode(truth, sched, params)
@@ -234,6 +231,72 @@ def test_erasure_solve_paper_geometry_subset():
     assert resolved.all()
     assert set(np.flatnonzero(~consistent).tolist()) <= set((flips % 256).tolist())
     assert np.array_equal(info[:, consistent], truth[:, consistent])
+
+
+def test_erasure_solve_paper_geometry_subset():
+    # 16,400 of the paper profile's 18,000 oligos: peeling stalls early, so
+    # inactivation carries the solve; eliminating the whole residual densely
+    # takes about 30 s on this system
+    assert_paper_geometry_solves(16400, seed=17)
+
+
+def test_erasure_solve_paper_geometry_full_peel():
+    # 17,500 of the 18,000 oligos, the shape of the paper-scale hard decode:
+    # peeling alone resolves every bit, in about 100 levels
+    assert_paper_geometry_solves(17500, seed=5)
+
+
+@pytest.mark.parametrize("n_rows", [0, 3])
+def test_erasure_solve_without_edges_resolves_nothing(n_rows):
+    # every row is empty, so each reads 0 = its value and no bit is fixed
+    coded = np.zeros((n_rows, 2), dtype=np.uint8)
+    coded[1:2] = [1, 0]
+    info, resolved, consistent = lt_erasure_solve(csr([np.array([], dtype=int)] * n_rows), coded, 4)
+    assert info.shape == (4, 2) and not info.any()
+    assert resolved.shape == (4,) and not resolved.any()
+    assert consistent.tolist() == [n_rows == 0, True]
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_erasure_solve_rejects_out_of_range_neighbors(bad):
+    with pytest.raises(ValueError, match="neighbor indices"):
+        lt_erasure_solve(csr([np.array([0, bad]), np.array([1])]), [[0], [1]], 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 40),
+    planes=st.sampled_from([1, 64, 65]),
+    row_factor=st.floats(0.5, 2.0),
+    degree_one=st.booleans(),
+    contradictions=st.integers(0, 3),
+)
+def test_erasure_solve_ignores_row_order_and_repeats(
+    seed, k, planes, row_factor, degree_one, contradictions
+):
+    # resolved bits and consistent planes belong to the system, not to the
+    # peel order; so does info on the consistent planes
+    rng = np.random.default_rng(seed)
+    low = 1 if degree_one or k == 1 else 2
+    degrees = rng.integers(low, min(k, 6) + 1, size=max(1, int(row_factor * k)))
+    rows = [rng.choice(k, size=int(d), replace=False) for d in degrees]
+    truth = rng.integers(0, 2, size=(k, planes), dtype=np.uint8)
+    coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
+    for _ in range(contradictions):
+        coded[rng.integers(0, len(rows)), rng.integers(0, planes)] ^= 1
+    info, resolved, consistent = lt_erasure_solve(csr(rows), coded, k)
+
+    order = np.concatenate([rng.permutation(len(rows)), rng.integers(0, len(rows), size=3)])
+    shuffled = [rng.permutation(rows[i]) for i in order]
+    shuffled[0] = np.append(shuffled[0], shuffled[0][-1])  # a repeated neighbor counts once
+    info2, resolved2, consistent2 = lt_erasure_solve(csr(shuffled), coded[order], k)
+    assert np.array_equal(resolved2, resolved)
+    assert np.array_equal(consistent2, consistent)
+    assert np.array_equal(info2[:, consistent], info[:, consistent])
+    if contradictions == 0:
+        assert consistent.all()
+        assert np.array_equal(info[resolved], truth[resolved])
 
 
 def test_zero_noise_soft_decode_succeeds(encoded_world):

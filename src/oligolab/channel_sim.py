@@ -9,8 +9,10 @@ from two rounded Gaussians, one for correct and one for erroneous calls;
 with a small probability an erroneous call keeps a high Q-score
 (miscalibration), which is what lets high-quality garbage reads exist.
 
-Every read carries a ground-truth event list; replaying the events against
-the source oligo reproduces the read bases exactly.
+Every read carries a ground-truth event list, which `simulate_pool` can
+write to a truth sidecar (read id, oligo index, `format_events` text);
+replaying the events against the source oligo reproduces the read bases
+exactly.
 
 A pool is simulated in two steps. Each oligo makes all of its reads'
 random draws from its own generator, derived from (rng_seed, oligo index),
@@ -105,16 +107,13 @@ def default_transition_bias() -> np.ndarray:
     return bias
 
 
-def sample_abundances(
-    n_oligos: int, total_reads: int, config: ChannelConfig, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def sample_abundances(n_oligos: int, total_reads: int, config: ChannelConfig) -> np.ndarray:
     """Per-oligo read counts: lognormal weights feeding one multinomial draw."""
     if n_oligos < 1:
         raise ValueError("n_oligos must be >= 1")
     if total_reads < 1:
         raise ValueError("total_reads must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 0]))
     if config.abundance_sigma == 0.0:
         weights = np.ones(n_oligos)
     else:
@@ -127,30 +126,6 @@ def sample_abundances(
 Event = tuple
 
 
-def replay_events(oligo_seq: str, events: Sequence[Event]) -> str:
-    """Rebuild the read bases implied by an event list (truth verification)."""
-    subs = {}
-    ins: dict[int, list[str]] = {}
-    dels = set()
-    for ev in events:
-        if ev[0] == "S":
-            subs[ev[1]] = ev[2]
-        elif ev[0] == "I":
-            ins.setdefault(ev[1], []).append(ev[2])
-        elif ev[0] == "D":
-            dels.add(ev[1])
-        else:
-            raise ValueError(f"unknown event kind {ev[0]!r}")
-    out: list[str] = []
-    for i, base in enumerate(oligo_seq):
-        if i in ins:
-            out.extend(ins[i])
-        if i in dels:
-            continue
-        out.append(subs.get(i, base))
-    return "".join(out)
-
-
 def format_events(events: Sequence[Event]) -> str:
     if not events:
         return "-"
@@ -158,21 +133,6 @@ def format_events(events: Sequence[Event]) -> str:
     for ev in events:
         parts.append(":".join(str(x) for x in ev))
     return ";".join(parts)
-
-
-def parse_events(text: str) -> list[Event]:
-    if text == "-":
-        return []
-    events: list[Event] = []
-    for part in text.split(";"):
-        fields = part.split(":")
-        if fields[0] in ("S", "I"):
-            events.append((fields[0], int(fields[1]), fields[2]))
-        elif fields[0] == "D":
-            events.append(("D", int(fields[1])))
-        else:
-            raise ValueError(f"unknown event kind {fields[0]!r}")
-    return events
 
 
 def _draw_q(rng: np.random.Generator, mean: float, qm: QscoreModel) -> int:
@@ -472,16 +432,3 @@ def _truth_lines(reads: _Reads, first: int) -> str:
         f"r{first + r:09d}\t{idx}\t{format_events(events.get(r, ()))}\n"
         for r, idx in enumerate(reads.oligo.tolist())
     )
-
-
-def load_truth(path: str | Path) -> dict[str, tuple[int, list[Event]]]:
-    """Read a truth sidecar back into {read_id: (oligo_index, events)}."""
-    out: dict[str, tuple[int, list[Event]]] = {}
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("read_id\t"):
-            raise ValueError("not a truth sidecar file")
-        for line in fh:
-            read_id, idx, events = line.rstrip("\n").split("\t")
-            out[read_id] = (int(idx), parse_events(events))
-    return out

@@ -44,7 +44,6 @@ from .dna_codec import (
     base_indices_to_seeds,
     encode_base_matrix,
     encode_bases,
-    seeds_to_base_indices,
 )
 from .fastq_io import ReadRecord, fastq_chunks, phred_to_prob
 from .fountain import SeedSchedule
@@ -163,7 +162,7 @@ def cluster_by_seed(
     the ClusterTable's (retained, 152) uint8 matrices of base codes and
     Q-scores; each cluster is a row range of both, members in input order.
     """
-    table = np.unique(base_indices_to_seeds(seeds_to_base_indices(seed_table.seeds)))
+    table = np.sort(np.array(seed_table.seeds, dtype=np.uint32))
     report = DiscardReport()
     # per chunk, for the retained reads: table index, base codes, Q-scores
     found, code_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []

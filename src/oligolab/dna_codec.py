@@ -168,11 +168,6 @@ class Oligo:
         return self.seed_nt + self.payload_nt + self.parity_nt
 
 
-def seed_to_bases(seed: int) -> str:
-    """Render a 32-bit seed as its 16-nt prefix, MSB-first."""
-    return indices_to_sequence(seeds_to_base_indices([seed])[0])
-
-
 def assemble_oligo_array(seeds: Sequence[int], payload_bits: np.ndarray) -> np.ndarray:
     """(n,) seeds and (n, 256) payload bits -> (n, 152) base codes of the
     full oligos: RS parity is computed over each seed+payload's symbols."""

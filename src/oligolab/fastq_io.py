@@ -21,7 +21,7 @@ import gzip
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -78,24 +78,21 @@ class FastqChunk:
         ]
 
 
-def parse_fastq(source: str | Path | IO[str]) -> Iterator[ReadRecord]:
-    """Yield ReadRecords from a path or open text handle."""
-    for chunk in fastq_chunks(source):
+def parse_fastq(path: str | Path) -> Iterator[ReadRecord]:
+    """Yield the ReadRecords of a FASTQ file."""
+    for chunk in fastq_chunks(path):
         yield from chunk.records()
 
 
-def fastq_chunks(source: str | Path | IO[str]) -> Iterator[FastqChunk]:
-    """Yield the records of a path or open text handle as FastqChunks.
+def fastq_chunks(path: str | Path) -> Iterator[FastqChunk]:
+    """Yield the records of a FASTQ file as FastqChunks.
 
     A malformed record raises FastqFormatError after the chunk of the
     well-formed records before it.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb") as fh:
-            yield from _chunks(fh)
-    else:
-        yield from _chunks(map(str.encode, source))
+    path = Path(path)
+    with gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb") as fh:
+        yield from _chunks(fh)
 
 
 def _chunks(lines: Iterator[bytes], lineno: int = 0) -> Iterator[FastqChunk]:
@@ -217,20 +214,14 @@ def _first_fault(lines: list[bytes], lineno: int) -> FastqFormatError:
     raise AssertionError("a chunk that failed the bulk check has no faulty record")
 
 
-def write_fastq(records: Iterable[ReadRecord], dest: str | Path | IO[str]) -> int:
+def write_fastq(records: Iterable[ReadRecord], path: str | Path) -> int:
     """Write records in normalized 4-line form. Returns the record count."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w") as fh:
-            return _write_handle(records, fh)
-    return _write_handle(records, dest)
-
-
-def _write_handle(records: Iterable[ReadRecord], fh: IO[str]) -> int:
     n = 0
-    for rec in records:
-        qual = (np.asarray(rec.qscores, dtype=np.uint8) + PHRED_OFFSET).tobytes().decode("ascii")
-        fh.write(f"@{rec.id}\n{rec.bases}\n+\n{qual}\n")
-        n += 1
+    with open(path, "w") as fh:
+        for rec in records:
+            qual = (np.asarray(rec.qscores, dtype=np.uint8) + PHRED_OFFSET).tobytes().decode("ascii")
+            fh.write(f"@{rec.id}\n{rec.bases}\n+\n{qual}\n")
+            n += 1
     return n
 
 

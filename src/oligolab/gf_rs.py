@@ -1,12 +1,21 @@
 """GF(2^8) arithmetic and the (38, 36) Reed-Solomon intra-oligo code.
 
 The field uses the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D)
-with generator element 2, the common convention for byte-oriented RS codes.
-The code has two parity symbols (minimum distance 3), so the decoder
-corrects any single-symbol error and detects double-symbol errors.
-Symbols are ints in [0, 255]; addition is XOR. `rs_encode_array` encodes
-a whole (n, 36) array of messages and `rs_syndromes` checks a whole
-(n, 38) array of words at once.
+with generator element a = 2, the common convention for byte-oriented RS
+codes. Symbols are ints in [0, 255]; addition is XOR, and products go
+through one pair of log/antilog tables. A word is a polynomial with
+word[0] the highest-degree coefficient, and the codewords are the words
+that vanish at a^0 and a^1: minimum distance 3, so the decoder corrects
+any single-symbol error and never reports a double-symbol error clean.
+
+Encoding, checking and correcting all come from the two syndromes
+S0 = word(a^0) and S1 = word(a^1), which `rs_syndromes` computes for a
+whole (n, 38) array of words at once:
+- encode: the codeword m(x) * x^2 + p0 * x + p1 vanishes at a^0 and a^1,
+  so with (S0, S1) the syndromes of the message padded with two zero
+  symbols, p0 = (S0 + S1) / (1 + a) and p1 = S0 + p0;
+- check: a word is a codeword exactly when S0 = S1 = 0;
+- correct: a single error of magnitude S0 sits at degree log S1 - log S0.
 """
 
 from __future__ import annotations
@@ -18,76 +27,34 @@ import numpy as np
 
 GF_PRIM = 0x11D
 GF_GENERATOR = 2
-FIELD_SIZE = 256
 
 N_SYMBOLS = 38
 N_MESSAGE = 36
-N_PARITY = 2
-
-# log/antilog tables; _EXP is doubled so products need no modular reduction.
-_EXP = [0] * 512
-_LOG = [0] * 256
 
 
-def _init_tables() -> None:
-    x = 1
-    for i in range(255):
-        _EXP[i] = x
-        _LOG[x] = i
-        x <<= 1
-        if x & 0x100:
-            x ^= GF_PRIM
-    for i in range(255, 512):
-        _EXP[i] = _EXP[i - 255]
+def _powers() -> list[int]:
+    """a^0, a^1, ..., a^254."""
+    out = [1]
+    for _ in range(254):
+        x = out[-1] << 1
+        out.append(x ^ GF_PRIM if x & 0x100 else x)
+    return out
 
 
-_init_tables()
-
-
-def gf_mul(a: int, b: int) -> int:
-    """Product of two field elements."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
-
-
-_EXP_TABLE = np.array(_EXP, dtype=np.uint8)
-_LOG_TABLE = np.array(_LOG, dtype=np.int16)
+# antilog table, doubled so a sum of two logs needs no modular reduction;
+# log table, with the undefined log of 0 read as 0
+_EXP_TABLE = np.resize(np.array(_powers(), dtype=np.uint8), 512)
+_LOG_TABLE = np.zeros(256, dtype=np.int16)
+_LOG_TABLE[_EXP_TABLE[:255]] = np.arange(255)
 # the degree of each symbol's term, word[0] the highest
 _DEGREES = np.arange(N_SYMBOLS - 1, -1, -1, dtype=np.int16)
-
-
-def _parity_tables() -> np.ndarray:
-    """(36, 256, 2) uint8: the two parity symbols that each value of each
-    message symbol contributes.
-
-    The parity is the remainder of message(x) * x^2 modulo the generator
-    polynomial g(x) = (x - a^0)(x - a^1) = x^2 + g1*x + g2, a linear map of
-    the message; symbol i is the coefficient of x^(37 - i) in message(x) * x^2.
-    """
-    g1, g2 = 1 ^ GF_GENERATOR, gf_mul(1, GF_GENERATOR)
-    # x^2, x^3, ..., x^37 mod g(x) as (x^1, x^0) coefficients: symbols 35 down to 0
-    units = []
-    hi, lo = 1, 0  # x^1
-    for _ in range(N_MESSAGE):
-        # x * (hi*x + lo) = hi*x^2 + lo*x, and x^2 = g1*x + g2 mod g(x)
-        hi, lo = gf_mul(hi, g1) ^ lo, gf_mul(hi, g2)
-        units.append((hi, lo))
-    units = np.array(units[::-1])[:, None, :]
-    values = np.arange(FIELD_SIZE)[None, :, None]
-    products = _EXP_TABLE[_LOG_TABLE[values] + _LOG_TABLE[units]]
-    return np.where((values != 0) & (units != 0), products, 0).astype(np.uint8)
-
-
-_PARITY_TABLES = _parity_tables()
 
 
 def rs_encode_array(messages: np.ndarray) -> np.ndarray:
     """(n, 36) message symbols -> their (n, 38) systematic codewords, uint8.
 
-    A message is a polynomial with the first symbol as the highest-degree
-    coefficient; the two parity symbols are the XOR of each symbol's
-    entries in _PARITY_TABLES.
+    The parity symbols are the ones that zero both syndromes (see the
+    module docstring).
     """
     messages = np.asarray(messages)
     if messages.ndim != 2 or messages.shape[1] != N_MESSAGE:
@@ -95,11 +62,14 @@ def rs_encode_array(messages: np.ndarray) -> np.ndarray:
     bad = (messages < 0) | (messages > 255)
     if bad.any():
         raise ValueError(f"symbol out of range: {messages[bad][0]}")
-    messages = messages.astype(np.uint8)
-    parity = np.zeros((len(messages), N_PARITY), dtype=np.uint8)
-    for i, table in enumerate(_PARITY_TABLES):
-        parity ^= table[messages[:, i]]
-    return np.concatenate([messages, parity], axis=1)
+    words = np.zeros((len(messages), N_SYMBOLS), dtype=np.uint8)
+    words[:, :N_MESSAGE] = messages
+    s0, s1 = rs_syndromes(words)
+    total = s0 ^ s1
+    quotient = _EXP_TABLE[_LOG_TABLE[total] + 255 - _LOG_TABLE[1 ^ GF_GENERATOR]]
+    words[:, N_MESSAGE] = np.where(total != 0, quotient, 0)
+    words[:, N_MESSAGE + 1] = s0 ^ words[:, N_MESSAGE]
+    return words
 
 
 def rs_encode(message: Sequence[int]) -> list[int]:
@@ -149,7 +119,7 @@ def rs_decode(word: Sequence[int]) -> RsDecodeOutcome:
     if s0 == 0 or s1 == 0:
         # a single error yields two nonzero syndromes; this needs >= 2 errors
         return RsDecodeOutcome(STATUS_DETECTED)
-    degree = (_LOG[s1] - _LOG[s0]) % 255
+    degree = int(_LOG_TABLE[s1] - _LOG_TABLE[s0]) % 255
     if degree >= N_SYMBOLS:
         return RsDecodeOutcome(STATUS_DETECTED)
     pos = N_SYMBOLS - 1 - degree

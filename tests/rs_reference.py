@@ -12,6 +12,10 @@ same masks and coded bits, and the live `rs_decode` the same outcome.
 as it was before the encoder became one linear map over a whole array of
 messages: a per-symbol division by the generator polynomial. The tests
 require `gf_rs.rs_encode_array` to return the same codewords.
+
+The field's list tables `_EXP`/`_LOG`, `_init_tables` and `gf_mul` are
+copied verbatim from `oligolab.gf_rs` as it was before the module kept
+only its numpy tables, so this reference does not share them.
 """
 
 from __future__ import annotations
@@ -30,16 +34,41 @@ from oligolab.dna_codec import (
     symbols_to_base_indices,
 )
 from oligolab.gf_rs import (
-    _LOG,
     GF_GENERATOR,
+    GF_PRIM,
     N_MESSAGE,
     N_SYMBOLS,
     STATUS_CLEAN,
     STATUS_CORRECTED,
     STATUS_DETECTED,
     RsDecodeOutcome,
-    gf_mul,
 )
+
+# log/antilog tables; _EXP is doubled so products need no modular reduction.
+_EXP = [0] * 512
+_LOG = [0] * 256
+
+
+def _init_tables() -> None:
+    x = 1
+    for i in range(255):
+        _EXP[i] = x
+        _LOG[x] = i
+        x <<= 1
+        if x & 0x100:
+            x ^= GF_PRIM
+    for i in range(255, 512):
+        _EXP[i] = _EXP[i - 255]
+
+
+_init_tables()
+
+
+def gf_mul(a: int, b: int) -> int:
+    """Product of two field elements."""
+    if a == 0 or b == 0:
+        return 0
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 # Generator polynomial g(x) = (x - a^0)(x - a^1), roots a^0 and a^1.

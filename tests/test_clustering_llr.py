@@ -24,12 +24,12 @@ from oligolab.dna_codec import (
     encode_bases,
     indices_to_sequence,
     indices_to_sequences,
-    seed_to_bases,
 )
 from oligolab.fastq_io import ReadRecord
 from oligolab.fountain import SeedSchedule
 
 import cluster_reference as ref
+from layout_reference import seed_to_bases
 
 
 def make_read(bases, q=30, rid="r0"):

@@ -17,7 +17,6 @@ from oligolab.dna_codec import (
     indices_to_sequence,
     indices_to_sequences,
     read_fasta,
-    seed_to_bases,
     seeds_to_base_indices,
     sequence_to_indices,
     symbols_to_base_indices,
@@ -82,7 +81,6 @@ def test_encode_bases_matches_table_lookup():
 def test_seed_layout_matches_reference(drawn):
     seeds = [0, 2**32 - 1, *drawn]
     want = [ref.seed_to_bases(s) for s in seeds]
-    assert [seed_to_bases(s) for s in seeds] == want
     assert indices_to_sequences(seeds_to_base_indices(seeds)) == want
     assert base_indices_to_seeds(seeds_to_base_indices(seeds)).tolist() == seeds
     assert [int(base_indices_to_seeds(sequence_to_indices(w))) for w in want] == seeds
@@ -94,7 +92,7 @@ def test_seed_out_of_range_raises_like_reference(seed):
     with pytest.raises(ValueError):
         ref.seed_to_bases(seed)
     with pytest.raises(ValueError):
-        seed_to_bases(seed)
+        seeds_to_base_indices([seed])
     with pytest.raises(ValueError):
         seeds_to_base_indices([1, seed])
 
@@ -209,10 +207,9 @@ def test_single_base_corruption_is_rs_corrected():
 
 
 def test_seed_to_bases_range():
-    assert seed_to_bases(0) == "A" * 16
-    assert seed_to_bases(2**32 - 1) == "T" * 16
+    assert indices_to_sequences(seeds_to_base_indices([0, 2**32 - 1])) == ["A" * 16, "T" * 16]
     with pytest.raises(ValueError):
-        seed_to_bases(2**32)
+        seeds_to_base_indices([2**32])
 
 
 def test_fasta_roundtrip(tmp_path):

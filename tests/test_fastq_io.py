@@ -1,5 +1,4 @@
 import gzip
-import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fastq_reference as ref
+from layout_reference import seed_to_bases
 from oligolab import fastq_io
 from oligolab.clustering_llr import cluster_by_seed
-from oligolab.dna_codec import indices_to_sequence, seed_to_bases
+from oligolab.dna_codec import indices_to_sequence
 from oligolab.fastq_io import (
     CHUNK_RECORDS,
     FastqFormatError,
@@ -27,9 +27,15 @@ def make_fastq_text(n, seq="ACGT", qual="II+!"):
     return "".join(f"@r{i}\n{seq}\n+\n{qual}\n" for i in range(n))
 
 
-def test_parse_basic_scores():
+def fastq_file(tmp_path, text):
+    path = tmp_path / "reads.fastq"
+    path.write_text(text)
+    return path
+
+
+def test_parse_basic_scores(tmp_path):
     text = "@r0\nAC\n+\n+I\n"
-    (rec,) = list(parse_fastq(io.StringIO(text)))
+    (rec,) = list(parse_fastq(fastq_file(tmp_path, text)))
     assert rec.id == "r0"
     assert rec.bases == "AC"
     # '+' is ASCII 43 -> Q 10; 'I' is ASCII 73 -> Q 40
@@ -65,33 +71,33 @@ def test_streaming_is_lazy(tmp_path):
     gen.close()
 
 
-def test_length_mismatch_reports_line():
+def test_length_mismatch_reports_line(tmp_path):
     text = "@r0\nACGT\n+\nII\n"
     with pytest.raises(FastqFormatError) as exc:
-        list(parse_fastq(io.StringIO(text)))
+        list(parse_fastq(fastq_file(tmp_path, text)))
     assert exc.value.line_number == 4
 
 
-def test_bad_header_marker():
+def test_bad_header_marker(tmp_path):
     with pytest.raises(FastqFormatError) as exc:
-        list(parse_fastq(io.StringIO("rX\nAC\n+\nII\n")))
+        list(parse_fastq(fastq_file(tmp_path, "rX\nAC\n+\nII\n")))
     assert exc.value.line_number == 1
 
 
-def test_bad_plus_marker():
+def test_bad_plus_marker(tmp_path):
     with pytest.raises(FastqFormatError) as exc:
-        list(parse_fastq(io.StringIO("@r0\nAC\n-\nII\n")))
+        list(parse_fastq(fastq_file(tmp_path, "@r0\nAC\n-\nII\n")))
     assert exc.value.line_number == 3
 
 
-def test_truncated_file():
+def test_truncated_file(tmp_path):
     with pytest.raises(FastqFormatError):
-        list(parse_fastq(io.StringIO("@r0\nACGT\n+\n")))
+        list(parse_fastq(fastq_file(tmp_path, "@r0\nACGT\n+\n")))
 
 
-def test_invalid_bases_rejected():
+def test_invalid_bases_rejected(tmp_path):
     with pytest.raises(FastqFormatError):
-        list(parse_fastq(io.StringIO("@r0\nACXT\n+\nIIII\n")))
+        list(parse_fastq(fastq_file(tmp_path, "@r0\nACXT\n+\nIIII\n")))
 
 
 
@@ -100,11 +106,11 @@ def test_invalid_bases_rejected():
     ["@r\nACGT\n-\nIIII\n", "@r\nACGT\n+\nII I\n", "@r\nAC\n+\nIIII\n"],
     ids=["bad_plus", "low_quality", "length_mismatch"],
 )
-def test_fault_in_a_later_chunk_keeps_records_and_line_number(bad_line):
+def test_fault_in_a_later_chunk_keeps_records_and_line_number(bad_line, tmp_path):
     # the records before the fault are yielded, then the error names its line
     before = CHUNK_RECORDS + 2
     text = make_fastq_text(before) + bad_line + make_fastq_text(3)
-    gen = parse_fastq(io.StringIO(text))
+    gen = parse_fastq(fastq_file(tmp_path, text))
     got = [next(gen) for _ in range(before)]
     assert [r.id for r in got] == [f"r{i}" for i in range(before)]
     with pytest.raises(FastqFormatError) as exc:
@@ -112,12 +118,12 @@ def test_fault_in_a_later_chunk_keeps_records_and_line_number(bad_line):
     assert exc.value.line_number == 4 * before + (3 if "-" in bad_line else 4)
 
 
-def test_chunked_records_match_record_by_record_values():
+def test_chunked_records_match_record_by_record_values(tmp_path):
     text = "".join(
         f"@r{i} x\n{'ACGTN'[i % 5] * i}\n+\n{chr(33 + i % 60) * i}\n"
         for i in range(2 * CHUNK_RECORDS + 7)
     )
-    records = list(parse_fastq(io.StringIO(text)))
+    records = list(parse_fastq(fastq_file(tmp_path, text)))
     assert len(records) == 2 * CHUNK_RECORDS + 7
     for i, rec in enumerate(records):
         assert rec.id == f"r{i} x"
@@ -126,8 +132,8 @@ def test_chunked_records_match_record_by_record_values():
         assert rec.qscores.tolist() == [i % 60] * i
 
 
-def test_n_bases_retained():
-    (rec,) = list(parse_fastq(io.StringIO("@r0\nACNT\n+\nIIII\n")))
+def test_n_bases_retained(tmp_path):
+    (rec,) = list(parse_fastq(fastq_file(tmp_path, "@r0\nACNT\n+\nIIII\n")))
     assert rec.bases == "ACNT"
 
 

@@ -207,9 +207,9 @@ def test_seed_sequence_distinct_and_well_separated():
     sched = SeedSchedule.first_n(20000)
     assert len(set(sched.seeds)) == 20000
     # seed regions must never be a single substitution apart
-    from oligolab.dna_codec import seed_to_bases
+    from oligolab.dna_codec import indices_to_sequences, seeds_to_base_indices
 
-    regions = [seed_to_bases(v) for v in sched.seeds[:500]]
+    regions = indices_to_sequences(seeds_to_base_indices(sched.seeds[:500]))
     for i in range(0, 500, 13):
         for j in range(i + 1, 500):
             ham = sum(a != b for a, b in zip(regions[i], regions[j]))

@@ -6,10 +6,11 @@ import rs_reference
 
 from oligolab import gf_rs
 from oligolab.gf_rs import (
+    _EXP_TABLE,
+    _LOG_TABLE,
     STATUS_CLEAN,
     STATUS_CORRECTED,
     STATUS_DETECTED,
-    gf_mul,
     rs_decode,
     rs_encode,
 )
@@ -17,11 +18,29 @@ from oligolab.gf_rs import (
 elements = st.integers(min_value=0, max_value=255)
 
 
+def shift_and_add_mul(a, b):
+    # schoolbook product of two polynomials over GF(2), reduced modulo 0x11D
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+    return out
+
+
+def gf_mul(a, b):
+    # the product through the live log/antilog tables
+    return int(_EXP_TABLE[_LOG_TABLE[a] + _LOG_TABLE[b]]) if a and b else 0
+
+
 def gf_pow(a, n):
     # a^n by repeated multiplication, not through the field's log table
     out = 1
     for _ in range(n):
-        out = gf_mul(out, a)
+        out = shift_and_add_mul(out, a)
     return out
 
 
@@ -32,13 +51,20 @@ def syndromes(word):
     n = len(word)
     for i, w in enumerate(word):
         deg = n - 1 - i
-        s0 ^= gf_mul(w, gf_pow(gf_rs.GF_GENERATOR, 0 * deg))
-        s1 ^= gf_mul(w, gf_pow(gf_rs.GF_GENERATOR, deg))
+        s0 ^= shift_and_add_mul(w, gf_pow(gf_rs.GF_GENERATOR, 0 * deg))
+        s1 ^= shift_and_add_mul(w, gf_pow(gf_rs.GF_GENERATOR, deg))
     return s0, s1
 
 
 def syndrome_is_zero(word):
     return syndromes(word) == (0, 0)
+
+
+def test_field_tables_match_shift_and_add_product():
+    # every one of the 65,536 products the log/antilog tables give
+    a, b = np.divmod(np.arange(256 * 256), 256)
+    got = np.where((a != 0) & (b != 0), _EXP_TABLE[_LOG_TABLE[a] + _LOG_TABLE[b]], 0)
+    assert got.tolist() == [shift_and_add_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
 def test_gf_mul_zero_annihilates():
@@ -117,17 +143,19 @@ def test_minimum_distance_three_on_random_pairs():
 
 
 def test_single_error_exhaustive_positions():
+    # every single-symbol error: 38 positions x 255 values
     rng = np.random.default_rng(13)
     msg = rng.integers(0, 256, size=36).tolist()
     cw = rs_encode(msg)
     for pos in range(38):
-        for val in (1, 0x80, 0xFF):
+        for val in range(1, 256):
             word = list(cw)
             word[pos] ^= val
             out = rs_decode(word)
             assert out.status == STATUS_CORRECTED
             assert out.corrected_positions == [pos]
             assert out.codeword == cw
+            assert out == rs_reference.rs_decode(word)
 
 
 def test_single_error_random_sample():
@@ -156,6 +184,7 @@ def test_double_error_never_clean():
         word[int(p2)] ^= int(rng.integers(1, 256))
         assert not syndrome_is_zero(word)
         out = rs_decode(word)
+        assert out == rs_reference.rs_decode(word)
         assert out.status in (STATUS_DETECTED, STATUS_CORRECTED)
         if out.status == STATUS_CORRECTED:
             # a miscorrection lands on some other valid codeword, never the original

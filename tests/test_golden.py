@@ -1,10 +1,11 @@
 """Byte-for-byte pins on the CLI's `--omit-timing` outputs.
 
 The desk chain (encode with and without primers, simulate, stats, and the
-soft, chandak and hard decodes) and a two-trial desk `experiment` are rebuilt
-in a temporary directory, and every file they write is compared by sha256
-with `tests/golden.json`. A change that alters these bytes on purpose
-rewrites the manifest and says why:
+soft, chandak and hard decodes), a two-trial desk `experiment` and the paper
+chain (encode, simulate of the profile's 120k reads and the hard decode of
+513,600 bytes) are rebuilt in a temporary directory, and every file they
+write is compared by sha256 with `tests/golden.json`. A change that alters
+these bytes on purpose rewrites the manifest and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,6 +21,7 @@ from oligolab.cli import main
 
 MANIFEST = Path(__file__).resolve().with_name("golden.json")
 DESK = ["--profile", "desk-scale", "--omit-timing"]
+PAPER = ["--profile", "paper-scale", "--omit-timing"]
 DECODES = {
     "soft": [],
     "chandak": ["--set", "decode.llr_mode=chandak", "--set", "decode.crossover_p=0.001"],
@@ -33,9 +35,9 @@ def build_outputs(root: Path) -> dict[str, str]:
     source.write_bytes(np.random.default_rng(11).bytes(32000))
     out = root / "out"
 
-    def run(command, outdir, *args):
-        code = main([command, *DESK, "--outdir", str(out / outdir), *map(str, args)])
-        assert code == 0, f"{command} -> {outdir} exited {code}"
+    def run(command, outdir, *args, profile=DESK, expect=0):
+        code = main([command, *profile, "--outdir", str(out / outdir), *map(str, args)])
+        assert code == expect, f"{command} -> {outdir} exited {code}, not {expect}"
 
     run("encode", "enc", "--input", source)
     run("encode", "encp", "--input", source, "--with-primers")
@@ -51,6 +53,21 @@ def build_outputs(root: Path) -> dict[str, str]:
             *extra,
         )
     run("experiment", "exp", "--set", "experiment.trials=2")
+
+    paper_source = root / "paper.bin"
+    paper_source.write_bytes(np.random.default_rng(11).bytes(513600))
+    paper = out / "paper"
+    run("encode", "paper/enc", "--input", paper_source, profile=PAPER)
+    run("simulate", "paper/sim", "--pool", paper / "enc" / "pool.fasta", profile=PAPER)
+    # exit 1: an RS miscorrection leaves the final solve inconsistent
+    run(
+        "decode", "paper/dec_hard",
+        "--fastq", paper / "sim" / "reads.fastq",
+        "--seeds", paper / "enc" / "seeds.txt",
+        "--manifest", paper / "enc" / "manifest.json",
+        "--set", "decode.decoder=hard",
+        profile=PAPER, expect=1,
+    )
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))

@@ -163,6 +163,12 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by sort and drop repeats: np.unique may hash, and slower."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])[: len(values)]]
+
+
 def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows, ascending, that peeling reaches from the coded bits marked
     in `live_coded`, and the round in which each joins (0 for the rows with
@@ -182,7 +188,7 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, n
         joined[new_rows] = rnd
         rnd += 1
         cols = h.indices[_ranges(h.indptr[new_rows], weights[new_rows])]
-        cols = np.unique(cols[~col_reached[cols]])
+        cols = _distinct(cols[~col_reached[cols]])
         col_reached[cols] = True
         hit = col_rows[_ranges(col_ptr[cols], col_ptr[cols + 1] - col_ptr[cols])]
         rows, n_hit = np.unique(hit, return_counts=True)
@@ -274,7 +280,7 @@ def _flood(
         if every:
             posterior = ch + (g.col_sum @ m_cv)
         else:
-            hit = np.unique(g.edge_col[pos])
+            hit = _distinct(g.edge_col[pos])
             posterior = ch.copy()
             posterior[hit] = ch[hit] + (g.col_sum[hit][:, pos] @ m_cv[pos])
         done = g.solved(posterior)

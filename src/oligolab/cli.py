@@ -210,7 +210,7 @@ def cmd_decode(args, cfg: dict) -> int:
         )
     params = pipeline_params_from(cfg)
     omit_timing = _omit_timing(cfg, args)
-    clusters, discard = cluster_by_seed(args.fastq, schedule)
+    clusters, discard = cluster_by_seed(args.fastq, schedule, qscores=params.reads_qscores)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

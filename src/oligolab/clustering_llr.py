@@ -5,8 +5,9 @@ decodes to one of the pre-determined seed values; reads with any other
 prefix are discarded and counted. Clustering keeps no read records: given
 a FASTQ path it codes the reader's joined letters and Phred values
 directly, and the retained reads become one seed-sorted (reads, 152)
-uint8 matrix of base codes and one of Q-scores, held with the ascending
-seeds and each seed's row offsets in a ClusterTable.
+uint8 matrix of base codes and, unless the caller's decode reads none,
+one of Q-scores, held with the ascending seeds and each seed's row offsets
+in a ClusterTable.
 
 Soft inputs are built per call for a table of clusters, in runs of whole
 clusters of about _CHUNK_READS reads, each a row slice of the table; a
@@ -51,6 +52,7 @@ from .fountain import SeedSchedule
 _TINY = 1e-300
 _CHUNK_READS = 1024  # reads per code matrix of a clustering step or a run of clusters
 _BASE_BITS = base_indices_to_bit_array(np.arange(4)[:, None]).astype(np.int64)  # (4, 2) per base
+_Rows = Iterator[tuple[int, np.ndarray, np.ndarray | None]]  # per chunk: reads, codes, Q or None
 
 
 class ClusterTable(Mapping[int, "Cluster"]):
@@ -58,10 +60,11 @@ class ClusterTable(Mapping[int, "Cluster"]):
 
     Cluster i is seeds[i]'s; its members, in input order, are rows
     offsets[i]:offsets[i + 1] of the (rows, 152) uint8 `codes` and
-    `qscores`. As a mapping, a seed gives its Cluster, a view of those rows.
+    `qscores` (None if clustered without them). As a mapping, a seed gives
+    its Cluster, a view of those rows.
     """
 
-    def __init__(self, seeds, offsets, codes: np.ndarray, qscores: np.ndarray):
+    def __init__(self, seeds, offsets, codes: np.ndarray, qscores: np.ndarray | None):
         self.seeds = np.asarray(seeds, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.codes, self.qscores = codes, qscores
@@ -83,7 +86,8 @@ class ClusterTable(Mapping[int, "Cluster"]):
         if i == len(self.seeds) or self.seeds[i] != seed:
             raise KeyError(seed)
         rows = slice(self.offsets[i], self.offsets[i + 1])
-        return Cluster(int(seed), codes=self.codes[rows], qscores=self.qscores[rows])
+        qscores = None if self.qscores is None else self.qscores[rows]
+        return Cluster(int(seed), codes=self.codes[rows], qscores=qscores)
 
 
 class Cluster(ClusterTable):
@@ -132,19 +136,24 @@ class ClusterLlr:
     rs_parity_hard: np.ndarray  # (n, 8) uint8 base codes of the RS parity
 
 
-def _read_rows(reads: Sequence[ReadRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_rows(
+    reads: Sequence[ReadRecord], qscores: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Mask of the 152-nt reads, and those reads as (m, 152) uint8 base codes
-    (255 for a letter other than ACGT) and Q-scores."""
+    (255 for a letter other than ACGT) and Q-scores (None unless `qscores`)."""
     bases = [r.bases for r in reads]
     full = np.fromiter(map(len, bases), dtype=np.intp, count=len(bases)) == OLIGO_NT
     codes = encode_base_matrix(list(compress(bases, full)), OLIGO_NT)
-    qscores = np.array([r.qscores for r in compress(reads, full)], dtype=np.uint8)
-    return full, codes, qscores.reshape(len(codes), OLIGO_NT)
+    if not qscores:
+        return full, codes, None
+    quals = np.array([r.qscores for r in compress(reads, full)], dtype=np.uint8)
+    return full, codes, quals.reshape(len(codes), OLIGO_NT)
 
 
 def cluster_by_seed(
     reads: Iterable[ReadRecord] | str | Path,
     seed_table: SeedSchedule,
+    qscores: bool = True,
 ) -> tuple[ClusterTable, DiscardReport]:
     """Group reads, ReadRecords or a FASTQ file's, by exact seed-region
     match against the seed table.
@@ -161,13 +170,15 @@ def cluster_by_seed(
     retained rows are kept. One stable sort by seed then moves them into
     the ClusterTable's (retained, 152) uint8 matrices of base codes and
     Q-scores; each cluster is a row range of both, members in input order.
+    With `qscores` false no Q-score is gathered, kept or sorted, and the
+    table's `qscores` is None; the FASTQ reader still checks every one.
     """
     table = np.sort(np.array(seed_table.seeds, dtype=np.uint32))
     report = DiscardReport()
     # per chunk, for the retained reads: table index, base codes, Q-scores
     found, code_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []
-    chunks = _fastq_rows(reads) if isinstance(reads, (str, Path)) else _record_rows(reads)
-    for n_reads, codes, qscores in chunks:
+    rows = _fastq_rows if isinstance(reads, (str, Path)) else _record_rows
+    for n_reads, codes, quals in rows(reads, qscores):
         acgt = (codes <= 3).all(axis=1)
         values = base_indices_to_seeds(codes[:, :SEED_NT])
         at = np.searchsorted(table, values)
@@ -178,7 +189,8 @@ def cluster_by_seed(
         report.n_seed_mismatch += int((acgt & ~keep).sum())
         found.append(at[keep])
         code_rows.append(codes[keep])
-        q_rows.append(qscores[keep])
+        if qscores:
+            q_rows.append(quals[keep])
 
     index = np.concatenate(found)
     report.n_retained = len(index)
@@ -186,28 +198,28 @@ def cluster_by_seed(
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
     codes = _sorted_rows(code_rows, dest)
-    qscores = _sorted_rows(q_rows, dest)
+    quals = _sorted_rows(q_rows, dest) if qscores else None
     sorted_index = index[order]
     starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
     seeds = table[sorted_index[starts]]
-    return ClusterTable(seeds, np.append(starts, len(order)), codes, qscores), report
+    return ClusterTable(seeds, np.append(starts, len(order)), codes, quals), report
 
 
-def _record_rows(reads: Iterable[ReadRecord]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _record_rows(reads: Iterable[ReadRecord], qscores: bool) -> _Rows:
     """Per chunk of records: its size and its 152-nt reads' codes and Q-scores."""
     reads = iter(reads)
     while chunk := list(islice(reads, _CHUNK_READS)):
-        _, codes, qscores = _read_rows(chunk)
-        yield len(chunk), codes, qscores
+        _, codes, quals = _read_rows(chunk, qscores)
+        yield len(chunk), codes, quals
 
 
-def _fastq_rows(path: str | Path) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _fastq_rows(path: str | Path, qscores: bool) -> _Rows:
     """Per chunk of a FASTQ file: its size and its 152-nt reads' codes and
     Q-scores."""
     for chunk in fastq_chunks(path):
         full = np.repeat(chunk.lengths == OLIGO_NT, chunk.lengths)
         codes = encode_bases(chunk.bases)[full].reshape(-1, OLIGO_NT)
-        yield len(chunk.lengths), codes, chunk.phred[full].reshape(-1, OLIGO_NT)
+        yield len(chunk.lengths), codes, chunk.phred[full].reshape(-1, OLIGO_NT) if qscores else None
 
 
 def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray) -> np.ndarray:
@@ -249,6 +261,8 @@ def llr_proposed(clusters: ClusterTable, table: TransitionTable) -> ClusterLlr:
     computed in log space; exact ties resolve to the first maximum, which is
     lexicographic A < C < G < T.
     """
+    if clusters.qscores is None:
+        raise ValueError("llr_proposed needs Q-scores; these clusters were built without them")
     # every (called base, Q-score) pair's terms at every position, in tables
     # with one row per (pair, position): row pair * 152 + position
     q_axis = 1 + int(clusters.qscores.max(initial=0))

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fountain, gf_rs
-from .bp_decoder import _ranges, bp_decode, build_h
+from .bp_decoder import _distinct, _ranges, bp_decode, build_h
 from .channel_stats import TransitionTable
 from .clustering_llr import (
     ClusterTable,
@@ -76,6 +76,11 @@ class PipelineParams:
         if self.bp_max_iter < 1:
             raise ValueError(f"bp_max_iter must be >= 1, got {self.bp_max_iter}")
 
+    @property
+    def reads_qscores(self) -> bool:
+        """Whether this decode reads Q-scores: only the proposed soft LLR does."""
+        return self.decoder == "soft" and self.llr_mode == "proposed"
+
 
 @dataclass
 class DecodeReport:
@@ -123,8 +128,7 @@ def _edge_groups(indptr: np.ndarray, var: np.ndarray, k: int) -> list[np.ndarray
     row = np.repeat(np.arange(n_rows), np.diff(indptr))
     groups = []
     for major, minor, n_major, n_minor in ((var, row, k, n_rows), (row, var, n_rows, k)):
-        keys = np.sort(major * n_minor + minor)  # np.unique may hash, and slower
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])[: len(keys)]]
+        keys = _distinct(major * n_minor + minor)
         groups += [np.searchsorted(keys, np.arange(n_major + 1) * n_minor), keys % max(n_minor, 1)]
     return groups
 

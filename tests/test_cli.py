@@ -11,7 +11,7 @@ import yaml
 import oligolab
 from align_reference import levenshtein
 from oligolab.channel_stats import PoolIndex, TransitionTable, quality_product
-from oligolab import pipeline
+from oligolab import cli, pipeline
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oligolab.config import ConfigError, PROFILES, load_config, pipeline_params_from, soliton_from
 from oligolab.dna_codec import read_fasta
@@ -400,9 +400,11 @@ def test_malformed_fastq_is_an_io_error(simulated, tmp_path):
     truncated.write_text("".join(lines[:4 * 10 + 2]))  # ends after a sequence line
     assert run(["stats", "--fastq", truncated, "--pool", enc / "pool.fasta",
                 "--outdir", tmp_path / "s", "--profile", "desk-scale"]) == EXIT_IO
-    assert run(["decode", "--fastq", truncated, "--seeds", enc / "seeds.txt",
-                "--manifest", enc / "manifest.json", "--outdir", tmp_path / "d",
-                "--profile", "desk-scale", *TINY]) == EXIT_IO
+    for decoder in ("soft", "hard"):
+        assert run(["decode", "--fastq", truncated, "--seeds", enc / "seeds.txt",
+                    "--manifest", enc / "manifest.json", "--outdir", tmp_path / "d",
+                    "--profile", "desk-scale", *TINY,
+                    "--set", f"decode.decoder={decoder}"]) == EXIT_IO
 
 
 @pytest.mark.parametrize("command", ["stats", "decode"])
@@ -414,17 +416,50 @@ def test_non_utf8_fastq_header_is_an_io_error(simulated, tmp_path, capsys, comma
     bad.write_bytes(b"".join(lines))
     inputs = (["--pool", enc / "pool.fasta"] if command == "stats"
               else ["--seeds", enc / "seeds.txt", "--manifest", enc / "manifest.json", *TINY])
-    assert run([command, "--fastq", bad, "--outdir", tmp_path / "out",
-                "--profile", "desk-scale", *inputs]) == EXIT_IO
-    err = capsys.readouterr().err
-    assert "line 41: header is not UTF-8 text" in err
-    assert "Traceback" not in err
+    for extra in [[]] if command == "stats" else [[], ["--set", "decode.decoder=hard"]]:
+        assert run([command, "--fastq", bad, "--outdir", tmp_path / "out",
+                    "--profile", "desk-scale", *inputs, *extra]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "line 41: header is not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 def decode_argv(enc, sim, outdir, *extra):
     return ["decode", "--fastq", sim / "reads.fastq", "--seeds", enc / "seeds.txt",
             "--manifest", enc / "manifest.json", "--outdir", outdir,
             "--profile", "desk-scale", *TINY, *extra]
+
+
+@pytest.mark.parametrize("extra, reads_q", [
+    ([], True),
+    (["--set", "decode.llr_mode=chandak", "--set", "decode.crossover_p=0.01"], False),
+    (["--set", "decode.decoder=hard"], False),
+], ids=["proposed", "chandak", "hard"])
+def test_only_the_proposed_decode_clusters_q_scores(simulated, tmp_path, monkeypatch, extra, reads_q):
+    src, enc, sim = simulated
+    asked, real = [], cli.cluster_by_seed
+
+    def spy(reads, seed_table, qscores=True):
+        asked.append(qscores)
+        return real(reads, seed_table, qscores=qscores)
+
+    monkeypatch.setattr(cli, "cluster_by_seed", spy)
+    assert run(decode_argv(enc, sim, tmp_path / "d", *extra)) == EXIT_OK
+    assert asked == [reads_q]
+
+
+def test_quality_below_phred_range_is_an_io_error_in_a_hard_decode(simulated, tmp_path, capsys):
+    # the hard decode reads no Q-scores, but its reader still checks them
+    src, enc, sim = simulated
+    lines = (sim / "reads.fastq").read_bytes().splitlines(keepends=True)
+    lines[4 * 10 + 3] = b" " + lines[4 * 10 + 3][1:]
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "bad" / "reads.fastq").write_bytes(b"".join(lines))
+    code = run(decode_argv(enc, tmp_path / "bad", tmp_path / "d", "--set", "decode.decoder=hard"))
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "line 44: quality character below Phred+33 range" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("decoder", ["soft", "hard"])

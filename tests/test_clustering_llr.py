@@ -12,6 +12,7 @@ from oligolab.clustering_llr import (
     LLR_MAX,
     Cluster,
     ClusterTable,
+    DiscardReport,
     cluster_by_seed,
     derive_crossover,
     llr_chandak,
@@ -21,11 +22,13 @@ from oligolab.clustering_llr import (
 )
 from oligolab.dna_codec import (
     assemble_oligo,
+    base_letters,
     encode_bases,
     indices_to_sequence,
     indices_to_sequences,
+    seeds_to_base_indices,
 )
-from oligolab.fastq_io import ReadRecord
+from oligolab.fastq_io import ReadRecord, record_block
 from oligolab.fountain import SeedSchedule
 
 import cluster_reference as ref
@@ -316,8 +319,11 @@ def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
     assert report.n_retained == len(seeds)
     assert list(clusters) == sorted(seeds)
     assert [indices_to_sequence(clusters[s].codes[0]) for s in seeds] == [r.bases for r in reads]
-    with pytest.raises(ValueError):
-        cluster_by_seed([], SeedSchedule((2**32,)))
+    for qscores in (True, False):
+        empty, report = cluster_by_seed([], SeedSchedule((2**32 - 1,)), qscores=qscores)
+        assert (len(empty), report) == (0, DiscardReport())
+        assert empty.codes.shape == (0, 152)
+        assert (empty.qscores is None) == (not qscores)
 
 
 # the 32-bit extremes and a few schedule seeds; prefixes drawn at random
@@ -364,7 +370,14 @@ def test_array_clusters_match_reference(drawn, crossover_p, chunk_reads):
         got, got_report = cluster_by_seed(iter(reads), REF_TABLE)
         votes = majority_vote(got)
         batch_soft = [llr_proposed(got, table), llr_chandak(got, crossover_p)]
-    assert got_report == want_report
+        codes_only, codes_only_report = cluster_by_seed(iter(reads), REF_TABLE, qscores=False)
+    assert got_report == want_report == codes_only_report
+    # without Q-scores: the same table, its Q matrix absent
+    assert codes_only.qscores is None
+    assert all(codes_only[seed].qscores is None for seed in want)
+    assert np.array_equal(codes_only.seeds, got.seeds)
+    assert np.array_equal(codes_only.offsets, got.offsets)
+    assert np.array_equal(codes_only.codes, got.codes)
     assert list(got) == sorted(want)
     assert (np.diff(got.seeds) > 0).all()
     assert got.offsets[0] == 0 and got.offsets[-1] == got_report.n_retained
@@ -424,3 +437,38 @@ def test_cluster_by_seed_keeps_two_byte_rows_per_read():
         tracemalloc.stop()
     assert report.n_retained == n_reads and len(clusters) == n_seeds
     assert live <= 1.5 * 2 * 152 * n_reads
+
+
+def test_codes_only_clustering_keeps_no_q_matrix(tmp_path):
+    """Clustering a FASTQ file without Q-scores peaks, under tracemalloc, at
+    least 0.9 x 152 bytes per retained read below clustering with them: no
+    Q rows are gathered, kept or sorted."""
+    n_reads, n_seeds = 24_000, 2_000
+    sched = SeedSchedule.first_n(n_seeds)
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 4, size=(n_reads, 152), dtype=np.uint8)
+    codes[:, :16] = seeds_to_base_indices(sched.seeds)[rng.integers(0, n_seeds, size=n_reads)]
+    ids = np.frombuffer(b"".join(b"r%09d" % i for i in range(n_reads)), dtype=np.uint8)
+    quals = rng.integers(2, 42, size=(n_reads, 152), dtype=np.uint8)
+    path = tmp_path / "reads.fastq"
+    path.write_bytes(record_block(ids.reshape(n_reads, 10), base_letters(codes), quals).tobytes())
+
+    peaks = {}
+    for qscores in (True, False):
+        tracemalloc.start()
+        try:
+            clusters, report = cluster_by_seed(path, sched, qscores=qscores)
+            peaks[qscores] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_retained == n_reads
+        assert (clusters.qscores is None) == (not qscores)
+        del clusters
+    assert peaks[True] - peaks[False] >= 0.9 * 152 * n_reads
+
+
+def test_llr_proposed_refuses_a_table_without_q_scores(oligo_seq):
+    codes_only, _ = cluster_by_seed([make_read(oligo_seq)], TABLE, qscores=False)
+    for clusters in (codes_only, codes_only[SEED5]):
+        with pytest.raises(ValueError, match="Q-scores"):
+            llr_proposed(clusters, TransitionTable.uniform())

@@ -276,14 +276,19 @@ def test_chunked_reader_matches_reference(drawn, chunk_records):
             got, got_error = parse_until_fault(fastq_io.parse_fastq, path)
             assert (got, got_error) == (want, want_error)
             if want_error is not None:
-                with pytest.raises(FastqFormatError) as exc:
-                    cluster_by_seed(path, FQ_SEEDS)
-                assert str(exc.value) == want_error
+                for qscores in (True, False):  # the reader checks every quality line
+                    with pytest.raises(FastqFormatError) as exc:
+                        cluster_by_seed(path, FQ_SEEDS, qscores=qscores)
+                    assert str(exc.value) == want_error
                 return
             clusters, report = cluster_by_seed(path, FQ_SEEDS)
+            codes_only, codes_only_report = cluster_by_seed(path, FQ_SEEDS, qscores=False)
     want_clusters, want_report = cluster_by_seed(want, FQ_SEEDS)
-    assert report == want_report
-    assert list(clusters) == list(want_clusters)
+    assert report == want_report == codes_only_report
+    assert list(clusters) == list(want_clusters) == list(codes_only)
+    assert np.array_equal(codes_only.offsets, want_clusters.offsets)
+    assert codes_only.qscores is None
     for seed, w in want_clusters.items():
         assert np.array_equal(clusters[seed].codes, w.codes)
+        assert np.array_equal(codes_only[seed].codes, w.codes)
         assert np.array_equal(clusters[seed].qscores, w.qscores)

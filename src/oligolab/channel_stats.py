@@ -391,9 +391,11 @@ def estimate_transitions(
     return est.finish()
 
 
-def quality_product(read: ReadRecord) -> float:
-    """Product over all 152 positions of the correct-basecall probability."""
-    if len(read.bases) != OLIGO_NT:
-        raise ValueError(f"read must be {OLIGO_NT} nt, got {len(read.bases)}")
-    probs = phred_to_prob(np.asarray(read.qscores, dtype=np.float64))
-    return float(np.exp(np.log(probs).sum()))
+def quality_products(reads: Sequence[ReadRecord]) -> np.ndarray:
+    """Per read, the product over all 152 positions of the correct-basecall
+    probability, for all the reads in one pass."""
+    for read in reads:
+        if len(read.bases) != OLIGO_NT:
+            raise ValueError(f"read must be {OLIGO_NT} nt, got {len(read.bases)}")
+    qscores = np.array([read.qscores for read in reads], dtype=np.float64)
+    return np.exp(np.log(phred_to_prob(qscores.reshape(len(reads), OLIGO_NT))).sum(axis=1))

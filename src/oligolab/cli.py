@@ -14,15 +14,16 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel_stats import PoolIndex, TransitionTable, estimate_transitions, quality_product
+from .channel_stats import PoolIndex, TransitionTable, estimate_transitions, quality_products
 from .channel_sim import MAX_READS, simulate_pool
-from .clustering_llr import cluster_by_seed
+from .clustering_llr import cluster_by_seed, majority_vote
 from .config import (
     ConfigError,
     channel_from,
@@ -41,7 +42,7 @@ from .dna_codec import (
 )
 from .fastq_io import FastqFormatError, parse_fastq
 from .fountain import SeedSchedule, lt_encode, required_symbols
-from .pipeline import experiment_sweep, hard_decode_baseline, iterative_soft_decode
+from .pipeline import decode_votes, experiment_sweep, iterative_soft_decode
 
 EXIT_OK = 0
 EXIT_DECODE_FAIL = 1
@@ -148,13 +149,15 @@ def cmd_stats(args, cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "quality_vs_errors.tsv", "w") as fh:
         fh.write("read_id\tquality_product\tposition_errors\n")
-        table = estimate_transitions(
-            parse_fastq(args.fastq),
-            pool,
-            on_conditioned=lambda pairs: fh.writelines(
-                f"{rec.id}\t{quality_product(rec):.6g}\t{errors}\n" for rec, errors in pairs
-            ),
-        )
+
+        def scatter_rows(pairs):
+            products = quality_products([rec for rec, _ in pairs]).tolist()
+            fh.writelines(
+                f"{rec.id}\t{product:.6g}\t{errors}\n"
+                for (rec, errors), product in zip(pairs, products)
+            )
+
+        table = estimate_transitions(parse_fastq(args.fastq), pool, on_conditioned=scatter_rows)
     table.save_tsv(outdir / "transition.tsv")
 
     with open(outdir / "transition_curves.tsv", "w") as fh:
@@ -215,7 +218,10 @@ def cmd_decode(args, cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if params.decoder == "hard":
-        report = hard_decode_baseline(clusters, schedule, params)
+        t_start = time.perf_counter()
+        seeds, votes = clusters.seeds, majority_vote(clusters)
+        del clusters  # the hard decode reads only the votes
+        report = decode_votes(seeds, votes, params, t_start)
     else:
         report = iterative_soft_decode(clusters, schedule, table, params)
 

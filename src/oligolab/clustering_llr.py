@@ -4,10 +4,10 @@ A cluster is the set of length-152, ACGT-only reads whose 16-nt prefix
 decodes to one of the pre-determined seed values; reads with any other
 prefix are discarded and counted. Clustering keeps no read records: given
 a FASTQ path it codes the reader's joined letters and Phred values
-directly, and the retained reads become one seed-sorted (reads, 152)
-uint8 matrix of base codes and, unless the caller's decode reads none,
-one of Q-scores, held with the ascending seeds and each seed's row offsets
-in a ClusterTable.
+directly, gathers the retained reads packed four bases to a byte, and
+unpacks them into one seed-sorted (reads, 152) uint8 matrix of base codes
+and, unless the caller's decode reads none, one of Q-scores, held with the
+ascending seeds and each seed's row offsets in a ClusterTable.
 
 Soft inputs are built per call for a table of clusters, in runs of whole
 clusters of about _CHUNK_READS reads, each a row slice of the table; a
@@ -43,8 +43,10 @@ from .dna_codec import (
     SEED_NT,
     base_indices_to_bit_array,
     base_indices_to_seeds,
+    base_indices_to_symbol_array,
     encode_base_matrix,
     encode_bases,
+    symbols_to_base_indices,
 )
 from .fastq_io import ReadRecord, fastq_chunks, phred_to_prob
 from .fountain import SeedSchedule
@@ -167,16 +169,19 @@ def cluster_by_seed(
     A FASTQ path is read chunk by chunk (`fastq_io.fastq_chunks`), its
     letters coded and its Phred values taken as they are, with no
     ReadRecord built; records are coded _CHUNK_READS at a time. Only
-    retained rows are kept. One stable sort by seed then moves them into
-    the ClusterTable's (retained, 152) uint8 matrices of base codes and
-    Q-scores; each cluster is a row range of both, members in input order.
-    With `qscores` false no Q-score is gathered, kept or sorted, and the
-    table's `qscores` is None; the FASTQ reader still checks every one.
+    retained rows are kept, their bases packed four to a byte as RS
+    symbols: a retained read is all ACGT, so the packing loses nothing.
+    One stable sort by seed then moves them into the ClusterTable's
+    (retained, 152) uint8 matrices of base codes and Q-scores, each row
+    unpacked as it is placed; each cluster is a row range of both, members
+    in input order. With `qscores` false no Q-score is gathered, kept or
+    sorted, and the table's `qscores` is None; the FASTQ reader still
+    checks every one.
     """
     table = np.sort(np.array(seed_table.seeds, dtype=np.uint32))
     report = DiscardReport()
-    # per chunk, for the retained reads: table index, base codes, Q-scores
-    found, code_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []
+    # per chunk, for the retained reads: table index, packed bases, Q-scores
+    found, symbol_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []
     rows = _fastq_rows if isinstance(reads, (str, Path)) else _record_rows
     for n_reads, codes, quals in rows(reads, qscores):
         acgt = (codes <= 3).all(axis=1)
@@ -188,21 +193,23 @@ def cluster_by_seed(
         report.n_with_n += int((~acgt).sum())
         report.n_seed_mismatch += int((acgt & ~keep).sum())
         found.append(at[keep])
-        code_rows.append(codes[keep])
+        symbol_rows.append(base_indices_to_symbol_array(codes[keep]))
         if qscores:
             q_rows.append(quals[keep])
+        del codes, quals  # not held while the next chunk is read
 
     index = np.concatenate(found)
     report.n_retained = len(index)
     order = np.argsort(index, kind="stable")
-    dest = np.empty_like(order)
-    dest[order] = np.arange(len(order))
-    codes = _sorted_rows(code_rows, dest)
-    quals = _sorted_rows(q_rows, dest) if qscores else None
     sorted_index = index[order]
     starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
-    seeds = table[sorted_index[starts]]
-    return ClusterTable(seeds, np.append(starts, len(order)), codes, quals), report
+    seeds, offsets = table[sorted_index[starts]], np.append(starts, len(order))
+    dest = np.empty_like(order)
+    dest[order] = np.arange(len(order))
+    del found, index, order, sorted_index  # only dest is held beside the matrices
+    codes = _sorted_rows(symbol_rows, dest, symbols_to_base_indices)
+    quals = _sorted_rows(q_rows, dest, np.asarray) if qscores else None
+    return ClusterTable(seeds, offsets, codes, quals), report
 
 
 def _record_rows(reads: Iterable[ReadRecord], qscores: bool) -> _Rows:
@@ -219,23 +226,29 @@ def _fastq_rows(path: str | Path, qscores: bool) -> _Rows:
     for chunk in fastq_chunks(path):
         full = np.repeat(chunk.lengths == OLIGO_NT, chunk.lengths)
         codes = encode_bases(chunk.bases)[full].reshape(-1, OLIGO_NT)
-        yield len(chunk.lengths), codes, chunk.phred[full].reshape(-1, OLIGO_NT) if qscores else None
+        quals = chunk.phred[full].reshape(-1, OLIGO_NT) if qscores else None
+        yield len(chunk.lengths), codes, quals
+        del chunk, full, codes, quals  # not held while the next chunk is read
 
 
-def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray) -> np.ndarray:
-    """Stack row chunks into one matrix with stacked row i at dest[i].
+def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray, unpack) -> np.ndarray:
+    """Stack row chunks into one (rows, 152) uint8 matrix with stacked row
+    i at dest[i]; `unpack` turns rows of a chunk into 152-wide rows.
 
-    Each chunk is released once placed, so the rows are held about once,
-    not twice as by concatenating and then reordering: a paper-scale hard
-    decode peaked 6 MB higher that way, because the freed memory is not
-    returned to the system.
+    Each chunk is unpacked _CHUNK_READS rows at a time as it is placed,
+    and released once placed, so the rows are held about once, not twice
+    as by concatenating and then reordering: a paper-scale hard decode
+    peaked 6 MB higher that way, because the freed memory is not returned
+    to the system.
     """
     out = np.empty((len(dest), OLIGO_NT), dtype=np.uint8)
     at = 0
     while chunks:
         rows = chunks.pop(0)
-        out[dest[at : at + len(rows)]] = rows
-        at += len(rows)
+        for lo in range(0, len(rows), _CHUNK_READS):
+            piece = unpack(rows[lo : lo + _CHUNK_READS])
+            out[dest[at : at + len(piece)]] = piece
+            at += len(piece)
     return out
 
 

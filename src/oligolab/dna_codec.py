@@ -111,12 +111,23 @@ def base_indices_to_bit_array(indices: np.ndarray) -> np.ndarray:
 def base_indices_to_symbol_array(indices: np.ndarray) -> np.ndarray:
     """(..., 4n) base codes -> (..., n) uint8 RS symbols.
 
-    A symbol is the 8 bits of its 4 bases, MSB-first.
+    A symbol is the 8 bits of its 4 bases c0..c3, MSB-first:
+    c0 << 6 | c1 << 4 | c2 << 2 | c3. A code above 3 (255 marks a letter
+    other than ACGT) packs as G if even and as T if odd.
     """
     indices = np.asarray(indices, dtype=np.uint8)
     if indices.ndim == 0 or indices.shape[-1] % 4 != 0:
         raise ValueError("base count must be a multiple of 4")
-    return np.packbits(base_indices_to_bit_array(indices), axis=-1)
+    codes = np.bitwise_and(indices, 1, order="C")  # min(code, 2 + low bit) is 0..3
+    codes += 2
+    np.minimum(codes, indices, out=codes)
+    # a symbol's codes are the bytes of one little-endian uint32, c0 lowest;
+    # times 2^30 + 2^20 + 2^10 + 1 its top byte is the symbol, since every
+    # other product lies below bit 22 or above bit 31
+    words = codes.view("<u4")
+    words *= 0x40100401
+    words >>= 24
+    return words.astype(np.uint8)
 
 
 def base_indices_to_symbols(indices: np.ndarray) -> list:
@@ -126,7 +137,12 @@ def base_indices_to_symbols(indices: np.ndarray) -> list:
 
 def symbols_to_base_indices(symbols: Sequence[int]) -> np.ndarray:
     """(..., n) RS symbols -> (..., 4n) base codes."""
-    return bit_array_to_base_indices(np.unpackbits(np.asarray(symbols, dtype=np.uint8), axis=-1))
+    symbols = np.asarray(symbols, dtype=np.uint8)
+    codes = np.empty((*symbols.shape, 4), dtype=np.uint8)
+    for lane, shift in enumerate((6, 4, 2, 0)):
+        np.right_shift(symbols, shift, out=codes[..., lane])
+    codes &= 3
+    return codes.reshape(*symbols.shape[:-1], 4 * symbols.shape[-1])
 
 
 def seeds_to_base_indices(seeds: Sequence[int]) -> np.ndarray:
@@ -139,8 +155,7 @@ def seeds_to_base_indices(seeds: Sequence[int]) -> np.ndarray:
 
 def base_indices_to_seeds(indices: np.ndarray) -> np.ndarray:
     """(..., 16) base codes -> (...) uint32 seeds, the inverse of seeds_to_base_indices."""
-    symbols = np.packbits(base_indices_to_bit_array(indices), axis=-1)
-    return symbols.view(">u4")[..., 0].astype(np.uint32)
+    return base_indices_to_symbol_array(indices).view(">u4")[..., 0].astype(np.uint32)
 
 
 @dataclass(frozen=True)

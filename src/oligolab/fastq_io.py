@@ -151,6 +151,7 @@ def _bulk_chunk(lines: list[bytes]) -> FastqChunk | None:
     ):
         return None
     bases = seq.replace(b"\n", b"")
+    del seq  # not held beside the Q-score copies below
     if bases.translate(None, b"ACGTN"):
         return None
     # a character below '!' wraps around, so one bound checks both ends

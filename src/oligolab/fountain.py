@@ -113,7 +113,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_LIMIT = 1 << 32
-_CHUNK = 4096  # seeds per batch: bounds the working arrays at any batch size
+_CHUNK = 1024  # seeds per batch: bounds the working arrays at any batch size
 
 
 def _draws(counters: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .fountain import SeedSchedule, SolitonParams, required_symbols
 
 _WORD = np.dtype("<u8")  # packed planes: bit j of word w is plane 64w + j
 _INACTIVATE = 16  # variables inactivated per stall of the peel
+_GATHER_EDGES = 1 << 15  # edges whose values the solve gathers at once for the non-pivot rows
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,24 @@ def _xor_runs(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _edge_groups(indptr: np.ndarray, var: np.ndarray, k: int) -> list[np.ndarray]:
     """The (variable, row) edges of CSR rows, a repeated neighbor once, as
-    [var_ptr, var_row, row_ptr, row_var]: CSR by variable, then by row."""
+    [var_ptr, var_row, row_ptr, row_var]: CSR by variable, then by row.
+
+    var_row and row_var are int32 when every variable and row id fits, and
+    the sort keys major * n_minor + minor are too when k * rows does, so
+    that no key can overflow; the keys are built in place."""
     n_rows = len(indptr) - 1
-    row = np.repeat(np.arange(n_rows), np.diff(indptr))
+    ids = np.int32 if max(k, n_rows) <= np.iinfo(np.int32).max else np.int64
+    key = np.int32 if k * n_rows <= np.iinfo(np.int32).max else np.int64
+    row = np.repeat(np.arange(n_rows, dtype=ids), np.diff(indptr))
     groups = []
     for major, minor, n_major, n_minor in ((var, row, k, n_rows), (row, var, n_rows, k)):
-        keys = _distinct(major * n_minor + minor)
-        groups += [np.searchsorted(keys, np.arange(n_major + 1) * n_minor), keys % max(n_minor, 1)]
+        keys = major.astype(key)
+        keys *= n_minor
+        keys += minor
+        keys = _distinct(keys)
+        ptr = np.searchsorted(keys, np.arange(n_major + 1, dtype=key) * n_minor)
+        keys %= max(n_minor, 1)
+        groups += [ptr, keys.astype(ids, copy=False)]
     return groups
 
 
@@ -235,8 +247,15 @@ def lt_erasure_solve(
 
     values = substitute(symbols)
     others = np.flatnonzero(~is_pivot)
+    equations = coded_words[others]
+    # their neighbors' values are gathered about _GATHER_EDGES edges at a
+    # time: at paper scale these rows hold 2/3 of all edges, 8 MB of values
     n = row_len[others]
-    equations = coded_words[others] ^ _xor_runs(values[row_var[_ranges(row_ptr[others], n)]], n)
+    block = (np.cumsum(n) - n) // _GATHER_EDGES  # where each row's first edge falls
+    bounds = [*np.flatnonzero(np.diff(block, prepend=-1)).tolist(), len(others)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        nbrs = row_var[_ranges(row_ptr[others[lo:hi]], n[lo:hi])]
+        equations[lo:hi] ^= _xor_runs(values[nbrs], n[lo:hi])
     equations = equations[equations.any(axis=1)]  # 0 = 0 says nothing
 
     # Gauss-Jordan: a symbol's basis row is the only one that holds it
@@ -405,15 +424,35 @@ def hard_decode_baseline(
 ) -> DecodeReport:
     """Majority vote -> RS decode -> discard failures -> LT erasure recovery."""
     t_start = time.perf_counter()
+    votes = majority_vote(clusters)
+    return decode_votes(clusters.seeds, votes, params, t_start, expected_payload)
+
+
+def decode_votes(
+    seeds: np.ndarray,
+    votes: np.ndarray,
+    params: PipelineParams,
+    t_start: float,
+    expected_payload: np.ndarray | None = None,
+) -> DecodeReport:
+    """The hard decode after the majority vote: RS decode -> discard
+    failures -> LT erasure recovery.
+
+    `votes` is the (clusters, 152) base-code matrix of each cluster's vote,
+    row i that of seeds[i]; nothing else of the clusters is read, so a
+    caller can drop its ClusterTable once it has voted. The report's
+    total_seconds counts from `t_start`, a time.perf_counter() reading
+    taken before the vote.
+    """
     report = DecodeReport(success=False, reason="", iterations_performed=1)
-    votes = majority_vote(clusters)  # (n, 152) base indices, in seed order
     coded = base_indices_to_bit_array(votes[:, PAYLOAD_SLICE])
     keep = ~_rs_check(votes, coded)[0]  # seed-corrected words are kept
     report.clusters_discarded_per_round = [int((~keep).sum())]
     report.active_clusters = int(keep.sum())
     if keep.any():
-        rows = fountain.seed_expand(clusters.seeds[keep], params.soliton)
-        _solve_tail(report, rows, coded[keep], params.soliton.k, expected_payload)
+        rows = fountain.seed_expand(seeds[keep], params.soliton)
+        coded = coded[keep]  # the discarded words' bits are not held through the solve
+        _solve_tail(report, rows, coded, params.soliton.k, expected_payload)
     else:
         report.reason = "no_surviving_clusters"
     report.timing["total_seconds"] = time.perf_counter() - t_start

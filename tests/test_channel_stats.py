@@ -14,7 +14,7 @@ from oligolab.channel_stats import (
     estimate_transitions,
     encode_base_matrix,
     encode_bases,
-    quality_product,
+    quality_products,
 )
 from oligolab.dna_codec import assemble_oligo
 from oligolab.fastq_io import ReadRecord, phred_to_prob
@@ -376,22 +376,28 @@ def test_table_version_rejected(tmp_path):
 def test_quality_product_values():
     rec = ReadRecord("x", "A" * 152, np.full(152, 40, dtype=np.uint8))
     expected = phred_to_prob(40) ** 152
-    assert abs(quality_product(rec) - expected) < 1e-12
-    assert abs(quality_product(rec) - 0.9849) < 5e-4
+    assert abs(quality_products([rec])[0] - expected) < 1e-12
+    assert abs(quality_products([rec])[0] - 0.9849) < 5e-4
 
     rec0 = ReadRecord("x", "A" * 152, np.concatenate([[0], np.full(151, 40)]).astype(np.uint8))
-    assert quality_product(rec0) < 1e-11  # the clipped-zero position dominates
+    assert quality_products([rec0])[0] < 1e-11  # the clipped-zero position dominates
+    # one pass over several reads gives each read's own product, bit for bit
+    both = quality_products([rec, rec0])
+    assert both.tolist() == [quality_products([rec])[0], quality_products([rec0])[0]]
+    assert quality_products([]).shape == (0,)
 
 
 def test_quality_product_monotone():
     q = np.full(152, 20, dtype=np.uint8)
     rec = ReadRecord("x", "A" * 152, q)
-    base = quality_product(rec)
+    base = quality_products([rec])[0]
     q2 = q.copy()
     q2[77] = 21
-    assert quality_product(ReadRecord("x", "A" * 152, q2)) > base
+    assert quality_products([ReadRecord("x", "A" * 152, q2)])[0] > base
 
 
 def test_quality_product_length_contract():
-    with pytest.raises(ValueError):
-        quality_product(ReadRecord("x", "ACGT", np.array([30, 30, 30, 30], dtype=np.uint8)))
+    short = ReadRecord("x", "ACGT", np.array([30, 30, 30, 30], dtype=np.uint8))
+    for reads in ([short], [ReadRecord("y", "A" * 152, np.full(152, 30, dtype=np.uint8)), short]):
+        with pytest.raises(ValueError, match="152 nt, got 4"):
+            quality_products(reads)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import yaml
 
 import oligolab
 from align_reference import levenshtein
-from oligolab.channel_stats import PoolIndex, TransitionTable, quality_product
+from oligolab.channel_stats import PoolIndex, TransitionTable, quality_products
 from oligolab import cli, pipeline
 from oligolab.cli import EXIT_DECODE_FAIL, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oligolab.config import ConfigError, PROFILES, load_config, pipeline_params_from, soliton_from
@@ -339,7 +340,7 @@ def test_stats_scatter_matches_brute_force_alignment(encoded, tmp_path):
         idx = dists.index(min(dists))
         errors = sum(a != b for a, b in zip(rec.bases, pool[idx]))
         indel_rows += errors > dists[idx]
-        expected.append(f"{rec.id}\t{quality_product(rec):.6g}\t{errors}")
+        expected.append(f"{rec.id}\t{quality_products([rec])[0]:.6g}\t{errors}")
     scatter = (outdir / "quality_vs_errors.tsv").read_text().splitlines()
     assert scatter[1:] == expected
     assert indel_rows > 0  # some rows come from length-preserving indels
@@ -446,6 +447,32 @@ def test_only_the_proposed_decode_clusters_q_scores(simulated, tmp_path, monkeyp
     monkeypatch.setattr(cli, "cluster_by_seed", spy)
     assert run(decode_argv(enc, sim, tmp_path / "d", *extra)) == EXIT_OK
     assert asked == [reads_q]
+
+
+def test_hard_decode_holds_no_reads_in_the_erasure_solve(encoded, tmp_path, monkeypatch):
+    """The hard decode keeps only the votes once it has voted: when the
+    erasure solve starts, the traced memory of the decode is below 152 bytes
+    per retained read, so the read matrix is gone."""
+    src, enc = encoded
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--pool", enc / "pool.fasta", "--outdir", sim, "--reads", 20000,
+                "--profile", "desk-scale", "--set", "channel.rng_seed=5"]) == EXIT_OK
+    held, real = [], pipeline.lt_erasure_solve
+
+    def spy(rows, coded_bits, k):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(rows, coded_bits, k)
+
+    monkeypatch.setattr(pipeline, "lt_erasure_solve", spy)
+    tracemalloc.start()
+    try:
+        code = run(decode_argv(enc, sim, tmp_path / "d", "--set", "decode.decoder=hard"))
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and len(held) == 1
+    retained = json.loads((tmp_path / "d" / "decode_report.json").read_text())["retained_reads"]
+    assert retained > 15000
+    assert held[0] < 152 * retained
 
 
 def test_quality_below_phred_range_is_an_io_error_in_a_hard_decode(simulated, tmp_path, capsys):

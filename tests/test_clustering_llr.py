@@ -319,11 +319,16 @@ def test_cluster_by_seed_prefix_table_matches_seed_to_bases():
     assert report.n_retained == len(seeds)
     assert list(clusters) == sorted(seeds)
     assert [indices_to_sequence(clusters[s].codes[0]) for s in seeds] == [r.bases for r in reads]
+    discarded = [make_read(seed_to_bases(0) + "N" * 136), make_read("A" * 151)]
     for qscores in (True, False):
         empty, report = cluster_by_seed([], SeedSchedule((2**32 - 1,)), qscores=qscores)
         assert (len(empty), report) == (0, DiscardReport())
         assert empty.codes.shape == (0, 152)
         assert (empty.qscores is None) == (not qscores)
+        # reads read and gathered, none retained
+        none_kept, report = cluster_by_seed(discarded, SeedSchedule((0,)), qscores=qscores)
+        assert (len(none_kept), report.n_input, report.n_retained) == (0, 2, 0)
+        assert none_kept.codes.shape == (0, 152) and none_kept.codes.dtype == np.uint8
 
 
 # the 32-bit extremes and a few schedule seeds; prefixes drawn at random
@@ -439,10 +444,16 @@ def test_cluster_by_seed_keeps_two_byte_rows_per_read():
     assert live <= 1.5 * 2 * 152 * n_reads
 
 
-def test_codes_only_clustering_keeps_no_q_matrix(tmp_path):
+def test_codes_only_clustering_keeps_no_q_matrix(tmp_path, monkeypatch):
     """Clustering a FASTQ file without Q-scores peaks, under tracemalloc, at
     least 0.9 x 152 bytes per retained read below clustering with them: no
-    Q rows are gathered, kept or sorted."""
+    Q rows are gathered, kept or sorted.
+
+    Without Q-scores the reads are also held once: the gathered rows are
+    packed four bases a byte, so placing them into the seed-sorted matrix
+    peaks below about 1.4 x 152 bytes per retained read. (The whole call
+    peaks higher at this size, while reading: the FASTQ reader's working
+    set for one 4096-record chunk is about 5 MB.)"""
     n_reads, n_seeds = 24_000, 2_000
     sched = SeedSchedule.first_n(n_seeds)
     rng = np.random.default_rng(3)
@@ -453,6 +464,15 @@ def test_codes_only_clustering_keeps_no_q_matrix(tmp_path):
     path = tmp_path / "reads.fastq"
     path.write_bytes(record_block(ids.reshape(n_reads, 10), base_letters(codes), quals).tobytes())
 
+    placing, real = [], clustering_llr._sorted_rows
+
+    def spy(*args):
+        tracemalloc.reset_peak()
+        out = real(*args)
+        placing.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(clustering_llr, "_sorted_rows", spy)
     peaks = {}
     for qscores in (True, False):
         tracemalloc.start()
@@ -465,6 +485,7 @@ def test_codes_only_clustering_keeps_no_q_matrix(tmp_path):
         assert (clusters.qscores is None) == (not qscores)
         del clusters
     assert peaks[True] - peaks[False] >= 0.9 * 152 * n_reads
+    assert placing[-1] < 1.45 * 152 * n_reads  # the codes-only call's one placement
 
 
 def test_llr_proposed_refuses_a_table_without_q_scores(oligo_seq):

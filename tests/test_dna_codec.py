@@ -158,6 +158,27 @@ def test_code_matrix_conversions_match_reference(codes):
         assert indices_to_sequences(codes) == [ref.indices_to_sequence(r) for r in codes]
 
 
+def test_symbol_packing_matches_the_bit_matrix_form_for_every_code():
+    # every uint8 code in every lane of a symbol, 255 (a letter other than
+    # ACGT) included, packs as the base bits packed by np.packbits
+    codes = np.arange(256, dtype=np.uint8)
+    quads = np.stack([np.roll(codes, lane) for lane in range(4)], axis=-1)
+    rng = np.random.default_rng(11)
+    wide = rng.integers(0, 256, size=(3, 5, 160), dtype=np.uint8)
+    for indices in (quads, quads[::-1], wide, wide[:, ::-2, 4:156], codes[None, :]):
+        want = np.packbits(base_indices_to_bit_array(indices), axis=-1)
+        got = dna_codec.base_indices_to_symbol_array(indices)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(
+        base_indices_to_seeds(wide[..., :16]),
+        np.packbits(base_indices_to_bit_array(wide[..., :16]), axis=-1).view(">u4")[..., 0],
+    )
+    # and every symbol unpacks to the bases of its bits
+    symbols = np.stack([codes, codes[::-1]])
+    want = bit_array_to_base_indices(np.unpackbits(symbols, axis=-1))
+    assert np.array_equal(symbols_to_base_indices(symbols), want)
+
+
 def test_symbol_packing_msb_first():
     # ACGT = indices 0,1,2,3 = bits 00 01 10 11 = 0x1B
     idx = dna_codec.sequence_to_indices("ACGT")

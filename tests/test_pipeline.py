@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,10 +177,15 @@ def assert_matches_reference(rows, coded, k):
     degree_one=st.booleans(),
     duplicates=st.integers(0, 4),
     repeated_neighbor=st.booleans(),
+    empty_rows=st.integers(0, 2),
+    last_neighbor=st.booleans(),
     contradictions=st.integers(0, 3),
+    # edges per block of the non-pivot rows' value gather
+    gather_edges=st.sampled_from([1, 5, pipeline._GATHER_EDGES]),
 )
 def test_erasure_solve_matches_reference(
-    seed, k, planes, row_factor, degree_one, duplicates, repeated_neighbor, contradictions
+    seed, k, planes, row_factor, degree_one, duplicates, repeated_neighbor, empty_rows,
+    last_neighbor, contradictions, gather_edges,
 ):
     rng = np.random.default_rng(seed)
     n_rows = max(1, int(row_factor * k))
@@ -186,6 +193,8 @@ def test_erasure_solve_matches_reference(
     low = 1 if degree_one or k == 1 else 2
     degrees = rng.integers(low, min(k, 8) + 1, size=n_rows)
     rows = [np.sort(rng.choice(k, size=int(d), replace=False)) for d in degrees]
+    if last_neighbor:  # the largest id an edge array holds
+        rows[-1] = np.union1d(rows[-1][1:], [k - 1])
     rows += [rows[i].copy() for i in rng.integers(0, n_rows, size=duplicates)]
     truth = rng.integers(0, 2, size=(k, planes), dtype=np.uint8)
     coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
@@ -194,7 +203,13 @@ def test_erasure_solve_matches_reference(
         coded[0] = truth[np.unique(rows[0])].sum(axis=0) % 2
     for _ in range(contradictions):
         coded[rng.integers(0, len(rows)), rng.integers(0, planes)] ^= 1
-    resolved, consistent = assert_matches_reference(rows, coded, k)
+    # rows with no neighbor, each 0 = 0: the reference checks no row that
+    # starts empty, so their 0 = 1 form is pinned by its own test
+    for at in rng.integers(0, len(rows) + 1, size=empty_rows).tolist():
+        rows.insert(at, np.array([], dtype=np.int64))
+        coded = np.insert(coded, at, 0, axis=0)
+    with mock.patch.object(pipeline, "_GATHER_EDGES", gather_edges):
+        resolved, consistent = assert_matches_reference(rows, coded, k)
     if contradictions == 0:
         assert consistent.all()
         info, _, _ = lt_erasure_solve(csr(rows), coded, k)
@@ -244,6 +259,24 @@ def test_erasure_solve_paper_geometry_full_peel():
     # 17,500 of the 18,000 oligos, the shape of the paper-scale hard decode:
     # peeling alone resolves every bit, in about 100 levels
     assert_paper_geometry_solves(17500, seed=5)
+
+
+def test_erasure_solve_matches_reference_when_keys_need_64_bits():
+    # k x rows above 2^31 - 1: the solve's edge grouping keys are int64.
+    # Half the rows name one variable each, k - 1 among them, and the rest
+    # combine those, so peeling resolves them and checks every other row.
+    k, n_rows = 70_000, 31_000
+    rng = np.random.default_rng(29)
+    named = np.append(rng.choice(k - 1, size=n_rows // 2 - 1, replace=False), k - 1)
+    rows = [np.array([v]) for v in named.tolist()]
+    rows += [np.sort(rng.choice(named, size=int(d), replace=False))
+             for d in rng.integers(2, 4, size=n_rows - len(rows))]
+    truth = rng.integers(0, 2, size=(k, 3), dtype=np.uint8)
+    coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
+    coded[-1, 1] ^= 1
+    resolved, consistent = assert_matches_reference(rows, coded, k)
+    assert np.array_equal(np.flatnonzero(resolved), np.sort(named))
+    assert consistent.tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("n_rows", [0, 3])

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import time
 import traceback
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from .channel_stats import PoolIndex, TransitionTable, estimate_transitions, quality_products
 from .channel_sim import MAX_READS, simulate_pool
-from .clustering_llr import cluster_by_seed, majority_vote
+from .clustering_llr import cluster_by_seed
 from .config import (
     ConfigError,
     channel_from,
@@ -42,7 +41,7 @@ from .dna_codec import (
 )
 from .fastq_io import FastqFormatError, parse_fastq
 from .fountain import SeedSchedule, lt_encode, required_symbols
-from .pipeline import decode_votes, experiment_sweep, iterative_soft_decode
+from .pipeline import experiment_sweep, hard_decode_baseline, iterative_soft_decode
 
 EXIT_OK = 0
 EXIT_DECODE_FAIL = 1
@@ -218,10 +217,10 @@ def cmd_decode(args, cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if params.decoder == "hard":
-        t_start = time.perf_counter()
-        seeds, votes = clusters.seeds, majority_vote(clusters)
-        del clusters  # the hard decode reads only the votes
-        report = decode_votes(seeds, votes, params, t_start)
+        # hand the decode the only reference, so that it drops the reads once
+        # it has voted (CPython 3.11+ moves call arguments into the callee)
+        handed, clusters = [clusters], None
+        report = hard_decode_baseline(handed.pop(), schedule, params)
     else:
         report = iterative_soft_decode(clusters, schedule, table, params)
 

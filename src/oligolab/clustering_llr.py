@@ -228,7 +228,7 @@ def _fastq_rows(path: str | Path, qscores: bool) -> _Rows:
         codes = encode_bases(chunk.bases)[full].reshape(-1, OLIGO_NT)
         quals = chunk.phred[full].reshape(-1, OLIGO_NT) if qscores else None
         yield len(chunk.lengths), codes, quals
-        del chunk, full, codes, quals  # not held while the next chunk is read
+        del full, codes, quals  # the rows are not held while the next chunk is read
 
 
 def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray, unpack) -> np.ndarray:

@@ -124,24 +124,13 @@ def _xor_runs(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _edge_groups(indptr: np.ndarray, var: np.ndarray, k: int) -> list[np.ndarray]:
     """The (variable, row) edges of CSR rows, a repeated neighbor once, as
-    [var_ptr, var_row, row_ptr, row_var]: CSR by variable, then by row.
-
-    var_row and row_var are int32 when every variable and row id fits, and
-    the sort keys major * n_minor + minor are too when k * rows does, so
-    that no key can overflow; the keys are built in place."""
+    [var_ptr, var_row, row_ptr, row_var]: CSR by variable, then by row."""
     n_rows = len(indptr) - 1
-    ids = np.int32 if max(k, n_rows) <= np.iinfo(np.int32).max else np.int64
-    key = np.int32 if k * n_rows <= np.iinfo(np.int32).max else np.int64
-    row = np.repeat(np.arange(n_rows, dtype=ids), np.diff(indptr))
+    row = np.repeat(np.arange(n_rows), np.diff(indptr))
     groups = []
     for major, minor, n_major, n_minor in ((var, row, k, n_rows), (row, var, n_rows, k)):
-        keys = major.astype(key)
-        keys *= n_minor
-        keys += minor
-        keys = _distinct(keys)
-        ptr = np.searchsorted(keys, np.arange(n_major + 1, dtype=key) * n_minor)
-        keys %= max(n_minor, 1)
-        groups += [ptr, keys.astype(ids, copy=False)]
+        keys = _distinct(major * n_minor + minor)
+        groups += [np.searchsorted(keys, np.arange(n_major + 1) * n_minor), keys % max(n_minor, 1)]
     return groups
 
 
@@ -422,28 +411,13 @@ def hard_decode_baseline(
     params: PipelineParams,
     expected_payload: np.ndarray | None = None,
 ) -> DecodeReport:
-    """Majority vote -> RS decode -> discard failures -> LT erasure recovery."""
+    """Majority vote -> RS decode -> discard failures -> LT erasure recovery.
+
+    Only the votes are read after the vote: if the caller handed over its
+    only reference to `clusters`, the reads are freed before the RS check."""
     t_start = time.perf_counter()
-    votes = majority_vote(clusters)
-    return decode_votes(clusters.seeds, votes, params, t_start, expected_payload)
-
-
-def decode_votes(
-    seeds: np.ndarray,
-    votes: np.ndarray,
-    params: PipelineParams,
-    t_start: float,
-    expected_payload: np.ndarray | None = None,
-) -> DecodeReport:
-    """The hard decode after the majority vote: RS decode -> discard
-    failures -> LT erasure recovery.
-
-    `votes` is the (clusters, 152) base-code matrix of each cluster's vote,
-    row i that of seeds[i]; nothing else of the clusters is read, so a
-    caller can drop its ClusterTable once it has voted. The report's
-    total_seconds counts from `t_start`, a time.perf_counter() reading
-    taken before the vote.
-    """
+    seeds, votes = clusters.seeds, majority_vote(clusters)  # (n, 152) base indices, in seed order
+    del clusters
     report = DecodeReport(success=False, reason="", iterations_performed=1)
     coded = base_indices_to_bit_array(votes[:, PAYLOAD_SLICE])
     keep = ~_rs_check(votes, coded)[0]  # seed-corrected words are kept

@@ -261,24 +261,6 @@ def test_erasure_solve_paper_geometry_full_peel():
     assert_paper_geometry_solves(17500, seed=5)
 
 
-def test_erasure_solve_matches_reference_when_keys_need_64_bits():
-    # k x rows above 2^31 - 1: the solve's edge grouping keys are int64.
-    # Half the rows name one variable each, k - 1 among them, and the rest
-    # combine those, so peeling resolves them and checks every other row.
-    k, n_rows = 70_000, 31_000
-    rng = np.random.default_rng(29)
-    named = np.append(rng.choice(k - 1, size=n_rows // 2 - 1, replace=False), k - 1)
-    rows = [np.array([v]) for v in named.tolist()]
-    rows += [np.sort(rng.choice(named, size=int(d), replace=False))
-             for d in rng.integers(2, 4, size=n_rows - len(rows))]
-    truth = rng.integers(0, 2, size=(k, 3), dtype=np.uint8)
-    coded = np.stack([truth[r].sum(axis=0) % 2 for r in rows]).astype(np.uint8)
-    coded[-1, 1] ^= 1
-    resolved, consistent = assert_matches_reference(rows, coded, k)
-    assert np.array_equal(np.flatnonzero(resolved), np.sort(named))
-    assert consistent.tolist() == [True, False, True]
-
-
 @pytest.mark.parametrize("n_rows", [0, 3])
 def test_erasure_solve_without_edges_resolves_nothing(n_rows):
     # every row is empty, so each reads 0 = its value and no bit is fixed

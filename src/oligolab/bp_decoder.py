@@ -43,7 +43,9 @@ counted in `undetermined` without blocking convergence of the rest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,14 +85,52 @@ def build_h(rows: tuple[np.ndarray, np.ndarray], params: SolitonParams) -> Spars
     return SparseParityMatrix(n_info=params.k, indptr=indptr, indices=indices)
 
 
-@dataclass
 class BpResult:
-    info_bits: np.ndarray       # (k,) or (k, planes) uint8
-    coded_bits: np.ndarray      # (rows,) or (rows, planes) uint8
-    posterior_llrs: np.ndarray  # (k + rows,) or (k + rows, planes)
-    converged: np.ndarray | bool
-    iterations_used: np.ndarray | int
-    undetermined: np.ndarray | int  # bits with exactly-zero posterior
+    """The outcome of a BP decode, per plane; a 1-D input gives 1-D arrays
+    and scalars.
+
+    coded_bits ((rows[, planes]) uint8), converged and iterations_used are
+    set by the decode. The dense posterior_llrs ((k + rows[, planes])),
+    the info_bits ((k[, planes]) uint8) and undetermined (the bits with an
+    exactly-zero posterior) are given, or built when first read:
+    `posterior_llrs` may be a callable that returns the posterior, and the
+    other two are derived from it. The decoders read coded_bits alone, so
+    they never build the dense arrays.
+    """
+
+    def __init__(
+        self,
+        coded_bits: np.ndarray,
+        converged: np.ndarray | bool,
+        iterations_used: np.ndarray | int,
+        posterior_llrs: np.ndarray | Callable[[], np.ndarray],
+        info_bits: np.ndarray | None = None,
+        undetermined: np.ndarray | int | None = None,
+    ):
+        self.coded_bits, self.converged, self.iterations_used = (
+            coded_bits, converged, iterations_used
+        )
+        self._posterior = posterior_llrs
+        if info_bits is not None:
+            self.info_bits = info_bits
+        if undetermined is not None:
+            self.undetermined = undetermined
+
+    @functools.cached_property
+    def posterior_llrs(self) -> np.ndarray:
+        posterior = self._posterior
+        del self._posterior  # the builder's inputs are released once it has run
+        return posterior() if callable(posterior) else posterior
+
+    @functools.cached_property
+    def info_bits(self) -> np.ndarray:
+        k = len(self.posterior_llrs) - len(self.coded_bits)
+        return (self.posterior_llrs[:k] < 0).astype(np.uint8)
+
+    @functools.cached_property
+    def undetermined(self) -> np.ndarray | int:
+        zeros = (self.posterior_llrs == 0.0).sum(axis=0)
+        return int(zeros) if zeros.ndim == 0 else zeros.astype(np.int64)
 
 
 class _Graph:
@@ -340,6 +380,10 @@ def bp_decode(
     so leaving them out changes no output bit. While some row is out of
     reach, its zero columns keep every plane from converging, so the
     syndrome stop cannot fire and `converged` is False.
+
+    The result's dense posterior is built from `coded_llrs` when it is
+    first read (see BpResult), so the caller must not change coded_llrs in
+    place before reading it; the decoders pass a fresh array.
     """
     coded = np.asarray(coded_llrs, dtype=np.float64)
     squeeze = coded.ndim == 1
@@ -351,14 +395,11 @@ def bp_decode(
 
     rows, rounds = _reach(h, (coded != 0.0).any(axis=1))
     every_row = len(rows) == h.n_rows
-    posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
-    if max_iter > 0:
-        # an iteration adds a column sum of +0.0 to an unreached column,
-        # which turns a channel -0.0 into +0.0
-        posterior += 0.0
+    coded_bits = (coded < 0).view(np.uint8)
     # with no row reached, every message is zero: a fixed point at once
     iters_out = np.full(n_planes, min(max_iter, 1), dtype=np.int64)
     converged_out = np.zeros(n_planes, dtype=bool)
+    cols = flooded = None
     if len(rows):
         weights = np.diff(h.indptr)[rows]
         info_cols, local = np.unique(
@@ -373,27 +414,21 @@ def bp_decode(
         flooded, iters_out, converged_out = _flood(
             reached, coded[rows], rounds, max_iter, llr_clip, early_stop_on_syndrome and every_row
         )
-        posterior[cols] = flooded
+        coded_bits[rows] = flooded[len(info_cols) :] < 0
         converged_out &= every_row
 
-    bits_all = (posterior < 0).astype(np.uint8)
-    undetermined = (posterior == 0.0).sum(axis=0).astype(np.int64)
-    info_bits = bits_all[: h.n_info]
-    coded_bits = bits_all[h.n_info :]
+    def dense_posterior() -> np.ndarray:
+        posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
+        if max_iter > 0:
+            # an iteration adds a column sum of +0.0 to an unreached column,
+            # which turns a channel -0.0 into +0.0
+            posterior += 0.0
+        if cols is not None:
+            posterior[cols] = flooded
+        return posterior[:, 0] if squeeze else posterior
+
     if squeeze:
         return BpResult(
-            info_bits=info_bits[:, 0],
-            coded_bits=coded_bits[:, 0],
-            posterior_llrs=posterior[:, 0],
-            converged=bool(converged_out[0]),
-            iterations_used=int(iters_out[0]),
-            undetermined=int(undetermined[0]),
+            coded_bits[:, 0], bool(converged_out[0]), int(iters_out[0]), dense_posterior
         )
-    return BpResult(
-        info_bits=info_bits,
-        coded_bits=coded_bits,
-        posterior_llrs=posterior,
-        converged=converged_out,
-        iterations_used=iters_out,
-        undetermined=undetermined,
-    )
+    return BpResult(coded_bits, converged_out, iters_out, dense_posterior)

@@ -2,12 +2,15 @@
 
 A cluster is the set of length-152, ACGT-only reads whose 16-nt prefix
 decodes to one of the pre-determined seed values; reads with any other
-prefix are discarded and counted. Clustering keeps no read records: given
-a FASTQ path it codes the reader's joined letters and Phred values
-directly, gathers the retained reads packed four bases to a byte, and
-unpacks them into one seed-sorted (reads, 152) uint8 matrix of base codes
-and, unless the caller's decode reads none, one of Q-scores, held with the
-ascending seeds and each seed's row offsets in a ClusterTable.
+prefix are discarded and counted. Clustering keeps no read records, and
+runs in two stages. Screening codes the reads (given a FASTQ path, the
+reader's joined letters and Phred values directly), looks up each read's
+seed, and gathers the retained reads packed four bases to a byte. Grouping
+sorts them by seed and unpacks them into one seed-sorted (reads, 152)
+uint8 matrix of base codes and, unless the caller's decode reads none, one
+of Q-scores, held with the ascending seeds and each seed's row offsets in
+a ClusterTable. A sweep screens its reads once and groups each trial's
+subset of them.
 
 Soft inputs are built per call for a table of clusters, in runs of whole
 clusters of about _CHUNK_READS reads, each a row slice of the table; a
@@ -16,8 +19,9 @@ combines its Q-score (probability the call is right) with the estimated
 transition table (how the rest splits across the other three bases), so
 its terms depend only on (position, called base, Q-score): they are looked
 up in one table per call and added over each cluster's members in input
-order, giving per-bit LLRs at payload positions and a hard decision from
-the per-base probability products at RS parity positions. The base counts
+order, one member rank of a run's clusters at a time, giving per-bit LLRs
+at payload positions and a hard decision from the per-base probability
+products at RS parity positions. The base counts
 of one counting kernel give both the basecall-count LLR rule with a fixed
 crossover probability (the comparison baseline) and the majority vote that
 feeds the hard decoder.
@@ -54,7 +58,8 @@ from .fountain import SeedSchedule
 _TINY = 1e-300
 _CHUNK_READS = 1024  # reads per code matrix of a clustering step or a run of clusters
 _BASE_BITS = base_indices_to_bit_array(np.arange(4)[:, None]).astype(np.int64)  # (4, 2) per base
-_Rows = Iterator[tuple[int, np.ndarray, np.ndarray | None]]  # per chunk: reads, codes, Q or None
+# per chunk: the mask of the 152-nt reads, their codes, and their Q-scores or None
+_Rows = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 class ClusterTable(Mapping[int, "Cluster"]):
@@ -152,13 +157,57 @@ def _read_rows(
     return full, codes, quals.reshape(len(codes), OLIGO_NT)
 
 
-def cluster_by_seed(
+# what `ScreenedReads.found` holds for a discarded read, by the first check
+# it fails; a retained read's entry is its seed's index in the table
+_WRONG_LENGTH, _WITH_N, _SEED_MISMATCH = -3, -2, -1
+
+
+@dataclass
+class ScreenedReads:
+    """Reads screened against a seed table, in input order, not yet grouped.
+
+    `found[i]` is the index of read i's seed in the ascending table if the
+    read is retained, or else why not: _WRONG_LENGTH, _WITH_N or
+    _SEED_MISMATCH. The retained reads, in input order, are the rows of
+    `symbols`, their bases packed four to a byte as RS symbols, and of
+    `qscores` (None if screened without them). `cluster_by_seed` groups
+    them into a ClusterTable.
+    """
+
+    seed_table: SeedSchedule
+    found: np.ndarray  # (reads,) intp
+    symbols: np.ndarray  # (retained, 38) uint8
+    qscores: np.ndarray | None  # (retained, 152) uint8
+
+    def take(self, idx: np.ndarray) -> ScreenedReads:
+        """The reads at positions `idx`, in that order."""
+        found = self.found[idx]
+        retained_row = np.cumsum(self.found >= 0) - 1
+        rows = retained_row[idx[found >= 0]]
+        qscores = None if self.qscores is None else self.qscores[rows]
+        return ScreenedReads(self.seed_table, found, self.symbols[rows], qscores)
+
+
+def screen_reads(
     reads: Iterable[ReadRecord] | str | Path,
     seed_table: SeedSchedule,
     qscores: bool = True,
+) -> ScreenedReads:
+    """Screen reads, ReadRecords or a FASTQ file's, against the seed table
+    once, so that `cluster_by_seed` can group any subset of them
+    (`ScreenedReads.take`) without coding the reads again."""
+    found, symbols, quals = _screen(reads, _seed_array(seed_table), qscores)
+    quals = None if quals is None else np.concatenate(quals)
+    return ScreenedReads(seed_table, np.concatenate(found), np.concatenate(symbols), quals)
+
+
+def cluster_by_seed(
+    reads: Iterable[ReadRecord] | str | Path | ScreenedReads,
+    seed_table: SeedSchedule,
+    qscores: bool = True,
 ) -> tuple[ClusterTable, DiscardReport]:
-    """Group reads, ReadRecords or a FASTQ file's, by exact seed-region
-    match against the seed table.
+    """Group reads, ReadRecords, a FASTQ file's or reads screened against
+    this seed table, by exact seed-region match against the seed table.
 
     A read is retained when it is 152 nt long, all its bases are A, C, G or
     T, and its 16-nt prefix is a table seed's. The others count as
@@ -176,30 +225,29 @@ def cluster_by_seed(
     unpacked as it is placed; each cluster is a row range of both, members
     in input order. With `qscores` false no Q-score is gathered, kept or
     sorted, and the table's `qscores` is None; the FASTQ reader still
-    checks every one.
+    checks every one. ScreenedReads skip the screening: their table has
+    Q-scores when `qscores` is true and they were screened with them.
     """
-    table = np.sort(np.array(seed_table.seeds, dtype=np.uint32))
-    report = DiscardReport()
-    # per chunk, for the retained reads: table index, packed bases, Q-scores
-    found, symbol_rows, q_rows = [np.empty(0, dtype=np.intp)], [], []
-    rows = _fastq_rows if isinstance(reads, (str, Path)) else _record_rows
-    for n_reads, codes, quals in rows(reads, qscores):
-        acgt = (codes <= 3).all(axis=1)
-        values = base_indices_to_seeds(codes[:, :SEED_NT])
-        at = np.searchsorted(table, values)
-        keep = acgt & (np.searchsorted(table, values, side="right") > at)
-        report.n_input += n_reads
-        report.n_wrong_length += n_reads - len(codes)
-        report.n_with_n += int((~acgt).sum())
-        report.n_seed_mismatch += int((acgt & ~keep).sum())
-        found.append(at[keep])
-        symbol_rows.append(base_indices_to_symbol_array(codes[keep]))
-        if qscores:
-            q_rows.append(quals[keep])
-        del codes, quals  # not held while the next chunk is read
-
-    index = np.concatenate(found)
-    report.n_retained = len(index)
+    table = _seed_array(seed_table)
+    if isinstance(reads, ScreenedReads):
+        if reads.seed_table != seed_table:
+            raise ValueError("the reads were screened against another seed table")
+        found, symbols = reads.found, [reads.symbols]
+        quals = [reads.qscores] if qscores and reads.qscores is not None else None
+    else:
+        found, symbols, quals = _screen(reads, table, qscores)
+        found = np.concatenate(found)
+    index = found[found >= 0]
+    wrong_length, with_n, seed_mismatch = np.bincount(
+        found[found < 0] - _WRONG_LENGTH, minlength=3
+    ).tolist()
+    report = DiscardReport(
+        n_input=len(found),
+        n_wrong_length=wrong_length,
+        n_with_n=with_n,
+        n_seed_mismatch=seed_mismatch,
+        n_retained=len(index),
+    )
     order = np.argsort(index, kind="stable")
     sorted_index = index[order]
     starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
@@ -207,28 +255,59 @@ def cluster_by_seed(
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
     del found, index, order, sorted_index  # only dest is held beside the matrices
-    codes = _sorted_rows(symbol_rows, dest, symbols_to_base_indices)
-    quals = _sorted_rows(q_rows, dest, np.asarray) if qscores else None
+    codes = _sorted_rows(symbols, dest, symbols_to_base_indices)
+    quals = _sorted_rows(quals, dest, np.asarray) if quals is not None else None
     return ClusterTable(seeds, offsets, codes, quals), report
 
 
+def _seed_array(seed_table: SeedSchedule) -> np.ndarray:
+    """The table's seeds as an ascending uint32 array."""
+    return np.sort(np.array(seed_table.seeds, dtype=np.uint32))
+
+
+def _screen(
+    reads: Iterable[ReadRecord] | str | Path, table: np.ndarray, qscores: bool
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray] | None]:
+    """Per chunk of reads, after an empty one: each read's
+    `ScreenedReads.found` entry against the ascending seeds `table`, and
+    the retained reads' packed bases and Q-scores (None unless `qscores`)."""
+    found = [np.empty(0, dtype=np.intp)]
+    symbol_rows = [np.empty((0, OLIGO_NT // 4), dtype=np.uint8)]
+    q_rows = [np.empty((0, OLIGO_NT), dtype=np.uint8)] if qscores else None
+    rows = _fastq_rows if isinstance(reads, (str, Path)) else _record_rows
+    for full, codes, quals in rows(reads, qscores):
+        acgt = (codes <= 3).all(axis=1)
+        values = base_indices_to_seeds(codes[:, :SEED_NT])
+        at = np.searchsorted(table, values)
+        keep = acgt & (np.searchsorted(table, values, side="right") > at)
+        chunk_found = np.full(len(full), _WRONG_LENGTH, dtype=np.intp)
+        chunk_found[full] = np.where(keep, at, np.where(acgt, _SEED_MISMATCH, _WITH_N))
+        found.append(chunk_found)
+        symbol_rows.append(base_indices_to_symbol_array(codes[keep]))
+        if qscores:
+            q_rows.append(quals[keep])
+        del codes, quals  # not held while the next chunk is read
+    return found, symbol_rows, q_rows
+
+
 def _record_rows(reads: Iterable[ReadRecord], qscores: bool) -> _Rows:
-    """Per chunk of records: its size and its 152-nt reads' codes and Q-scores."""
+    """Per chunk of records: the mask of its 152-nt reads, and their codes
+    and Q-scores."""
     reads = iter(reads)
     while chunk := list(islice(reads, _CHUNK_READS)):
-        _, codes, quals = _read_rows(chunk, qscores)
-        yield len(chunk), codes, quals
+        yield _read_rows(chunk, qscores)
 
 
 def _fastq_rows(path: str | Path, qscores: bool) -> _Rows:
-    """Per chunk of a FASTQ file: its size and its 152-nt reads' codes and
-    Q-scores."""
+    """Per chunk of a FASTQ file: the mask of its 152-nt reads, and their
+    codes and Q-scores."""
     for chunk in fastq_chunks(path):
-        full = np.repeat(chunk.lengths == OLIGO_NT, chunk.lengths)
-        codes = encode_bases(chunk.bases)[full].reshape(-1, OLIGO_NT)
-        quals = chunk.phred[full].reshape(-1, OLIGO_NT) if qscores else None
-        yield len(chunk.lengths), codes, quals
-        del full, codes, quals  # the rows are not held while the next chunk is read
+        full = chunk.lengths == OLIGO_NT
+        per_base = np.repeat(full, chunk.lengths)
+        codes = encode_bases(chunk.bases)[per_base].reshape(-1, OLIGO_NT)
+        quals = chunk.phred[per_base].reshape(-1, OLIGO_NT) if qscores else None
+        yield full, codes, quals
+        del per_base, codes, quals  # the rows are not held while the next chunk is read
 
 
 def _sorted_rows(chunks: list[np.ndarray], dest: np.ndarray, unpack) -> np.ndarray:
@@ -290,23 +369,35 @@ def llr_proposed(clusters: ClusterTable, table: TransitionTable) -> ClusterLlr:
     llrs = np.empty((len(clusters), PAYLOAD_BITS))
     parity = np.empty((len(clusters), PARITY_NT), dtype=np.uint8)
     for run, sizes, rows in _runs(clusters):
-        pair = clusters.codes[rows].astype(np.int32) * q_axis + clusters.qscores[rows]
-        at = pair * OLIGO_NT + np.arange(OLIGO_NT, dtype=np.int32)
-        terms = np.concatenate(
-            [
-                bit_llrs.take(at[:, PAYLOAD_SLICE], axis=0).reshape(len(at), -1),
-                base_logs.take(at[:, PARITY_SLICE], axis=0).reshape(len(at), -1),
-            ],
-            axis=1,
+        # the members rank-major over the run's clusters by descending size:
+        # rank r holds the r-th member of the first alive[r] clusters
+        by_size = np.argsort(-sizes, kind="stable")
+        alive = len(sizes) - np.cumsum(np.bincount(sizes))[: sizes.max()]
+        rank = np.repeat(np.arange(len(alive)), alive)
+        at_rank = np.arange(len(rank)) - (np.cumsum(alive) - alive)[rank]
+        member = (np.cumsum(sizes) - sizes)[by_size][at_rank] + rank
+        codes, quals = clusters.codes[rows][member], clusters.qscores[rows][member]
+        at = (codes.astype(np.int32) * q_axis + quals) * OLIGO_NT + np.arange(
+            OLIGO_NT, dtype=np.int32
         )
-        sums = np.zeros((len(sizes), terms.shape[1]))
-        starts = np.cumsum(sizes) - sizes
-        for rank in range(int(sizes.max())):  # member by member, in input order
-            live = np.flatnonzero(sizes > rank)
-            sums[live] += terms[starts[live] + rank]
-        llrs[run] = sums[:, :PAYLOAD_BITS]
-        parity[run] = _lane_argmax(sums[:, PAYLOAD_BITS:].reshape(-1, PARITY_NT, 4))
+        payload = _member_sums(bit_llrs.take(at[:, PAYLOAD_SLICE], axis=0), alive)
+        llrs[run.start + by_size] = payload.reshape(len(sizes), PAYLOAD_BITS)
+        parity_logs = _member_sums(base_logs.take(at[:, PARITY_SLICE], axis=0), alive)
+        parity[run.start + by_size] = _lane_argmax(parity_logs)
     return _soft_inputs(clusters, llrs, parity)
+
+
+def _member_sums(terms: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Each cluster's sum of its members' terms, from 0.0 in input order,
+    for members rank-major: rank r's are the next alive[r] rows, one per
+    cluster, the clusters in the same order at every rank. So a rank is
+    one slice add."""
+    sums = np.zeros((alive[0], *terms.shape[1:]))
+    lo = 0
+    for n in alive.tolist():
+        sums[:n] += terms[lo : lo + n]
+        lo += n
+    return sums
 
 
 def _soft_inputs(clusters: ClusterTable, llrs: np.ndarray, parity: np.ndarray) -> ClusterLlr:

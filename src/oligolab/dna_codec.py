@@ -147,10 +147,14 @@ def symbols_to_base_indices(symbols: Sequence[int]) -> np.ndarray:
 
 def seeds_to_base_indices(seeds: Sequence[int]) -> np.ndarray:
     """32-bit seeds -> (len(seeds), 16) base codes of their big-endian bytes."""
-    for s in seeds:
-        if not 0 <= s < 2**SEED_BITS:
-            raise ValueError(f"seed out of 32-bit range: {s}")
-    return symbols_to_base_indices(np.array(seeds, dtype=">u4").reshape(-1, 1).view(np.uint8))
+    try:
+        values = np.asarray(seeds, dtype=np.int64).reshape(-1)
+    except OverflowError:  # a Python int past int64: find the first bad seed
+        values = np.array([0 <= s < 2**SEED_BITS for s in seeds], dtype=np.int64) - 1
+    bad = np.flatnonzero((values < 0) | (values >= 2**SEED_BITS))
+    if len(bad):
+        raise ValueError(f"seed out of 32-bit range: {seeds[bad[0]]}")
+    return symbols_to_base_indices(values.astype(">u4").reshape(-1, 1).view(np.uint8))
 
 
 def base_indices_to_seeds(indices: np.ndarray) -> np.ndarray:

@@ -134,7 +134,9 @@ def _expand_chunk(
     the one written by the latest earlier step m with j_m = j_t, or j_t if
     no step wrote there; step m wrote the value at its own position m, found
     the same way. One sort of the writes keyed by (row, position, step)
-    answers every lookup, and pointer jumping follows the chains.
+    answers every lookup, and pointer jumping follows the chains. Step t's
+    lookup of j_t has t's own write key, so its answer is that key's
+    neighbor in the sort, when both keys name one position.
     """
     degree = np.searchsorted(cumulative, _draws(seeds + _GOLDEN), side="right") + 1
     degree = np.minimum(degree, k)
@@ -165,7 +167,9 @@ def _expand_chunk(
         to = link[linked]
         value[linked] = value[to]
         link[linked] = link[to]
-    source = writer(j)
+    source = np.full(len(step), -1)
+    same = np.flatnonzero(written[1:] // span == written[:-1] // span)
+    source[order[same + 1]] = order[same]
     picked = np.where(source >= 0, value[source], j)
     keys = row_base + picked
     keys.sort()

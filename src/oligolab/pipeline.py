@@ -31,6 +31,7 @@ from .clustering_llr import (
     llr_chandak,
     llr_proposed,
     majority_vote,
+    screen_reads,
 )
 from .dna_codec import (
     PAYLOAD_SLICE,
@@ -512,6 +513,7 @@ def experiment_sweep(
     For every sampling point, `trials` uniform subsets of the raw reads are
     drawn (pre-filter, so the retained count L_m per trial is smaller), and
     every decoder variant runs on the same subset for a paired comparison.
+    The reads are screened once; a trial groups its subset of them.
     Trials run one after another, and each adds its counts in trial order.
     When a redecoding-off variant has a twin with equal params except
     redecoding_enabled, its outcome is derived from the twin's first round
@@ -542,13 +544,13 @@ def experiment_sweep(
             if twin is not None:
                 derived_from[n] = twin
     run_order = [n for n in names if n not in derived_from] + list(derived_from)
+    screened = screen_reads(reads, seed_table)  # each trial groups a subset of these
 
     for pi, point in enumerate(points):
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
             idx = rng.choice(len(reads), size=point, replace=False)
-            subset = [reads[i] for i in idx]
-            clusters, disc = cluster_by_seed(subset, seed_table)
+            clusters, disc = cluster_by_seed(screened.take(idx), seed_table)
             retained[pi] += disc.n_retained / trials
             reports: dict[str, DecodeReport] = {}
             for name in run_order:

@@ -275,9 +275,11 @@ def edge_case_llrs(rng, shape, clip):
     clip=st.sampled_from([30.0, 8.0, 1.5]),
     max_iter=st.integers(0, 40),
     early_stop=st.booleans(),
+    # the dense fields are built when first read, whichever is read first
+    read_first=st.permutations(["posterior_llrs", "info_bits", "undetermined", "coded_bits"]),
 )
 def test_bp_matches_reference_kernel_on_random_graphs(
-    seed, k, n_rows, n_heavy, planes, flat, clip, max_iter, early_stop
+    seed, k, n_rows, n_heavy, planes, flat, clip, max_iter, early_stop, read_first
 ):
     rng = np.random.default_rng(seed)
     # row weights 1-6 (0-5 information bits plus the coded bit), a few heavy rows
@@ -288,7 +290,10 @@ def test_bp_matches_reference_kernel_on_random_graphs(
     if flat and planes == 1:
         llrs = llrs[:, 0]
     kwargs = dict(max_iter=max_iter, llr_clip=clip, early_stop_on_syndrome=early_stop)
-    assert_bit_identical(bp_decode(h, llrs, **kwargs), reference_bp_decode(h, llrs, **kwargs))
+    out = bp_decode(h, llrs, **kwargs)
+    for name in read_first:
+        getattr(out, name)
+    assert_bit_identical(out, reference_bp_decode(h, llrs, **kwargs))
 
 
 def test_bp_matches_reference_kernel_on_desk_graph():

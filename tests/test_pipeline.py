@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligolab import gf_rs, pipeline
+from oligolab import bp_decoder, gf_rs, pipeline
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
 from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transitions
 from oligolab.clustering_llr import cluster_by_seed
@@ -666,6 +666,38 @@ def test_sweep_derived_no_redecode_matches_real_run(noisy_world):
     assert derived.mean_rounds["off"] == real.mean_rounds["off"]
 
 
+def test_soft_decode_never_builds_the_dense_posterior(noisy_world, monkeypatch):
+    """The soft decoder reads BP's coded bits alone: the dense posterior,
+    and the info bits and undetermined counts derived from it, are never
+    built, though BP runs."""
+    sched, source, seqs, reads, table = noisy_world
+    built = []
+    lazy = bp_decoder.BpResult.posterior_llrs
+
+    def spy(result):
+        built.append(result)
+        return lazy.__get__(result)
+
+    monkeypatch.setattr(bp_decoder.BpResult, "posterior_llrs", property(spy))
+    clusters, _ = cluster_by_seed(reads, sched)
+    bp_calls = []
+    real_bp = pipeline.bp_decode
+    monkeypatch.setattr(
+        pipeline, "bp_decode", lambda *a, **kw: bp_calls.append(1) or real_bp(*a, **kw)
+    )
+    for params in (
+        PipelineParams(soliton=DESK),
+        PipelineParams(soliton=DESK, llr_mode="chandak", crossover_p=1.5e-3),
+    ):
+        rep = iterative_soft_decode(clusters, sched, table, params, expected_payload=source)
+        assert rep.success
+    assert bp_calls and not built
+    # reading a field derived from the posterior builds it
+    soft = pipeline.llr_proposed(clusters, table).payload_llrs
+    out = real_bp(pipeline.build_h(seed_expand(clusters.seeds, DESK), DESK), soft)
+    assert out.undetermined.shape == (256,) and built
+
+
 def test_sweep_rejects_oversized_point(noisy_world):
     sched, source, seqs, reads, table = noisy_world
     with pytest.raises(ValueError):
@@ -721,3 +753,103 @@ def test_rs_check_matches_reference(drawn):
     assert np.array_equal(got_coded, want_coded)
     for word in words.tolist():
         assert gf_rs.rs_decode(word) == rs_reference.rs_decode(word)
+
+
+@st.composite
+def sweep_reads(draw, seqs):
+    """Hand-built reads of the encoded world's oligos, shuffled: clusters of
+    1 to 300 members with substitutions and random Q-scores, so that no two
+    members are alike, among reads of the wrong length, with N or another
+    letter, and with a prefix that names no seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(1, 8, size=len(seqs))
+    sizes[rng.choice(len(seqs), size=2, replace=False)] = [draw(st.integers(1, 300)), 300]
+    reads = []
+    for seq, size in zip(seqs, sizes.tolist()):
+        for _ in range(size):
+            codes = sequence_to_indices(seq).copy()
+            flip = rng.random(152) < 0.004
+            codes[flip] = (codes[flip] + rng.integers(1, 4, size=int(flip.sum()))) % 4
+            q = np.where(flip, rng.integers(2, 16, size=152), rng.integers(25, 42, size=152))
+            bases = indices_to_sequence(codes)
+            kind = rng.choice(["ok"] * 15 + ["short", "long", "n", "other", "prefix"])
+            if kind == "short":
+                bases = bases[: rng.integers(0, 152)]
+            elif kind == "long":
+                bases += "ACGT"[: rng.integers(1, 5)]
+            elif kind in ("n", "other"):
+                at = int(rng.integers(0, 152))
+                bases = bases[:at] + ("N" if kind == "n" else "a") + bases[at + 1 :]
+            elif kind == "prefix":
+                bases = indices_to_sequence(rng.integers(0, 4, size=16)) + bases[16:]
+            q = np.resize(q, len(bases)).astype(np.uint8)
+            reads.append(ReadRecord(id=str(len(reads)), bases=bases, qscores=q))
+    order = rng.permutation(len(reads))
+    return [reads[i] for i in order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data(), rng_seed=st.integers(0, 2**16), trials=st.integers(1, 2))
+def test_sweep_trials_group_screened_reads_like_their_subsets(
+    encoded_world, data, rng_seed, trials
+):
+    """Each sweep trial's table and discards, grouped from reads screened
+    once, are those of clustering the trial's subset of ReadRecords; and the
+    sweep's report is that of a plain loop over those subsets and the
+    public decoders."""
+    sched, source, _, seqs = encoded_world
+    reads = data.draw(sweep_reads(seqs))
+    points = sorted(
+        data.draw(st.lists(st.integers(1, len(reads)), max_size=1))
+        + [data.draw(st.integers(len(reads) // 2, len(reads)))]
+    )
+    table = TransitionTable.uniform()
+    variants = {
+        "proposed+re": PipelineParams(soliton=DESK),
+        "proposed-re": PipelineParams(soliton=DESK, redecoding_enabled=False),
+        "chandak+re": PipelineParams(soliton=DESK, llr_mode="chandak", crossover_p=1e-2),
+        "hard": PipelineParams(soliton=DESK, decoder="hard"),
+    }
+    grouped = []
+
+    def recording(*args, **kwargs):
+        grouped.append(cluster_by_seed(*args, **kwargs))
+        return grouped[-1]
+
+    with mock.patch.object(pipeline, "cluster_by_seed", recording):
+        rep = experiment_sweep(reads, sched, table, points, trials, variants, rng_seed, source)
+
+    successes = {n: [0] * len(points) for n in variants}
+    rounds = {n: [0.0] * len(points) for n in variants}
+    removed = {n: [0.0] * len(points) for n in variants}
+    retained = [0.0] * len(points)
+    trial_tables = iter(grouped)
+    for pi, point in enumerate(points):
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
+            idx = rng.choice(len(reads), size=point, replace=False)
+            clusters, disc = cluster_by_seed([reads[i] for i in idx], sched)
+            got, got_disc = next(trial_tables)
+            assert got_disc == disc
+            for name in ("seeds", "offsets", "codes", "qscores"):
+                assert np.array_equal(getattr(got, name), getattr(clusters, name))
+            retained[pi] += disc.n_retained / trials
+            for name, params in variants.items():
+                if params.decoder == "hard":
+                    out = hard_decode_baseline(clusters, sched, params, source)
+                else:
+                    out = iterative_soft_decode(clusters, sched, table, params, source)
+                successes[name][pi] += out.success
+                rounds[name][pi] += out.iterations_performed / trials
+                removed[name][pi] += sum(out.clusters_discarded_per_round) / trials
+    assert next(trial_tables, None) is None  # one grouping per trial
+    assert rep.to_dict(omit_timing=True) == {
+        "version": 1,
+        "sampling_points": points,
+        "trials": trials,
+        "variants": list(variants),
+        "successes": successes,
+        "mean_rounds": {n: [round(v, 4) for v in rounds[n]] for n in variants},
+        "mean_clusters_removed": {n: [round(v, 4) for v in removed[n]] for n in variants},
+        "retained_reads_mean": [round(v, 2) for v in retained],
+    }

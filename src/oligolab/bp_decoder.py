@@ -381,9 +381,9 @@ def bp_decode(
     reach, its zero columns keep every plane from converging, so the
     syndrome stop cannot fire and `converged` is False.
 
-    The result's dense posterior is built from `coded_llrs` when it is
-    first read (see BpResult), so the caller must not change coded_llrs in
-    place before reading it; the decoders pass a fresh array.
+    The result's dense posterior is built when first read (see BpResult),
+    from the flooded values and a copy of the unreached rows' channel
+    values, so it does not depend on coded_llrs after the call.
     """
     coded = np.asarray(coded_llrs, dtype=np.float64)
     squeeze = coded.ndim == 1
@@ -417,8 +417,14 @@ def bp_decode(
         coded_bits[rows] = flooded[len(info_cols) :] < 0
         converged_out &= every_row
 
+    unreached = np.ones(h.n_rows, dtype=bool)
+    unreached[rows] = False
+    unreached = np.flatnonzero(unreached)
+    unreached_llrs = coded[unreached]  # a copy, usually of few rows
+
     def dense_posterior() -> np.ndarray:
-        posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
+        posterior = np.zeros((h.n_info + h.n_rows, n_planes))
+        posterior[h.n_info + unreached] = unreached_llrs
         if max_iter > 0:
             # an iteration adds a column sum of +0.0 to an unreached column,
             # which turns a channel -0.0 into +0.0

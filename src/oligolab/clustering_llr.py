@@ -164,41 +164,38 @@ _WRONG_LENGTH, _WITH_N, _SEED_MISMATCH = -3, -2, -1
 
 @dataclass
 class ScreenedReads:
-    """Reads screened against a seed table, in input order, not yet grouped.
+    """Reads screened against a seed table, not yet grouped.
 
     `found[i]` is the index of read i's seed in the ascending table if the
     read is retained, or else why not: _WRONG_LENGTH, _WITH_N or
-    _SEED_MISMATCH. The retained reads, in input order, are the rows of
-    `symbols`, their bases packed four to a byte as RS symbols, and of
-    `qscores` (None if screened without them). `cluster_by_seed` groups
-    them into a ClusterTable.
+    _SEED_MISMATCH. A retained read's bases, packed four to a byte as RS
+    symbols, and its Q-scores are row `row[i]` of `symbols` and `qscores`.
+    `cluster_by_seed` groups them into a ClusterTable.
     """
 
     seed_table: SeedSchedule
-    found: np.ndarray  # (reads,) intp
-    symbols: np.ndarray  # (retained, 38) uint8
-    qscores: np.ndarray | None  # (retained, 152) uint8
+    found: np.ndarray  # (reads,) int32
+    row: np.ndarray  # (reads,) intp, meaningful where found >= 0
+    symbols: np.ndarray  # (screened retained, 38) uint8
+    qscores: np.ndarray  # (screened retained, 152) uint8
 
     def take(self, idx: np.ndarray) -> ScreenedReads:
-        """The reads at positions `idx`, in that order."""
-        found = self.found[idx]
-        retained_row = np.cumsum(self.found >= 0) - 1
-        rows = retained_row[idx[found >= 0]]
-        qscores = None if self.qscores is None else self.qscores[rows]
-        return ScreenedReads(self.seed_table, found, self.symbols[rows], qscores)
+        """The reads at positions `idx`, in that order; the rows are shared."""
+        return ScreenedReads(
+            self.seed_table, self.found[idx], self.row[idx], self.symbols, self.qscores
+        )
 
 
-def screen_reads(
-    reads: Iterable[ReadRecord] | str | Path,
-    seed_table: SeedSchedule,
-    qscores: bool = True,
-) -> ScreenedReads:
-    """Screen reads, ReadRecords or a FASTQ file's, against the seed table
-    once, so that `cluster_by_seed` can group any subset of them
-    (`ScreenedReads.take`) without coding the reads again."""
-    found, symbols, quals = _screen(reads, _seed_array(seed_table), qscores)
-    quals = None if quals is None else np.concatenate(quals)
-    return ScreenedReads(seed_table, np.concatenate(found), np.concatenate(symbols), quals)
+def screen_reads(reads: Iterable[ReadRecord], seed_table: SeedSchedule) -> ScreenedReads:
+    """Screen ReadRecords against the seed table once, so that
+    `cluster_by_seed` can group any subset of them (`ScreenedReads.take`)
+    without coding the reads again."""
+    found, symbols, quals = _screen(reads, _seed_array(seed_table), True)
+    found = np.concatenate(found)
+    row = np.cumsum(found >= 0) - 1
+    return ScreenedReads(
+        seed_table, found, row, np.concatenate(symbols), np.concatenate(quals)
+    )
 
 
 def cluster_by_seed(
@@ -225,15 +222,16 @@ def cluster_by_seed(
     unpacked as it is placed; each cluster is a row range of both, members
     in input order. With `qscores` false no Q-score is gathered, kept or
     sorted, and the table's `qscores` is None; the FASTQ reader still
-    checks every one. ScreenedReads skip the screening: their table has
-    Q-scores when `qscores` is true and they were screened with them.
+    checks every one. ScreenedReads skip the screening.
     """
     table = _seed_array(seed_table)
     if isinstance(reads, ScreenedReads):
         if reads.seed_table != seed_table:
             raise ValueError("the reads were screened against another seed table")
-        found, symbols = reads.found, [reads.symbols]
-        quals = [reads.qscores] if qscores and reads.qscores is not None else None
+        found = reads.found
+        rows = reads.row[found >= 0]
+        symbols = [reads.symbols[rows]]
+        quals = [reads.qscores[rows]] if qscores else None
     else:
         found, symbols, quals = _screen(reads, table, qscores)
         found = np.concatenate(found)
@@ -271,7 +269,7 @@ def _screen(
     """Per chunk of reads, after an empty one: each read's
     `ScreenedReads.found` entry against the ascending seeds `table`, and
     the retained reads' packed bases and Q-scores (None unless `qscores`)."""
-    found = [np.empty(0, dtype=np.intp)]
+    found = [np.empty(0, dtype=np.int32)]
     symbol_rows = [np.empty((0, OLIGO_NT // 4), dtype=np.uint8)]
     q_rows = [np.empty((0, OLIGO_NT), dtype=np.uint8)] if qscores else None
     rows = _fastq_rows if isinstance(reads, (str, Path)) else _record_rows
@@ -280,7 +278,7 @@ def _screen(
         values = base_indices_to_seeds(codes[:, :SEED_NT])
         at = np.searchsorted(table, values)
         keep = acgt & (np.searchsorted(table, values, side="right") > at)
-        chunk_found = np.full(len(full), _WRONG_LENGTH, dtype=np.intp)
+        chunk_found = np.full(len(full), _WRONG_LENGTH, dtype=np.int32)
         chunk_found[full] = np.where(keep, at, np.where(acgt, _SEED_MISMATCH, _WITH_N))
         found.append(chunk_found)
         symbol_rows.append(base_indices_to_symbol_array(codes[keep]))

@@ -513,7 +513,8 @@ def experiment_sweep(
     For every sampling point, `trials` uniform subsets of the raw reads are
     drawn (pre-filter, so the retained count L_m per trial is smaller), and
     every decoder variant runs on the same subset for a paired comparison.
-    The reads are screened once; a trial groups its subset of them.
+    Each read that some trial draws is screened once (no more often than
+    per-trial clustering would code it); a trial groups its subset of them.
     Trials run one after another, and each adds its counts in trial order.
     When a redecoding-off variant has a twin with equal params except
     redecoding_enabled, its outcome is derived from the twin's first round
@@ -544,13 +545,24 @@ def experiment_sweep(
             if twin is not None:
                 derived_from[n] = twin
     run_order = [n for n in names if n not in derived_from] + list(derived_from)
-    screened = screen_reads(reads, seed_table)  # each trial groups a subset of these
 
-    for pi, point in enumerate(points):
+    def draw(pi: int, t: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
+        return rng.choice(len(reads), size=points[pi], replace=False)
+
+    # the reads some trial draws are screened once, in input order; a trial
+    # takes its reads from them by their positions among the drawn
+    drawn = np.zeros(len(reads), dtype=bool)
+    for pi in range(len(points)):
         for t in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
-            idx = rng.choice(len(reads), size=point, replace=False)
-            clusters, disc = cluster_by_seed(screened.take(idx), seed_table)
+            drawn[draw(pi, t)] = True
+    screened = screen_reads([reads[i] for i in np.flatnonzero(drawn)], seed_table)
+    position = np.cumsum(drawn) - 1
+
+    for pi in range(len(points)):
+        for t in range(trials):
+            idx = draw(pi, t)
+            clusters, disc = cluster_by_seed(screened.take(position[idx]), seed_table)
             retained[pi] += disc.n_retained / trials
             reports: dict[str, DecodeReport] = {}
             for name in run_order:

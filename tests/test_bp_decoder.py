@@ -290,10 +290,12 @@ def test_bp_matches_reference_kernel_on_random_graphs(
     if flat and planes == 1:
         llrs = llrs[:, 0]
     kwargs = dict(max_iter=max_iter, llr_clip=clip, early_stop_on_syndrome=early_stop)
+    ref = reference_bp_decode(h, llrs.copy(), **kwargs)
     out = bp_decode(h, llrs, **kwargs)
+    llrs[...] = np.nan  # the result no longer depends on the caller's array
     for name in read_first:
         getattr(out, name)
-    assert_bit_identical(out, reference_bp_decode(h, llrs, **kwargs))
+    assert_bit_identical(out, ref)
 
 
 def test_bp_matches_reference_kernel_on_desk_graph():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oligolab import bp_decoder, gf_rs, pipeline
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
 from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transitions
-from oligolab.clustering_llr import cluster_by_seed
+from oligolab.clustering_llr import cluster_by_seed, screen_reads
 from oligolab.dna_codec import (
     SEED_SYMBOLS,
     assemble_oligo,
@@ -794,9 +794,9 @@ def test_sweep_trials_group_screened_reads_like_their_subsets(
     encoded_world, data, rng_seed, trials
 ):
     """Each sweep trial's table and discards, grouped from reads screened
-    once, are those of clustering the trial's subset of ReadRecords; and the
-    sweep's report is that of a plain loop over those subsets and the
-    public decoders."""
+    once, are those of clustering the trial's subset of ReadRecords; the
+    reads screened are those some trial draws; and the sweep's report is
+    that of a plain loop over those subsets and the public decoders."""
     sched, source, _, seqs = encoded_world
     reads = data.draw(sweep_reads(seqs))
     points = sorted(
@@ -816,7 +816,15 @@ def test_sweep_trials_group_screened_reads_like_their_subsets(
         grouped.append(cluster_by_seed(*args, **kwargs))
         return grouped[-1]
 
-    with mock.patch.object(pipeline, "cluster_by_seed", recording):
+    screened = []
+
+    def screening(reads, seed_table):
+        screened.append(len(reads))
+        return screen_reads(reads, seed_table)
+
+    with mock.patch.object(pipeline, "cluster_by_seed", recording), mock.patch.object(
+        pipeline, "screen_reads", screening
+    ):
         rep = experiment_sweep(reads, sched, table, points, trials, variants, rng_seed, source)
 
     successes = {n: [0] * len(points) for n in variants}
@@ -824,10 +832,12 @@ def test_sweep_trials_group_screened_reads_like_their_subsets(
     removed = {n: [0.0] * len(points) for n in variants}
     retained = [0.0] * len(points)
     trial_tables = iter(grouped)
+    drawn = set()
     for pi, point in enumerate(points):
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([rng_seed, pi, t]))
             idx = rng.choice(len(reads), size=point, replace=False)
+            drawn.update(idx.tolist())
             clusters, disc = cluster_by_seed([reads[i] for i in idx], sched)
             got, got_disc = next(trial_tables)
             assert got_disc == disc
@@ -843,6 +853,7 @@ def test_sweep_trials_group_screened_reads_like_their_subsets(
                 rounds[name][pi] += out.iterations_performed / trials
                 removed[name][pi] += sum(out.clusters_discarded_per_round) / trials
     assert next(trial_tables, None) is None  # one grouping per trial
+    assert screened == [len(drawn)]  # each drawn read screened once, no other
     assert rep.to_dict(omit_timing=True) == {
         "version": 1,
         "sampling_points": points,

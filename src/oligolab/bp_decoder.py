@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fountain import SolitonParams
+from .fountain import NeighborGraph, _column_index
 
 LLR_MAX = 30.0
 
@@ -59,12 +59,16 @@ class SparseParityMatrix:
     """Check rows over the information bits, as CSR rows (indptr, indices).
 
     Row r's information bits are indices[indptr[r]:indptr[r + 1]]; its
-    coded bit is column n_info + r.
+    coded bit is column n_info + r. A matrix built from a NeighborGraph
+    holds the graph and its rows `graph_rows` (ascending), whose column
+    index gives each bit's rows; any other matrix indexes its own edges.
     """
 
     n_info: int
     indptr: np.ndarray
     indices: np.ndarray
+    graph: NeighborGraph | None = None
+    graph_rows: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -79,10 +83,10 @@ class SparseParityMatrix:
         return len(self.indices) + self.n_rows
 
 
-def build_h(rows: tuple[np.ndarray, np.ndarray], params: SolitonParams) -> SparseParityMatrix:
-    """One check row per CSR neighbor row (indptr, indices), in the order given."""
-    indptr, indices = rows
-    return SparseParityMatrix(n_info=params.k, indptr=indptr, indices=indices)
+def build_h(graph: NeighborGraph, keep: np.ndarray) -> SparseParityMatrix:
+    """One check row per graph row where the boolean mask `keep` is set, ascending."""
+    indptr, indices = graph.take(keep)
+    return SparseParityMatrix(graph.k, indptr, indices, graph, np.flatnonzero(keep))
 
 
 class BpResult:
@@ -213,13 +217,17 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, n
     """The rows, ascending, that peeling reaches from the coded bits marked
     in `live_coded`, and the round in which each joins (0 for the rows with
     at most one unreached edge at the start); each column's edges are
-    visited once."""
+    visited once, found through the graph's column index when h has one."""
     weights = np.diff(h.indptr)
     # per row, its edges whose column is not reached yet
     missing = weights + ~live_coded
-    by_col = np.argsort(h.indices, kind="stable")
-    col_rows = np.repeat(np.arange(h.n_rows), weights)[by_col]
-    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(h.indices, minlength=h.n_info))])
+    if h.graph is None:
+        col_ptr, col_rows = _column_index(h.indptr, h.indices, h.n_info)
+        row_of = np.arange(h.n_rows)
+    else:  # the graph's rows map to h's, or to -1 where h lacks them
+        col_ptr, col_rows = h.graph.columns
+        row_of = np.full(h.graph.n_rows, -1)
+        row_of[h.graph_rows] = np.arange(h.n_rows)
     col_reached = np.zeros(h.n_info, dtype=bool)
     joined = np.full(h.n_rows, -1)
     new_rows = np.flatnonzero(missing <= 1)
@@ -230,8 +238,8 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, n
         cols = h.indices[_ranges(h.indptr[new_rows], weights[new_rows])]
         cols = _distinct(cols[~col_reached[cols]])
         col_reached[cols] = True
-        hit = col_rows[_ranges(col_ptr[cols], col_ptr[cols + 1] - col_ptr[cols])]
-        rows, n_hit = np.unique(hit, return_counts=True)
+        hit = row_of[col_rows[_ranges(col_ptr[cols], col_ptr[cols + 1] - col_ptr[cols])]]
+        rows, n_hit = np.unique(hit[hit >= 0], return_counts=True)
         missing[rows] -= n_hit
         new_rows = rows[(missing[rows] <= 1) & (joined[rows] < 0)]
     reached = np.flatnonzero(joined >= 0)

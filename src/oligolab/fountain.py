@@ -6,12 +6,15 @@ splitmix64 stream, so encoder and decoder reconstruct identical neighbor
 sets from the seed value alone. A batch of seeds expands in one vectorized
 pass into CSR rows (indptr, indices). The expansion generator is frozen:
 changing it invalidates every pool encoded with it (golden vectors pinned in
-tests).
+tests). A decoder takes its rows from the seed table's NeighborGraph, which
+expands the table once for every decode that holds it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -285,3 +288,83 @@ def lt_encode(
         lo, hi = indptr[a], indptr[b]
         coded[a:b] = np.bitwise_xor.reduceat(words[indices[lo:hi]], indptr[a:b] - lo, axis=0)
     return np.unpackbits(coded.view(np.uint8), axis=1)
+
+
+class NeighborGraph:
+    """A seed table's neighbor rows under one code, expanded once.
+
+    Row r is the CSR row (indptr, indices) of seeds[r], the table's seeds
+    in ascending order, which is the order of `ClusterTable.seeds`.
+    `columns` indexes the rows by information bit; it is built when first
+    read, so a decode that runs no BP never holds it. The arrays are
+    read-only, because every decode of the table shares them.
+    """
+
+    def __init__(self, seed_table: SeedSchedule, params: SolitonParams):
+        self.k = params.k
+        self.seeds = np.sort(np.array(seed_table.seeds, dtype=np.int64))
+        self.indptr, self.indices = seed_expand(self.seeds, params)
+        for array in (self.seeds, self.indptr, self.indices):
+            array.flags.writeable = False
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.seeds)
+
+    def rows_of(self, seeds: np.ndarray) -> np.ndarray:
+        """The boolean mask of the rows of `seeds`, distinct and ascending;
+        a seed the table lacks raises ValueError."""
+        at = np.searchsorted(self.seeds, seeds)
+        missing = at == self.n_rows
+        missing[~missing] = self.seeds[at[~missing]] != seeds[~missing]
+        if missing.any():
+            raise ValueError(f"seed {int(seeds[missing][0])} is not in the seed table")
+        keep = np.zeros(self.n_rows, dtype=bool)
+        keep[at] = True
+        return keep
+
+    def take(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR rows where the boolean mask `keep` is set, ascending."""
+        lengths = np.diff(self.indptr)
+        return (
+            np.concatenate([[0], np.cumsum(lengths[keep])]),
+            self.indices[np.repeat(keep, lengths)],
+        )
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows by information bit, as `_column_index` gives them."""
+        col_ptr, col_rows = _column_index(self.indptr, self.indices, self.k)
+        col_ptr.flags.writeable = col_rows.flags.writeable = False
+        return col_ptr, col_rows
+
+
+def _column_index(
+    indptr: np.ndarray, indices: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(col_ptr, col_rows) of CSR rows over k bits: bit i lies in the rows
+    col_rows[col_ptr[i]:col_ptr[i + 1]], ascending."""
+    by_col = np.argsort(indices, kind="stable")
+    col_rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[by_col]
+    return np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=k))]), col_rows
+
+
+# the graphs that some caller holds, by (seed table, code)
+_GRAPHS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def neighbor_graph(seed_table: SeedSchedule, params: SolitonParams) -> NeighborGraph:
+    """The table's graph under the code: the one a caller still holds, or a
+    new expansion.
+
+    A graph lives only while some caller holds it. `experiment_sweep` holds
+    its codes' graphs for the whole sweep, so that its decodes share one
+    expansion. The hard decode lets go of its graph before the erasure
+    solve, whose memory peak the graph would otherwise raise by a second
+    copy of the rows.
+    """
+    key = (seed_table, params)
+    graph = _GRAPHS.get(key)
+    if graph is None:
+        graph = _GRAPHS[key] = NeighborGraph(seed_table, params)
+    return graph

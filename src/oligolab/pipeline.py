@@ -135,15 +135,6 @@ def _edge_groups(indptr: np.ndarray, var: np.ndarray, k: int) -> list[np.ndarray
     return groups
 
 
-def _keep_rows(
-    rows: tuple[np.ndarray, np.ndarray], keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR rows where the boolean mask `keep` is set."""
-    indptr, indices = rows
-    lengths = np.diff(indptr)
-    return np.concatenate([[0], np.cumsum(lengths[keep])]), indices[np.repeat(keep, lengths)]
-
-
 def lt_erasure_solve(
     rows: tuple[np.ndarray, np.ndarray],
     coded_bits: np.ndarray,
@@ -189,7 +180,7 @@ def lt_erasure_solve(
     unknowns = row_len.copy()
     id_xor = _xor_runs(row_var, row_len)
     eliminated = np.zeros(k, dtype=bool)
-    is_pivot = np.zeros(n_rows, dtype=bool)
+    is_pivot, is_touched = np.zeros(n_rows, dtype=bool), np.zeros(n_rows, dtype=bool)
     levels = []  # variables, then pivot rows, their neighbors and run starts
     n_symbols = 0
     ripple = np.flatnonzero(unknowns == 1)
@@ -211,12 +202,11 @@ def lt_erasure_solve(
         eliminated[v] = True
         n = degree[v]
         touched = var_row[_ranges(var_ptr[v], n)]
-        order = np.argsort(touched)
-        touched = touched[order]
-        starts = np.flatnonzero(np.diff(touched, prepend=-1))
-        ripple = touched[starts]
-        unknowns[ripple] -= np.diff(np.append(starts, len(touched)))
-        id_xor[ripple] ^= np.bitwise_xor.reduceat(np.repeat(v, n)[order], starts)
+        np.subtract.at(unknowns, touched, 1)
+        np.bitwise_xor.at(id_xor, touched, np.repeat(v, n))
+        is_touched[touched] = True
+        ripple = np.flatnonzero(is_touched)
+        is_touched[ripple] = False
 
     n_words = -(-planes // 64)
     width = n_words + -(-n_symbols // 64)
@@ -298,6 +288,11 @@ def _rs_check(codes: np.ndarray, coded: np.ndarray) -> tuple[np.ndarray, np.ndar
     return detected, seed_corrected
 
 
+# the last two systems _solve_tail solved: (solver, (k, coded bits' shape),
+# indptr, indices, packed coded bits, result)
+_SOLVED: list[tuple] = []
+
+
 def _solve_tail(
     report: DecodeReport,
     rows: tuple[np.ndarray, np.ndarray],
@@ -305,8 +300,38 @@ def _solve_tail(
     k: int,
     expected_payload: np.ndarray | None,
 ) -> None:
-    """Erasure-solve the accepted rows and record the outcome in the report."""
-    info, resolved, consistent = lt_erasure_solve(rows, coded_bits, k)
+    """Erasure-solve the accepted rows and record the outcome in the report.
+
+    The solve's result depends only on the system, so a system equal in
+    content to one of the last two solved is not solved again: the decoders
+    of a sweep trial often accept the same rows and bits. A result counts
+    only for the solver that gave it (a replaced `lt_erasure_solve` solves
+    afresh). The memo keeps a compact copy of each system, its coded bits
+    packed as the solve packs them and its neighbor indices in the
+    narrowest type that holds 0..k-1, and its result read-only, because
+    every report that reads the result shares it.
+    """
+    solve = lt_erasure_solve
+    indptr, indices = rows
+    bits = np.asarray(coded_bits, dtype=np.uint8)
+    shape = (k, bits.shape)
+    for solver, held_shape, held_ptr, held_indices, held_bits, result in _SOLVED:
+        if (
+            solver is solve
+            and held_shape == shape
+            and np.array_equal(held_ptr, indptr)
+            and np.array_equal(held_indices, indices)
+            and np.array_equal(held_bits, np.packbits(bits, axis=-1))
+        ):
+            break
+    else:
+        result = solve(rows, coded_bits, k)  # raises on indices outside 0..k-1
+        for array in result:
+            array.flags.writeable = False
+        narrow = np.min_scalar_type(k)  # holds 0..k-1, which the solve has checked
+        held = np.array(indptr), np.array(indices, narrow), np.packbits(bits, axis=-1)
+        _SOLVED[:] = [(solve, shape, *held, result), *_SOLVED[:1]]
+    info, resolved, consistent = result
     if not resolved.all():
         report.reason = f"unresolved_info_bits: {int((~resolved).sum())}"
     elif not consistent.all():
@@ -329,7 +354,12 @@ def iterative_soft_decode(
     params: PipelineParams,
     expected_payload: np.ndarray | None = None,
 ) -> DecodeReport:
-    """BP-decode, RS-check, drop bad clusters, repeat (at most n_re redecodes)."""
+    """BP-decode, RS-check, drop bad clusters, repeat (at most n_re redecodes).
+
+    The rows come from `seed_table`'s NeighborGraph, and a redecode masks
+    the dropped clusters' rows out of it. A cluster seed that the table
+    lacks raises ValueError, unless the decode refuses first for too few
+    clusters."""
     t_start = time.perf_counter()
     report = DecodeReport(
         success=False, reason="", iterations_performed=0, active_clusters=len(clusters)
@@ -342,9 +372,11 @@ def iterative_soft_decode(
         return report
     max_redecodes = params.n_re if params.redecoding_enabled else 0
 
-    # per-cluster state in ascending seed order; `active` indexes its rows
+    # per-cluster state in ascending seed order; `active` indexes its rows,
+    # and `keep` marks the graph rows of the active clusters' seeds
     seeds = clusters.seeds
-    rows = fountain.seed_expand(seeds, params.soliton)  # the active clusters' rows
+    graph = fountain.neighbor_graph(seed_table, params.soliton)
+    keep = graph.rows_of(seeds)
     if params.llr_mode == "chandak":
         soft = llr_chandak(clusters, params.crossover_p)
     else:
@@ -360,7 +392,7 @@ def iterative_soft_decode(
                 f"insufficient_clusters: {len(active)} active < {k_required} required"
             )
             break
-        h = build_h(rows, params.soliton)
+        h = build_h(graph, keep)
         t_bp = time.perf_counter()
         bp = bp_decode(
             h,
@@ -382,7 +414,7 @@ def iterative_soft_decode(
         removed = detected | seed_corrected
 
         if not removed.any():
-            _solve_tail(report, rows, coded, params.soliton.k, expected_payload)
+            _solve_tail(report, (h.indptr, h.indices), coded, params.soliton.k, expected_payload)
             break
 
         report.clusters_discarded_per_round.append(int(removed.sum()))
@@ -397,8 +429,8 @@ def iterative_soft_decode(
                 else f"redecode_limit_reached: {max_redecodes}"
             )
             break
+        keep[h.graph_rows[removed]] = False
         active = active[~removed]
-        rows = _keep_rows(rows, ~removed)
         round_idx += 1
 
     report.active_clusters = len(active)
@@ -415,7 +447,10 @@ def hard_decode_baseline(
     """Majority vote -> RS decode -> discard failures -> LT erasure recovery.
 
     Only the votes are read after the vote: if the caller handed over its
-    only reference to `clusters`, the reads are freed before the RS check."""
+    only reference to `clusters`, the reads are freed before the RS check.
+    The rows come from `seed_table`'s NeighborGraph, which a caller may
+    hold for other decodes; this decode lets go of it before the solve. A
+    cluster seed that the table lacks raises ValueError."""
     t_start = time.perf_counter()
     seeds, votes = clusters.seeds, majority_vote(clusters)  # (n, 152) base indices, in seed order
     del clusters
@@ -424,9 +459,13 @@ def hard_decode_baseline(
     keep = ~_rs_check(votes, coded)[0]  # seed-corrected words are kept
     report.clusters_discarded_per_round = [int((~keep).sum())]
     report.active_clusters = int(keep.sum())
+    coded = coded[keep]  # the discarded words' bits are not held through the solve
+    graph = fountain.neighbor_graph(seed_table, params.soliton)
+    kept_rows = graph.rows_of(seeds)
+    kept_rows[kept_rows] = keep
+    rows = graph.take(kept_rows)
+    del graph
     if keep.any():
-        rows = fountain.seed_expand(seeds[keep], params.soliton)
-        coded = coded[keep]  # the discarded words' bits are not held through the solve
         _solve_tail(report, rows, coded, params.soliton.k, expected_payload)
     else:
         report.reason = "no_surviving_clusters"
@@ -558,6 +597,8 @@ def experiment_sweep(
             drawn[draw(pi, t)] = True
     screened = screen_reads([reads[i] for i in np.flatnonzero(drawn)], seed_table)
     position = np.cumsum(drawn) - 1
+    # held for the whole sweep, so that every decode takes its rows from one expansion
+    graphs = [fountain.neighbor_graph(seed_table, p.soliton) for p in variants.values()]
 
     for pi in range(len(points)):
         for t in range(trials):
@@ -582,6 +623,7 @@ def experiment_sweep(
                     successes[name][pi] += 1
                 rounds_acc[name][pi] += rep.iterations_performed / trials
                 removed_acc[name][pi] += sum(rep.clusters_discarded_per_round) / trials
+    del graphs
 
     return SweepReport(
         sampling_points=points,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bp_reference import bp_decode as reference_bp_decode
 from oligolab import bp_decoder
 from oligolab.bp_decoder import SparseParityMatrix, bp_decode, build_h
-from oligolab.fountain import SeedSchedule, SolitonParams, seed_expand
+from oligolab.fountain import NeighborGraph, SeedSchedule, SolitonParams, seed_expand
 
 
 def make_h(n_info, rows):
@@ -21,7 +21,13 @@ def make_h(n_info, rows):
 
 
 def expanded_h(seeds, params):
-    return build_h(seed_expand(seeds, params), params)
+    return SparseParityMatrix(params.k, *seed_expand(seeds, params))
+
+
+def graph_h(seeds, params, drop=()):
+    """build_h over the graph of `seeds`, the rows of the seeds in `drop` masked."""
+    graph = NeighborGraph(SeedSchedule(tuple(seeds)), params)
+    return build_h(graph, graph.rows_of(np.setdiff1d(seeds, drop)))
 
 
 def row_list(h):
@@ -85,7 +91,7 @@ def brute_force_posteriors(rows, k, coded_llrs):
 def test_build_h_row_weights():
     params = SolitonParams(k=100, c=0.025, delta=0.001)
     seeds = list(range(40))
-    h = expanded_h(seeds, params)
+    h = graph_h(seeds, params)
     for r, seed in enumerate(seeds):
         indptr, _ = seed_expand([seed], params)
         assert h.indptr[r + 1] - h.indptr[r] == indptr[1]
@@ -94,8 +100,8 @@ def test_build_h_row_weights():
 
 def test_build_h_removing_seed_drops_one_row():
     params = SolitonParams(k=50, c=0.05, delta=0.05)
-    h_all = expanded_h(list(range(30)), params)
-    h_less = expanded_h([s for s in range(30) if s != 7], params)
+    h_all = graph_h(list(range(30)), params)
+    h_less = graph_h(list(range(30)), params, drop=[7])
     assert h_less.n_rows == h_all.n_rows - 1
     assert h_less.n_cols == h_all.n_cols - 1
     rows_all, rows_less = row_list(h_all), row_list(h_less)
@@ -323,6 +329,32 @@ def test_bp_matches_reference_kernel_on_bp_active_graph():
         kwargs = dict(max_iter=40, early_stop_on_syndrome=early_stop)
         out = bp_decode(h, llrs, **kwargs)
         assert_bit_identical(out, reference_bp_decode(h, llrs, **kwargs))
+
+
+@pytest.mark.parametrize("c, n_seeds, planes", [(0.01, 1122, 256), (0.03, 1400, 16)],
+                         ids=["desk", "bp-active"])
+def test_bp_on_graph_rows_matches_reference_kernel(c, n_seeds, planes):
+    """BP over redecode-style masked rows of a seed table's graph, whose reach
+    reads each column's rows from the graph's index, is bit-identical to
+    the reference kernel, and reaches the rows that the same rows reach
+    as a plain matrix."""
+    params = SolitonParams(k=1000, c=c, delta=0.001)
+    graph = NeighborGraph(SeedSchedule.first_n(n_seeds), params)
+    rng = np.random.default_rng(72)
+    h = build_h(graph, rng.random(graph.n_rows) < 0.95)
+    assert h.graph is graph and h.n_rows < graph.n_rows
+    info = rng.integers(0, 2, size=(params.k, planes))
+    coded = np.stack([info[nb].sum(axis=0) % 2 for nb in row_list(h)])
+    llrs = (1 - 2 * coded) * rng.uniform(2.0, 40.0, size=coded.shape)
+    llrs[rng.random(llrs.shape) < 0.01] *= -1
+    llrs[rng.random(llrs.shape) < 0.005] = 0.0
+    live = (llrs != 0.0).any(axis=1)
+    plain = SparseParityMatrix(h.n_info, h.indptr, h.indices)
+    reach = bp_decoder._reach(h, live)
+    assert len(reach[0]) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(reach, bp_decoder._reach(plain, live)))
+    kwargs = dict(max_iter=40)
+    assert_bit_identical(bp_decode(h, llrs, **kwargs), reference_bp_decode(h, llrs, **kwargs))
 
 
 def reach_graph():

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expand_reference import seed_expand as reference_expand
+from oligolab import fountain
 from oligolab.fountain import (
     DegreeDistribution,
+    NeighborGraph,
     SeedSchedule,
     SolitonParams,
     lt_encode,
     required_symbols,
+    neighbor_graph,
     robust_soliton,
     seed_expand,
 )
@@ -304,3 +307,70 @@ def test_lt_encode_matches_reference_xor(params, seeds, source_seed):
     for row, seed in enumerate(seeds):
         expected = np.bitwise_xor.reduce(source[reference_expand(seed, params, dist)], axis=0)
         assert np.array_equal(coded[row], expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    k=st.integers(1, 400),
+    c=st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+    table_seed=st.integers(0, 2**32 - 1),
+    n_table=st.integers(0, 60),
+    share=st.floats(0.0, 1.0),
+    masks=st.lists(st.floats(0.0, 1.0), max_size=3),
+)
+def test_graph_rows_are_the_expanded_rows(k, c, table_seed, n_table, share, masks):
+    """A random subset of a random table, gathered from the table's graph,
+    is seed_expand's rows and the reference's, also after redecode-style
+    masks; the column index lists each bit's rows, ascending."""
+    try:
+        params = SolitonParams(k=k, c=c, delta=0.05)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(table_seed)
+    table = rng.choice(2**32, size=n_table, replace=False)
+    graph = NeighborGraph(SeedSchedule(tuple(table.tolist())), params)
+    subset = np.sort(table[rng.random(n_table) < share])
+    keep = graph.rows_of(subset)
+    dist = robust_soliton(params)
+    for drop in [0.0, *masks]:  # each mask drops a share of the rows still kept
+        keep[np.flatnonzero(keep)[rng.random(keep.sum()) < drop]] = False
+        subset = graph.seeds[keep]
+        indptr, indices = graph.take(keep)
+        expected = seed_expand(subset, params)
+        assert np.array_equal(indptr, expected[0]) and np.array_equal(indices, expected[1])
+        for r, seed in enumerate(subset.tolist()):
+            row = indices[indptr[r] : indptr[r + 1]]
+            assert np.array_equal(row, reference_expand(seed, params, dist))
+    col_ptr, col_rows = graph.columns
+    rows = np.split(graph.indices, graph.indptr[1:-1]) if n_table else []
+    for bit in range(k):
+        holding = [r for r, row in enumerate(rows) if bit in row]
+        assert col_rows[col_ptr[bit] : col_ptr[bit + 1]].tolist() == holding
+
+
+def test_graph_names_a_seed_the_table_lacks():
+    graph = NeighborGraph(SeedSchedule((5, 9, 2)), SMALL)
+    assert graph.seeds.tolist() == [2, 5, 9]
+    assert graph.rows_of(np.array([2, 9])).tolist() == [True, False, True]
+    for seeds in ([2, 7], [10], [1]):
+        with pytest.raises(ValueError, match=f"seed {seeds[-1]} is not in the seed table"):
+            graph.rows_of(np.array(seeds))
+    with pytest.raises(ValueError, match="seed 3 "):
+        NeighborGraph(SeedSchedule(()), SMALL).rows_of(np.array([3]))
+
+
+def test_graph_is_expanded_once_while_held(monkeypatch):
+    """Equal tables share the graph a caller holds; one nobody holds is
+    expanded again. The shared arrays are read-only."""
+    calls = []
+    real = fountain.seed_expand
+    monkeypatch.setattr(fountain, "seed_expand", lambda *a: calls.append(1) or real(*a))
+    graph = neighbor_graph(SeedSchedule.first_n(50), SMALL)
+    assert neighbor_graph(SeedSchedule.first_n(50), SMALL) is graph
+    assert neighbor_graph(SeedSchedule.first_n(50), PAPER) is not graph
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        graph.indices[0] = 1
+    del graph
+    neighbor_graph(SeedSchedule.first_n(50), SMALL)
+    assert len(calls) == 3

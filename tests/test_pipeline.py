@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligolab import bp_decoder, gf_rs, pipeline
+from oligolab import bp_decoder, fountain, gf_rs, pipeline
 from oligolab.channel_sim import ChannelConfig, corrupt_batch
 from oligolab.channel_stats import PoolIndex, TransitionTable, estimate_transitions
 from oligolab.clustering_llr import cluster_by_seed, screen_reads
@@ -19,6 +19,7 @@ from oligolab.dna_codec import (
 )
 from oligolab.fastq_io import ReadRecord
 from oligolab.fountain import (
+    NeighborGraph,
     SeedSchedule,
     SolitonParams,
     lt_encode,
@@ -694,8 +695,147 @@ def test_soft_decode_never_builds_the_dense_posterior(noisy_world, monkeypatch):
     assert bp_calls and not built
     # reading a field derived from the posterior builds it
     soft = pipeline.llr_proposed(clusters, table).payload_llrs
-    out = real_bp(pipeline.build_h(seed_expand(clusters.seeds, DESK), DESK), soft)
+    graph = NeighborGraph(sched, DESK)
+    out = real_bp(pipeline.build_h(graph, graph.rows_of(clusters.seeds)), soft)
     assert out.undetermined.shape == (256,) and built
+
+
+# the decoders of a sweep trial, in `oligolab experiment`'s run order
+TRIAL = [
+    PipelineParams(soliton=DESK),
+    PipelineParams(soliton=DESK, llr_mode="chandak", crossover_p=1.5e-3),
+    PipelineParams(soliton=DESK, decoder="hard"),
+]
+
+
+def decode(clusters, sched, table, params, source):
+    if params.decoder == "hard":
+        return hard_decode_baseline(clusters, sched, params, source)
+    return iterative_soft_decode(clusters, sched, table, params, source)
+
+
+def forget_solves():
+    """Two unrelated solves, which leave no earlier system in the solve memo."""
+    for bit in (0, 1):
+        report = DecodeReport(success=False, reason="", iterations_performed=1)
+        pipeline._solve_tail(report, csr([np.array([0])]), np.array([[bit]], dtype=np.uint8), 1, None)
+
+
+def solve_spy(monkeypatch):
+    """Replace pipeline.lt_erasure_solve with a spy that lists the k of each call."""
+    calls, real = [], pipeline.lt_erasure_solve
+
+    def spy(rows, coded_bits, k):
+        calls.append(k)
+        return real(rows, coded_bits, k)
+
+    monkeypatch.setattr(pipeline, "lt_erasure_solve", spy)
+    return calls
+
+
+def test_trial_solves_each_distinct_system_once(noisy_world, monkeypatch):
+    """The decoders of a trial solve each distinct system they accept once,
+    and each report equals the one its decoder gives after unrelated solves,
+    when the memo cannot serve it."""
+    sched, source, seqs, reads, table = noisy_world
+    solves = solve_spy(monkeypatch)
+    systems, real_tail = [], pipeline._solve_tail
+
+    def tail(report, rows, coded_bits, k, expected_payload):
+        systems.append(b"".join(np.asarray(a, np.int64).tobytes() for a in (*rows, coded_bits)))
+        real_tail(report, rows, coded_bits, k, expected_payload)
+
+    monkeypatch.setattr(pipeline, "_solve_tail", tail)
+    distinct_per_trial = []
+    for t in range(4):  # 300-read subsets: the decoders end at one to three systems
+        rng = np.random.default_rng([300, t])
+        clusters, _ = cluster_by_seed([reads[i] for i in rng.choice(len(reads), 300, False)], sched)
+        forget_solves()
+        systems.clear(), solves.clear()
+        reports = [decode(clusters, sched, table, params, source) for params in TRIAL]
+        assert len(systems) == len(TRIAL)
+        assert len(solves) == len(set(systems))
+        distinct_per_trial.append(len(set(systems)))
+        for params, report in zip(TRIAL, reports):
+            forget_solves()
+            solves.clear()
+            again = decode(clusters, sched, table, params, source)
+            assert solves == [DESK.k]
+            assert again.to_dict(omit_timing=True) == report.to_dict(omit_timing=True)
+            assert np.array_equal(again.recovered_payload, report.recovered_payload)
+    # some trials share a system between decoders, and some hold several
+    assert min(distinct_per_trial) < len(TRIAL) and max(distinct_per_trial) > 1
+
+
+def test_solve_memo_tells_systems_apart(monkeypatch):
+    """A system equal in content is served, read-only; one coded bit or one
+    row apart is solved again."""
+    solves = solve_spy(monkeypatch)
+    rng = np.random.default_rng(12)
+    k = 25
+    rows = [np.array([i]) for i in range(k)] + [
+        np.sort(rng.choice(k, size=3, replace=False)) for _ in range(15)
+    ]
+    info = rng.integers(0, 2, size=(k, 3), dtype=np.uint8)
+    coded = np.array([np.bitwise_xor.reduce(info[r], axis=0) for r in rows])
+
+    def solve(rows, coded):
+        report = DecodeReport(success=False, reason="", iterations_performed=1)
+        pipeline._solve_tail(report, csr(rows), coded, k, None)
+        return report
+
+    first = solve(rows, coded)
+    assert first.success and np.array_equal(first.recovered_payload, info)
+    again = solve([r.copy() for r in rows], coded.copy())
+    assert len(solves) == 1 and again.recovered_payload is first.recovered_payload
+    with pytest.raises(ValueError):
+        again.recovered_payload[0, 0] ^= 1
+    flipped = coded.copy()
+    flipped[30, 1] ^= 1
+    assert not solve(rows, flipped).success and len(solves) == 2
+    moved = rows[:30] + [np.array([0, 1, 2])] + rows[31:]
+    solve(moved, coded)
+    assert len(solves) == 3
+    solve(moved, coded)
+    solve(rows, flipped)
+    assert len(solves) == 3
+
+
+@pytest.mark.parametrize("decoder", ["soft", "hard"])
+def test_decoders_check_their_seed_table(encoded_world, decoder):
+    sched, source, coded, seqs = encoded_world
+    clusters, _ = cluster_by_seed(clean_reads(seqs), sched)
+    missing = sched.seeds[17]
+    short = SeedSchedule(tuple(s for s in sched.seeds if s != missing))
+    params = PipelineParams(soliton=DESK, decoder=decoder)
+    with pytest.raises(ValueError, match=f"seed {missing} is not in the seed table"):
+        decode(clusters, short, TransitionTable.uniform(), params, source)
+
+
+def test_sweep_expands_its_table_once(noisy_world, monkeypatch):
+    """A sweep's decodes share one graph; a hard decode holds none in its
+    solve and builds no column index."""
+    sched, source, seqs, reads, table = noisy_world
+    expansions, real = [], fountain.seed_expand
+    monkeypatch.setattr(fountain, "seed_expand", lambda *a: expansions.append(1) or real(*a))
+    variants = dict(zip(["proposed", "chandak", "hard"], TRIAL))
+    rep = experiment_sweep(reads, sched, table, [300, 480], 2, variants, rng_seed=4,
+                           expected_payload=source)
+    assert len(expansions) == 1 and sum(rep.successes["hard"]) > 0
+
+    graphs, real_solve = [], pipeline.lt_erasure_solve
+
+    def spy(rows, coded_bits, k):
+        graphs.append(len(fountain._GRAPHS))
+        return real_solve(rows, coded_bits, k)
+
+    monkeypatch.setattr(pipeline, "lt_erasure_solve", spy)
+    clusters, _ = cluster_by_seed(reads, sched)
+    assert hard_decode_baseline(clusters, sched, TRIAL[2], source).success
+    held = fountain.neighbor_graph(sched, DESK)
+    forget_solves()  # so that the second decode solves again
+    assert hard_decode_baseline(clusters, sched, TRIAL[2], source).success
+    assert graphs[0] == 0 and graphs[-1] == 1 and "columns" not in vars(held)
 
 
 def test_sweep_rejects_oversized_point(noisy_world):

@@ -49,30 +49,32 @@ from typing import Callable
 
 import numpy as np
 
-from .fountain import NeighborGraph, _column_index
+from .fountain import NeighborGraph
 
 LLR_MAX = 30.0
 
 
 @dataclass
 class SparseParityMatrix:
-    """Check rows over the information bits, as CSR rows (indptr, indices).
+    """Check rows over the information bits: the rows `graph_rows`
+    (distinct, ascending) of a NeighborGraph.
 
-    Row r's information bits are indices[indptr[r]:indptr[r + 1]]; its
-    coded bit is column n_info + r. A matrix built from a NeighborGraph
-    holds the graph and its rows `graph_rows` (ascending), whose column
-    index gives each bit's rows; any other matrix indexes its own edges.
+    Row r is graph row graph_rows[r]: its information bits are that row's
+    neighbors, and its coded bit is column n_info + r. BP reads the rows
+    in the graph; `indptr` and `indices` gather them as CSR rows when
+    first read.
     """
 
-    n_info: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    graph: NeighborGraph | None = None
-    graph_rows: np.ndarray | None = None
+    graph: NeighborGraph
+    graph_rows: np.ndarray
+
+    @property
+    def n_info(self) -> int:
+        return self.graph.k
 
     @property
     def n_rows(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.graph_rows)
 
     @property
     def n_cols(self) -> int:
@@ -80,13 +82,32 @@ class SparseParityMatrix:
 
     @property
     def total_weight(self) -> int:
-        return len(self.indices) + self.n_rows
+        return int(self.weights.sum()) + self.n_rows
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Each row's number of information bits."""
+        return np.diff(self.graph.indptr)[self.graph_rows]
+
+    def neighbors(self, rows: np.ndarray) -> np.ndarray:
+        """The information bits of `rows`, concatenated in their order."""
+        starts = self.graph.indptr[self.graph_rows[rows]]
+        return self.graph.indices[_ranges(starts, self.weights[rows])]
+
+    @functools.cached_property
+    def indptr(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.weights)])
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        keep = np.zeros(self.graph.n_rows, dtype=bool)
+        keep[self.graph_rows] = True
+        return self.graph.take(keep)[1]
 
 
 def build_h(graph: NeighborGraph, keep: np.ndarray) -> SparseParityMatrix:
     """One check row per graph row where the boolean mask `keep` is set, ascending."""
-    indptr, indices = graph.take(keep)
-    return SparseParityMatrix(graph.k, indptr, indices, graph, np.flatnonzero(keep))
+    return SparseParityMatrix(graph, np.flatnonzero(keep))
 
 
 class BpResult:
@@ -145,16 +166,18 @@ class _Graph:
     and its coded bit last, so a weight class is a reshaped view.
     """
 
-    def __init__(self, h: SparseParityMatrix):
+    def __init__(self, n_info: int, indptr: np.ndarray, indices: np.ndarray):
         # every row's columns in H's edge order: its neighbors, then its coded bit
-        weights = np.diff(h.indptr) + 1
-        row_first = h.indptr[:-1] + np.arange(h.n_rows)
+        n_rows = len(indptr) - 1
+        n_cols, total_weight = n_info + n_rows, len(indices) + n_rows
+        weights = np.diff(indptr) + 1
+        row_first = indptr[:-1] + np.arange(n_rows)
         coded_at = row_first + weights - 1
-        is_info = np.ones(h.total_weight, dtype=bool)
+        is_info = np.ones(total_weight, dtype=bool)
         is_info[coded_at] = False
-        row_cols = np.empty(h.total_weight, dtype=np.int64)
-        row_cols[is_info] = h.indices
-        row_cols[coded_at] = h.n_info + np.arange(h.n_rows)
+        row_cols = np.empty(total_weight, dtype=np.int64)
+        row_cols[is_info] = indices
+        row_cols[coded_at] = n_info + np.arange(n_rows)
         self.groups = []  # (the rows of weight w, w)
         order = []  # the H-order index of each stored edge
         for w in np.unique(weights):
@@ -164,7 +187,7 @@ class _Graph:
         order = np.concatenate(order)
         self.n_edges = len(order)
         self.edge_col = row_cols[order]
-        self.edge_row = np.repeat(np.arange(h.n_rows), weights)[order]
+        self.edge_row = np.repeat(np.arange(n_rows), weights)[order]
         self.row_starts = np.flatnonzero(np.diff(self.edge_row, prepend=-1))
         # scipy is imported here, not with the module, so that commands that
         # run no BP (encode, simulate, stats, the hard decode) never load it
@@ -176,9 +199,9 @@ class _Graph:
             (
                 np.ones(self.n_edges),
                 np.lexsort((order, self.edge_col)),
-                np.concatenate([[0], np.cumsum(np.bincount(self.edge_col, minlength=h.n_cols))]),
+                np.concatenate([[0], np.cumsum(np.bincount(self.edge_col, minlength=n_cols))]),
             ),
-            shape=(h.n_cols, self.n_edges),
+            shape=(n_cols, self.n_edges),
         )
 
     def solved(self, posterior: np.ndarray) -> np.ndarray:
@@ -217,17 +240,12 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, n
     """The rows, ascending, that peeling reaches from the coded bits marked
     in `live_coded`, and the round in which each joins (0 for the rows with
     at most one unreached edge at the start); each column's edges are
-    visited once, found through the graph's column index when h has one."""
-    weights = np.diff(h.indptr)
+    visited once, found through the graph's column index."""
     # per row, its edges whose column is not reached yet
-    missing = weights + ~live_coded
-    if h.graph is None:
-        col_ptr, col_rows = _column_index(h.indptr, h.indices, h.n_info)
-        row_of = np.arange(h.n_rows)
-    else:  # the graph's rows map to h's, or to -1 where h lacks them
-        col_ptr, col_rows = h.graph.columns
-        row_of = np.full(h.graph.n_rows, -1)
-        row_of[h.graph_rows] = np.arange(h.n_rows)
+    missing = h.weights + ~live_coded
+    col_ptr, col_rows = h.graph.columns
+    row_of = np.full(h.graph.n_rows, -1)  # h's row of each graph row, -1 where h lacks it
+    row_of[h.graph_rows] = np.arange(h.n_rows)
     col_reached = np.zeros(h.n_info, dtype=bool)
     joined = np.full(h.n_rows, -1)
     new_rows = np.flatnonzero(missing <= 1)
@@ -235,7 +253,7 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, n
     while len(new_rows):
         joined[new_rows] = rnd
         rnd += 1
-        cols = h.indices[_ranges(h.indptr[new_rows], weights[new_rows])]
+        cols = h.neighbors(new_rows)
         cols = _distinct(cols[~col_reached[cols]])
         col_reached[cols] = True
         hit = row_of[col_rows[_ranges(col_ptr[cols], col_ptr[cols + 1] - col_ptr[cols])]]
@@ -247,19 +265,21 @@ def _reach(h: SparseParityMatrix, live_coded: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _flood(
-    h: SparseParityMatrix,
+    n_info: int,
+    rows: tuple[np.ndarray, np.ndarray],
     coded: np.ndarray,
     rounds: np.ndarray,
     max_iter: int,
     llr_clip: float,
     early_stop_on_syndrome: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flooding BP over the rows of h, coded (rows, planes) -> the (cols,
-    planes) posterior and, per plane, iterations and convergence; a row is
-    updated from the iteration after its peel round in `rounds` on."""
+    """Flooding BP over CSR rows (indptr, indices) of n_info information
+    bits, coded (rows, planes) -> the (cols, planes) posterior and, per
+    plane, iterations and convergence; a row is updated from the iteration
+    after its peel round in `rounds` on."""
     n_planes = coded.shape[1]
-    g = _Graph(h)
-    posterior = np.concatenate([np.zeros((h.n_info, n_planes)), coded], axis=0)
+    g = _Graph(n_info, *rows)
+    posterior = np.concatenate([np.zeros((n_info, n_planes)), coded], axis=0)
     # adding a column sum of +0.0 turns a channel -0.0 into +0.0; columns
     # that no updated row reaches copy `ch`, so it is normalized once here
     ch = posterior + 0.0
@@ -409,30 +429,25 @@ def bp_decode(
     converged_out = np.zeros(n_planes, dtype=bool)
     cols = flooded = None
     if len(rows):
-        weights = np.diff(h.indptr)[rows]
-        info_cols, local = np.unique(
-            h.indices[_ranges(h.indptr[rows], weights)], return_inverse=True
-        )
-        reached = SparseParityMatrix(
-            n_info=len(info_cols),
-            indptr=np.concatenate([[0], np.cumsum(weights)]),
-            indices=local,
-        )
+        info_cols, local = np.unique(h.neighbors(rows), return_inverse=True)
+        reached = np.concatenate([[0], np.cumsum(h.weights[rows])]), local
         cols = np.concatenate([info_cols, h.n_info + rows])
         flooded, iters_out, converged_out = _flood(
-            reached, coded[rows], rounds, max_iter, llr_clip, early_stop_on_syndrome and every_row
+            len(info_cols), reached, coded[rows], rounds, max_iter, llr_clip,
+            early_stop_on_syndrome and every_row,
         )
         coded_bits[rows] = flooded[len(info_cols) :] < 0
         converged_out &= every_row
 
-    unreached = np.ones(h.n_rows, dtype=bool)
+    n_info, n_rows = h.n_info, h.n_rows  # the posterior holds no reference to h
+    unreached = np.ones(n_rows, dtype=bool)
     unreached[rows] = False
     unreached = np.flatnonzero(unreached)
     unreached_llrs = coded[unreached]  # a copy, usually of few rows
 
     def dense_posterior() -> np.ndarray:
-        posterior = np.zeros((h.n_info + h.n_rows, n_planes))
-        posterior[h.n_info + unreached] = unreached_llrs
+        posterior = np.zeros((n_info + n_rows, n_planes))
+        posterior[n_info + unreached] = unreached_llrs
         if max_iter > 0:
             # an iteration adds a column sum of +0.0 to an unreached column,
             # which turns a channel -0.0 into +0.0

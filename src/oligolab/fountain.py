@@ -291,21 +291,26 @@ def lt_encode(
 
 
 class NeighborGraph:
-    """A seed table's neighbor rows under one code, expanded once.
+    """Neighbor rows over k information bits, one per seed, shared read-only.
 
-    Row r is the CSR row (indptr, indices) of seeds[r], the table's seeds
-    in ascending order, which is the order of `ClusterTable.seeds`.
-    `columns` indexes the rows by information bit; it is built when first
-    read, so a decode that runs no BP never holds it. The arrays are
-    read-only, because every decode of the table shares them.
+    Row r is the CSR row (indptr, indices) of seeds[r]; the seeds are
+    distinct and ascending, which for a seed table (`expand`) is the order
+    of `ClusterTable.seeds`. `columns` indexes the rows by information
+    bit; it is built when first read, so a decode that runs no BP never
+    holds it. The arrays are made read-only, because every decode of the
+    table shares them.
     """
 
-    def __init__(self, seed_table: SeedSchedule, params: SolitonParams):
-        self.k = params.k
-        self.seeds = np.sort(np.array(seed_table.seeds, dtype=np.int64))
-        self.indptr, self.indices = seed_expand(self.seeds, params)
-        for array in (self.seeds, self.indptr, self.indices):
+    def __init__(self, k: int, seeds: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
+        self.k, self.seeds, self.indptr, self.indices = k, seeds, indptr, indices
+        for array in (seeds, indptr, indices):
             array.flags.writeable = False
+
+    @classmethod
+    def expand(cls, seed_table: SeedSchedule, params: SolitonParams) -> NeighborGraph:
+        """The table's rows under the code, expanded once by `seed_expand`."""
+        seeds = np.sort(np.array(seed_table.seeds, dtype=np.int64))
+        return cls(params.k, seeds, *seed_expand(seeds, params))
 
     @property
     def n_rows(self) -> int:
@@ -333,20 +338,13 @@ class NeighborGraph:
 
     @functools.cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows by information bit, as `_column_index` gives them."""
-        col_ptr, col_rows = _column_index(self.indptr, self.indices, self.k)
+        """(col_ptr, col_rows): bit i lies in the rows
+        col_rows[col_ptr[i]:col_ptr[i + 1]], ascending."""
+        by_col = np.argsort(self.indices, kind="stable")
+        col_rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))[by_col]
+        col_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.indices, minlength=self.k))])
         col_ptr.flags.writeable = col_rows.flags.writeable = False
         return col_ptr, col_rows
-
-
-def _column_index(
-    indptr: np.ndarray, indices: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(col_ptr, col_rows) of CSR rows over k bits: bit i lies in the rows
-    col_rows[col_ptr[i]:col_ptr[i + 1]], ascending."""
-    by_col = np.argsort(indices, kind="stable")
-    col_rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[by_col]
-    return np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=k))]), col_rows
 
 
 # the graphs that some caller holds, by (seed table, code)
@@ -359,12 +357,12 @@ def neighbor_graph(seed_table: SeedSchedule, params: SolitonParams) -> NeighborG
 
     A graph lives only while some caller holds it. `experiment_sweep` holds
     its codes' graphs for the whole sweep, so that its decodes share one
-    expansion. The hard decode lets go of its graph before the erasure
+    expansion. Both decoders let go of their graph before the erasure
     solve, whose memory peak the graph would otherwise raise by a second
     copy of the rows.
     """
     key = (seed_table, params)
     graph = _GRAPHS.get(key)
     if graph is None:
-        graph = _GRAPHS[key] = NeighborGraph(seed_table, params)
+        graph = _GRAPHS[key] = NeighborGraph.expand(seed_table, params)
     return graph

@@ -288,8 +288,8 @@ def _rs_check(codes: np.ndarray, coded: np.ndarray) -> tuple[np.ndarray, np.ndar
     return detected, seed_corrected
 
 
-# the last two systems _solve_tail solved: (solver, (k, coded bits' shape),
-# indptr, indices, packed coded bits, result)
+# the last two systems _solve_tail solved: ((k, coded bits' shape), indptr,
+# indices, packed coded bits, result)
 _SOLVED: list[tuple] = []
 
 
@@ -304,33 +304,32 @@ def _solve_tail(
 
     The solve's result depends only on the system, so a system equal in
     content to one of the last two solved is not solved again: the decoders
-    of a sweep trial often accept the same rows and bits. A result counts
-    only for the solver that gave it (a replaced `lt_erasure_solve` solves
-    afresh). The memo keeps a compact copy of each system, its coded bits
-    packed as the solve packs them and its neighbor indices in the
-    narrowest type that holds 0..k-1, and its result read-only, because
-    every report that reads the result shares it.
+    of a sweep trial often accept the same rows and bits. The memo keeps a
+    compact copy of each system, its coded bits packed as the solve packs
+    them and its neighbor indices in the narrowest type that holds 0..k-1,
+    and its result read-only, because every report that reads the result
+    shares it. It is module state: up to two systems and their results
+    stay held after a decode returns (at paper scale, each result's
+    information bits are k x 256 bytes).
     """
-    solve = lt_erasure_solve
     indptr, indices = rows
     bits = np.asarray(coded_bits, dtype=np.uint8)
     shape = (k, bits.shape)
-    for solver, held_shape, held_ptr, held_indices, held_bits, result in _SOLVED:
+    for held_shape, held_ptr, held_indices, held_bits, result in _SOLVED:
         if (
-            solver is solve
-            and held_shape == shape
+            held_shape == shape
             and np.array_equal(held_ptr, indptr)
             and np.array_equal(held_indices, indices)
             and np.array_equal(held_bits, np.packbits(bits, axis=-1))
         ):
             break
     else:
-        result = solve(rows, coded_bits, k)  # raises on indices outside 0..k-1
+        result = lt_erasure_solve(rows, coded_bits, k)  # raises on indices outside 0..k-1
         for array in result:
             array.flags.writeable = False
         narrow = np.min_scalar_type(k)  # holds 0..k-1, which the solve has checked
         held = np.array(indptr), np.array(indices, narrow), np.packbits(bits, axis=-1)
-        _SOLVED[:] = [(solve, shape, *held, result), *_SOLVED[:1]]
+        _SOLVED[:] = [(shape, *held, result), *_SOLVED[:1]]
     info, resolved, consistent = result
     if not resolved.all():
         report.reason = f"unresolved_info_bits: {int((~resolved).sum())}"
@@ -357,9 +356,10 @@ def iterative_soft_decode(
     """BP-decode, RS-check, drop bad clusters, repeat (at most n_re redecodes).
 
     The rows come from `seed_table`'s NeighborGraph, and a redecode masks
-    the dropped clusters' rows out of it. A cluster seed that the table
-    lacks raises ValueError, unless the decode refuses first for too few
-    clusters."""
+    the dropped clusters' rows out of it; the accepted rows are gathered,
+    and the graph let go of, before the erasure solve. A cluster seed that
+    the table lacks raises ValueError, unless the decode refuses first for
+    too few clusters."""
     t_start = time.perf_counter()
     report = DecodeReport(
         success=False, reason="", iterations_performed=0, active_clusters=len(clusters)
@@ -414,7 +414,9 @@ def iterative_soft_decode(
         removed = detected | seed_corrected
 
         if not removed.any():
-            _solve_tail(report, (h.indptr, h.indices), coded, params.soliton.k, expected_payload)
+            rows = h.indptr, h.indices
+            del h, graph  # outside a sweep, the graph and its column index go before the solve
+            _solve_tail(report, rows, coded, params.soliton.k, expected_payload)
             break
 
         report.clusters_discarded_per_round.append(int(removed.sum()))

@@ -8,25 +8,31 @@ from hypothesis import strategies as st
 
 from bp_reference import bp_decode as reference_bp_decode
 from oligolab import bp_decoder
-from oligolab.bp_decoder import SparseParityMatrix, bp_decode, build_h
+from oligolab.bp_decoder import bp_decode, build_h
 from oligolab.fountain import NeighborGraph, SeedSchedule, SolitonParams, seed_expand
 
 
+def rows_h(n_info, indptr, indices):
+    """build_h over every row of a graph of the CSR rows, in their order."""
+    graph = NeighborGraph(n_info, np.arange(len(indptr) - 1), indptr, indices)
+    return build_h(graph, np.ones(graph.n_rows, dtype=bool))
+
+
 def make_h(n_info, rows):
-    return SparseParityMatrix(
-        n_info=n_info,
-        indptr=np.cumsum([0] + [len(r) for r in rows]),
-        indices=np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(np.int64),
+    return rows_h(
+        n_info,
+        np.cumsum([0] + [len(r) for r in rows]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *rows]).astype(np.int64),
     )
 
 
 def expanded_h(seeds, params):
-    return SparseParityMatrix(params.k, *seed_expand(seeds, params))
+    return rows_h(params.k, *seed_expand(seeds, params))
 
 
 def graph_h(seeds, params, drop=()):
     """build_h over the graph of `seeds`, the rows of the seeds in `drop` masked."""
-    graph = NeighborGraph(SeedSchedule(tuple(seeds)), params)
+    graph = NeighborGraph.expand(SeedSchedule(tuple(seeds)), params)
     return build_h(graph, graph.rows_of(np.setdiff1d(seeds, drop)))
 
 
@@ -339,7 +345,7 @@ def test_bp_on_graph_rows_matches_reference_kernel(c, n_seeds, planes):
     the reference kernel, and reaches the rows that the same rows reach
     as a plain matrix."""
     params = SolitonParams(k=1000, c=c, delta=0.001)
-    graph = NeighborGraph(SeedSchedule.first_n(n_seeds), params)
+    graph = NeighborGraph.expand(SeedSchedule.first_n(n_seeds), params)
     rng = np.random.default_rng(72)
     h = build_h(graph, rng.random(graph.n_rows) < 0.95)
     assert h.graph is graph and h.n_rows < graph.n_rows
@@ -349,7 +355,7 @@ def test_bp_on_graph_rows_matches_reference_kernel(c, n_seeds, planes):
     llrs[rng.random(llrs.shape) < 0.01] *= -1
     llrs[rng.random(llrs.shape) < 0.005] = 0.0
     live = (llrs != 0.0).any(axis=1)
-    plain = SparseParityMatrix(h.n_info, h.indptr, h.indices)
+    plain = rows_h(h.n_info, h.indptr, h.indices)
     reach = bp_decoder._reach(h, live)
     assert len(reach[0]) > 0
     assert all(np.array_equal(a, b) for a, b in zip(reach, bp_decoder._reach(plain, live)))

@@ -463,6 +463,7 @@ def test_hard_decode_holds_no_reads_in_the_erasure_solve(encoded, tmp_path, monk
         held.append(tracemalloc.get_traced_memory()[0])
         return real(rows, coded_bits, k)
 
+    monkeypatch.setattr(pipeline, "_SOLVED", [])  # every decode solves
     monkeypatch.setattr(pipeline, "lt_erasure_solve", spy)
     tracemalloc.start()
     try:
@@ -496,6 +497,7 @@ def test_decoder_fault_is_an_internal_error(simulated, tmp_path, monkeypatch, ca
     def faulty_solve(rows, coded_bits, k):
         raise ValueError("injected decoder fault")
 
+    monkeypatch.setattr(pipeline, "_SOLVED", [])  # every decode solves
     monkeypatch.setattr(pipeline, "lt_erasure_solve", faulty_solve)
     code = run(decode_argv(enc, sim, tmp_path / "d", "--set", f"decode.decoder={decoder}"))
     assert code == EXIT_INTERNAL

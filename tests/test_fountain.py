@@ -328,7 +328,7 @@ def test_graph_rows_are_the_expanded_rows(k, c, table_seed, n_table, share, mask
         assume(False)
     rng = np.random.default_rng(table_seed)
     table = rng.choice(2**32, size=n_table, replace=False)
-    graph = NeighborGraph(SeedSchedule(tuple(table.tolist())), params)
+    graph = NeighborGraph.expand(SeedSchedule(tuple(table.tolist())), params)
     subset = np.sort(table[rng.random(n_table) < share])
     keep = graph.rows_of(subset)
     dist = robust_soliton(params)
@@ -349,14 +349,14 @@ def test_graph_rows_are_the_expanded_rows(k, c, table_seed, n_table, share, mask
 
 
 def test_graph_names_a_seed_the_table_lacks():
-    graph = NeighborGraph(SeedSchedule((5, 9, 2)), SMALL)
+    graph = NeighborGraph.expand(SeedSchedule((5, 9, 2)), SMALL)
     assert graph.seeds.tolist() == [2, 5, 9]
     assert graph.rows_of(np.array([2, 9])).tolist() == [True, False, True]
     for seeds in ([2, 7], [10], [1]):
         with pytest.raises(ValueError, match=f"seed {seeds[-1]} is not in the seed table"):
             graph.rows_of(np.array(seeds))
     with pytest.raises(ValueError, match="seed 3 "):
-        NeighborGraph(SeedSchedule(()), SMALL).rows_of(np.array([3]))
+        NeighborGraph.expand(SeedSchedule(()), SMALL).rows_of(np.array([3]))
 
 
 def test_graph_is_expanded_once_while_held(monkeypatch):

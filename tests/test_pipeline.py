@@ -695,7 +695,7 @@ def test_soft_decode_never_builds_the_dense_posterior(noisy_world, monkeypatch):
     assert bp_calls and not built
     # reading a field derived from the posterior builds it
     soft = pipeline.llr_proposed(clusters, table).payload_llrs
-    graph = NeighborGraph(sched, DESK)
+    graph = NeighborGraph.expand(sched, DESK)
     out = real_bp(pipeline.build_h(graph, graph.rows_of(clusters.seeds)), soft)
     assert out.undetermined.shape == (256,) and built
 
@@ -722,8 +722,10 @@ def forget_solves():
 
 
 def solve_spy(monkeypatch):
-    """Replace pipeline.lt_erasure_solve with a spy that lists the k of each call."""
+    """Replace pipeline.lt_erasure_solve with a spy that lists the k of each
+    call, and start from an empty solve memo."""
     calls, real = [], pipeline.lt_erasure_solve
+    monkeypatch.setattr(pipeline, "_SOLVED", [])
 
     def spy(rows, coded_bits, k):
         calls.append(k)
@@ -813,8 +815,8 @@ def test_decoders_check_their_seed_table(encoded_world, decoder):
 
 
 def test_sweep_expands_its_table_once(noisy_world, monkeypatch):
-    """A sweep's decodes share one graph; a hard decode holds none in its
-    solve and builds no column index."""
+    """A sweep's decodes share one graph; a decode holds none in its solve
+    unless its caller does, and a hard decode builds no column index."""
     sched, source, seqs, reads, table = noisy_world
     expansions, real = [], fountain.seed_expand
     monkeypatch.setattr(fountain, "seed_expand", lambda *a: expansions.append(1) or real(*a))
@@ -826,16 +828,19 @@ def test_sweep_expands_its_table_once(noisy_world, monkeypatch):
     graphs, real_solve = [], pipeline.lt_erasure_solve
 
     def spy(rows, coded_bits, k):
-        graphs.append(len(fountain._GRAPHS))
+        if k == DESK.k:  # not forget_solves' systems
+            graphs.append(len(fountain._GRAPHS))
         return real_solve(rows, coded_bits, k)
 
     monkeypatch.setattr(pipeline, "lt_erasure_solve", spy)
     clusters, _ = cluster_by_seed(reads, sched)
-    assert hard_decode_baseline(clusters, sched, TRIAL[2], source).success
+    for params in TRIAL:
+        forget_solves()  # so that every decode solves
+        assert decode(clusters, sched, table, params, source).success
     held = fountain.neighbor_graph(sched, DESK)
-    forget_solves()  # so that the second decode solves again
+    forget_solves()
     assert hard_decode_baseline(clusters, sched, TRIAL[2], source).success
-    assert graphs[0] == 0 and graphs[-1] == 1 and "columns" not in vars(held)
+    assert graphs == [0, 0, 0, 1] and "columns" not in vars(held)
 
 
 def test_sweep_rejects_oversized_point(noisy_world):
